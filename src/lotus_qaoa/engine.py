@@ -12,6 +12,7 @@ while the cost phase is periodic only for integer spectra.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -80,10 +81,32 @@ def apply_cost_phase(state: StateVector, diag: CostDiagonal, gamma: float) -> St
     return state
 
 
-def _mixer_block_sizes(n: int) -> list[int]:
+@cache
+def _mixer_block_sizes(n: int) -> tuple[int, ...]:
     n_blocks = -(-n // _MIXER_BLOCK)
     base, extra = divmod(n, n_blocks)
-    return [base + (b < extra) for b in range(n_blocks)]
+    return tuple(base + (b < extra) for b in range(n_blocks))
+
+
+@cache
+def _hamming_table(k: int) -> np.ndarray:
+    """hamming[x, y] = popcount(x ^ y) over k-bit indices (read-only)."""
+    idx = np.arange(1 << k)
+    popcount = np.array([bin(v).count("1") for v in range(1 << k)])
+    table = popcount[idx[:, None] ^ idx[None, :]]
+    table.flags.writeable = False
+    return table
+
+
+def _mixer_block(k: int, c: float, s: float) -> np.ndarray:
+    """R^(x)k for R = [[c, -i s], [-i s, c]] in closed form.
+
+    Entry (x, y) of the k-fold tensor power is c^(k-d) * (-i s)^d with
+    d = popcount(x ^ y): each qubit contributes c where the bits agree and
+    -i s where they differ. The block is symmetric.
+    """
+    powers = np.array([c ** (k - d) * (-1j * s) ** d for d in range(k + 1)])
+    return powers[_hamming_table(k)]
 
 
 def apply_mixer(state: StateVector, beta: float) -> StateVector:
@@ -95,17 +118,11 @@ def apply_mixer(state: StateVector, beta: float) -> StateVector:
     original layout. Equivalent to a per-qubit loop but with far fewer
     numpy dispatches.
     """
-    n = state.n
-    c, s = np.cos(beta), np.sin(beta)
-    r1 = np.array([[c, -1j * s], [-1j * s, c]], dtype=np.complex128)
+    sizes = _mixer_block_sizes(state.n)
+    c, s = float(np.cos(beta)), float(np.sin(beta))
+    blocks = {k: _mixer_block(k, c, s) for k in set(sizes)}
     amps = state.amps
-    blocks = {}
-    for k in set(_mixer_block_sizes(n)):
-        rk = r1
-        for _ in range(k - 1):
-            rk = np.kron(rk, r1)
-        blocks[k] = rk.T  # right-multiplied below
-    for k in _mixer_block_sizes(n):
+    for k in sizes:
         # apply to the low k bits, then rotate them to the top
         amps = (amps.reshape(-1, 1 << k) @ blocks[k]).T.ravel()
     state.amps = amps
@@ -169,25 +186,28 @@ def expectation_sampled(
 
 def sample_best_bitstring(
     state: StateVector,
-    g: WeightedGraph,
+    diag: CostDiagonal | WeightedGraph,
     shots: int,
     seed: int | np.random.Generator,
 ) -> CutResult:
-    """Best cut among ``shots`` sampled bitstrings.
+    """Best cut among ``shots`` sampled bitstrings, read from the cut table.
 
+    Pass the run's prebuilt ``diag``; a graph builds its table first.
     Ties go to the lowest canonical index (bit 0 flipped to 0 first, which
     is harmless since cuts are invariant under global bit flip).
     """
     if shots < 1:
         raise ValueError(f"need shots >= 1, got {shots}")
+    if isinstance(diag, WeightedGraph):
+        diag = build_cost_diagonal(diag)
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    values = _cut_values_all(g)
+    values = diag.values
     idx = _sample_indices(state, shots, rng)
-    mask = (1 << g.n) - 1
+    mask = values.size - 1
     canonical = np.where(idx & 1, idx ^ mask, idx)
     best_cut = values[canonical].max()
     winners = canonical[values[canonical] == best_cut]
     return CutResult(
-        bitstring=index_to_bitstring(int(winners.min()), g.n),
+        bitstring=index_to_bitstring(int(winners.min()), diag.n),
         cut_value=float(best_cut),
     )

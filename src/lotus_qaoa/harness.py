@@ -23,7 +23,7 @@ from scipy.linalg import expm
 from scipy.stats import wilcoxon
 
 from . import engine, instance, optim, schedule
-from .records import RunRecord, append_record, load_records, write_csv
+from .records import RunRecord, append_record, resume_records, write_csv
 
 DEFAULT_ALPHA = 0.7
 WORKERS_ENV_VAR = "LOTUS_QAOA_WORKERS"
@@ -142,9 +142,10 @@ def run_sweep(cfg: SweepConfig, workers: int | None = None) -> list[RunRecord]:
     """Execute every cell of the sweep, appending records to cfg.out.
 
     A config sidecar (cfg.out + ".config.json") marks the sweep; rerunning
-    with the same config resumes, skipping runs already on disk. Record
-    content is independent of the worker count (all randomness is derived
-    from cell-local seeds); only completion order may differ.
+    with the same config resumes, skipping runs already on disk; a torn
+    final line left by a crash mid-append is cut off and its run redone.
+    Record content is independent of the worker count (all randomness is
+    derived from cell-local seeds); only completion order may differ.
     """
     workers = default_workers() if workers is None else max(1, workers)
     sidecar = cfg.out + ".config.json"
@@ -157,7 +158,7 @@ def run_sweep(cfg: SweepConfig, workers: int | None = None) -> list[RunRecord]:
                     raise ValueError(
                         f"{cfg.out} was produced by a different config; "
                         "remove it or choose another output path")
-        existing = load_records(cfg.out)
+        existing = resume_records(cfg.out)
         done = {r.run_key() for r in existing}
     with open(sidecar, "w", encoding="utf-8") as fh:
         fh.write(cfg.to_json() + "\n")

@@ -94,13 +94,28 @@ def index_to_bitstring(index: int, n: int) -> str:
     return "".join(str((index >> i) & 1) for i in range(n))
 
 
+def _lower_neighbours(g: WeightedGraph) -> list[list[tuple[int, float]]]:
+    """Per node m, its edges (i, w) to lower nodes i < m, in index order."""
+    lower: list[list[tuple[int, float]]] = [[] for _ in range(g.n)]
+    for i, j, w in g.edges:
+        lower[j].append((i, w))
+    return [sorted(nbrs) for nbrs in lower]
+
+
 def cut_value(g: WeightedGraph, z: str | np.ndarray | list[int] | tuple[int, ...]) -> float:
-    """Total weight of edges whose endpoints get different bits."""
+    """Total weight of edges whose endpoints get different bits.
+
+    Summed per node over its cut edges to lower nodes, in the order
+    ``_cut_values_all`` adds them, so both agree to the last bit.
+    """
     bits = _as_bits(z, g.n)
     total = 0.0
-    for i, j, w in g.edges:
-        if bits[i] != bits[j]:
-            total += w
+    for m, nbrs in enumerate(_lower_neighbours(g)):
+        t = 0.0
+        for i, w in nbrs:
+            if bits[i] != bits[m]:
+                t += w
+        total += t
     return total
 
 
@@ -136,11 +151,29 @@ def gen_erdos_renyi(n: int, p_graph: float, seed: int) -> WeightedGraph:
 
 
 def _cut_values_all(g: WeightedGraph) -> np.ndarray:
-    """Cut value for every basis index 0 .. 2^n - 1 (vectorized)."""
-    idx = np.arange(1 << g.n, dtype=np.uint32)
-    values = np.zeros(idx.size, dtype=np.float64)
-    for i, j, w in g.edges:
-        values += w * (((idx >> i) ^ (idx >> j)) & 1)
+    """Cut value for every basis index 0 .. 2^n - 1, built node by node.
+
+    After node m the first 2^(m+1) entries hold the cut of every assignment
+    of nodes 0..m. Node m's edges to lower nodes add t[x] = sum of w over
+    lower neighbours i with bit i of x set when node m sits at 0, and the
+    mirror t[~x] = t[::-1][x] when it sits at 1. Using the exact mirror
+    keeps the table exactly invariant under a global bit flip. Both arrays
+    are filled in place, so a build allocates nothing else.
+    """
+    values = np.zeros(1 << g.n)
+    t = np.zeros(1 << (g.n - 1))
+    for m, nbrs in enumerate(_lower_neighbours(g)):
+        size = 1 << m
+        weight = dict(nbrs)
+        for i in range(m):  # t[0] stays 0; each step doubles the filled range
+            h = 1 << i
+            w = weight.get(i)
+            if w is None:
+                t[h:2 * h] = t[:h]
+            else:
+                np.add(t[:h], w, out=t[h:2 * h])
+        np.add(values[:size], t[:size][::-1], out=values[size:2 * size])
+        values[:size] += t[:size]
     return values
 
 

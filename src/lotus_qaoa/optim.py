@@ -17,7 +17,8 @@ import numpy as np
 from scipy.optimize import minimize as _scipy_minimize
 
 from . import engine
-from .instance import WeightedGraph, brute_force_maxcut
+# perfbench/tracer.py patches optim.brute_force_maxcut by name, so it stays importable here.
+from .instance import WeightedGraph, brute_force_maxcut  # noqa: F401
 from .records import RunRecord
 from .schedule import HfaParams, Schedule, hfa_generate, standard_unpack
 
@@ -53,15 +54,20 @@ class ObjectiveSpec:
     bounds: list[tuple[float | None, float | None]] | None = None
     eval_counter: int = 0
 
-    def clamp(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64).copy()
+    def __post_init__(self) -> None:
+        # clip limits as arrays, built once: None means unbounded on that side
+        self._lo = self._hi = None
         if self.bounds is not None:
-            for i, (lo, hi) in enumerate(self.bounds):
-                if lo is not None and x[i] < lo:
-                    x[i] = lo
-                if hi is not None and x[i] > hi:
-                    x[i] = hi
-        return x
+            self._lo = np.array([-np.inf if lo is None else lo for lo, _ in self.bounds],
+                                dtype=np.float64)
+            self._hi = np.array([np.inf if hi is None else hi for _, hi in self.bounds],
+                                dtype=np.float64)
+
+    def clamp(self, x: np.ndarray) -> np.ndarray:
+        """Copy of ``x`` with every coordinate clipped into its bounds."""
+        if self._lo is None:
+            return np.array(x, dtype=np.float64)
+        return np.clip(np.asarray(x, dtype=np.float64), self._lo, self._hi)
 
     def __call__(self, x: np.ndarray) -> float:
         value = float(self.evaluator(x))
@@ -125,12 +131,6 @@ def finite_difference_gradient(obj: ObjectiveSpec, x: np.ndarray, h: float = FD_
     return _central_diff(obj, np.asarray(x, dtype=np.float64), h)
 
 
-def _scipy_bounds(bounds, dim: int):
-    if bounds is None:
-        return None
-    return [(lo, hi) for lo, hi in bounds]
-
-
 def _simplex_edges(bounds, dim: int) -> np.ndarray:
     edges = np.full(dim, 0.25)
     if bounds is not None:
@@ -148,7 +148,7 @@ def _nelder_mead(fun, x0, bounds, tol, report_iteration):
     simplex = np.tile(x0, (dim + 1, 1))
     simplex[1:] += np.diag(_simplex_edges(bounds, dim))
     res = _scipy_minimize(
-        fun, x0, method="Nelder-Mead", bounds=_scipy_bounds(bounds, dim),
+        fun, x0, method="Nelder-Mead", bounds=bounds,
         callback=lambda xk: report_iteration(),
         options=dict(initial_simplex=simplex, fatol=tol, xatol=np.inf,
                      maxiter=_BIG, maxfev=_BIG),
@@ -158,7 +158,7 @@ def _nelder_mead(fun, x0, bounds, tol, report_iteration):
 
 def _powell(fun, x0, bounds, tol, report_iteration):
     res = _scipy_minimize(
-        fun, x0, method="Powell", bounds=_scipy_bounds(bounds, x0.size),
+        fun, x0, method="Powell", bounds=bounds,
         callback=lambda xk: report_iteration(),
         options=dict(ftol=tol, maxiter=_BIG, maxfev=_BIG),
     )
@@ -168,7 +168,7 @@ def _powell(fun, x0, bounds, tol, report_iteration):
 def _fd_lbfgs(fun, x0, bounds, tol, report_iteration):
     res = _scipy_minimize(
         fun, x0, method="L-BFGS-B", jac=lambda x: _central_diff(fun, x, FD_STEP),
-        bounds=_scipy_bounds(bounds, x0.size),
+        bounds=bounds,
         callback=lambda xk: report_iteration(),
         options=dict(ftol=tol, gtol=1e-8, maxiter=_BIG, maxfun=_BIG),
     )
@@ -309,10 +309,10 @@ def _verify_and_record(
         expectation = exact
     else:
         expectation, _ = engine.expectation_sampled(state, diag, VERIFY_SHOTS, _seed_rng(seed, 90))
-    best_cut = engine.sample_best_bitstring(state, g, VERIFY_SHOTS, _seed_rng(seed, 91))
-    if maxcut_value is None and g.n <= 24:
-        maxcut_value = brute_force_maxcut(g).cut_value
-    ratio = None if maxcut_value is None else exact / maxcut_value
+    best_cut = engine.sample_best_bitstring(state, diag, VERIFY_SHOTS, _seed_rng(seed, 91))
+    if maxcut_value is None:
+        maxcut_value = float(diag.values.max())
+    ratio = exact / maxcut_value
     return RunRecord(
         seed=seed,
         optimizer=optimizer,

@@ -2,13 +2,16 @@
 
 Records are persisted as newline-delimited JSON (one record per line,
 append-only, crash-safe) plus an optional derived CSV for spreadsheets.
-Floats serialize through repr, so values round-trip bit-exactly.
+Floats serialize through repr, so values round-trip bit-exactly. A crash
+in the middle of an append leaves a torn final line; loading drops it with
+a warning, while a corrupt line anywhere else is an error.
 """
 from __future__ import annotations
 
 import csv
 import json
 import os
+import warnings
 from dataclasses import asdict, dataclass
 
 from .instance import CutResult
@@ -76,13 +79,58 @@ def append_record(path: str, record: RunRecord) -> None:
         os.fsync(fh.fileno())
 
 
-def load_records(path: str) -> list[RunRecord]:
+def _read_records(path: str) -> tuple[list[RunRecord], int | None]:
+    """Records in the file, and the byte offset of a torn final line (or None)."""
+    with open(path, "rb") as fh:
+        lines = fh.read().split(b"\n")
+    last = max((pos for pos, line in enumerate(lines) if line.strip()), default=-1)
     records = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                records.append(RunRecord.from_json(line))
+    offset = 0
+    for pos, line in enumerate(lines):
+        if line.strip():
+            try:
+                records.append(RunRecord.from_json(line.decode("utf-8")))
+            except json.JSONDecodeError:
+                if pos != last:
+                    raise
+                return records, offset
+        offset += len(line) + 1
+    return records, None
+
+
+def _warn_torn(path: str, offset: int) -> None:
+    warnings.warn(f"{path}: dropped a torn final line at byte {offset} "
+                  "(a record whose append was cut off)", RuntimeWarning, stacklevel=3)
+
+
+def load_records(path: str) -> list[RunRecord]:
+    """Every complete record; a torn final line is dropped with a warning."""
+    records, torn = _read_records(path)
+    if torn is not None:
+        _warn_torn(path, torn)
+    return records
+
+
+def resume_records(path: str) -> list[RunRecord]:
+    """Like ``load_records``, and also make the file safe to append to.
+
+    A torn final line is cut off the file (its run is redone), and a final
+    record that lost only its newline gets one, so the next append starts
+    on a fresh line.
+    """
+    records, torn = _read_records(path)
+    with open(path, "r+b") as fh:
+        if torn is not None:
+            _warn_torn(path, torn)
+            fh.truncate(torn)
+        end = fh.seek(0, os.SEEK_END)
+        if end:
+            fh.seek(end - 1)
+            if fh.read(1) != b"\n":
+                fh.seek(0, os.SEEK_END)
+                fh.write(b"\n")
+        fh.flush()
+        os.fsync(fh.fileno())
     return records
 
 

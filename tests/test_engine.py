@@ -1,7 +1,11 @@
+from functools import reduce
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lotus_qaoa import engine
+from lotus_qaoa import engine, instance
 from lotus_qaoa.engine import (
     StateVector,
     apply_cost_phase,
@@ -42,6 +46,21 @@ class TestCostDiagonal:
         values = build_cost_diagonal(g).values
         flipped = values[63 - np.arange(64)]  # global bit flip of every index
         assert np.array_equal(values, flipped)
+
+    def test_matches_per_index_cut_value(self):
+        # both sum each node's cut edges to lower nodes in index order, so
+        # they agree exactly (the CostDiagonal invariant), not just to 1e-12
+        rng = np.random.default_rng(14)
+        for trial in range(20):
+            n = int(rng.integers(2, 11))
+            g = gen_erdos_renyi(n, float(rng.uniform(0.3, 1.0)), seed=trial)
+            shuffled = WeightedGraph(n=n, edges=tuple(
+                g.edges[k] for k in rng.permutation(len(g.edges))))
+            for graph in (g, shuffled):
+                values = instance._cut_values_all(graph)
+                reference = [instance.cut_value(graph, instance.index_to_bitstring(z, n))
+                             for z in range(1 << n)]
+                assert np.array_equal(values, reference)
 
     def test_qubit_cap(self):
         g = WeightedGraph(n=21, edges=tuple((i, i + 1, 0.5) for i in range(20)))
@@ -94,6 +113,15 @@ class TestCostPhase:
 
 
 class TestMixer:
+    def test_closed_form_block_matches_kron(self):
+        rng = np.random.default_rng(3)
+        for k in range(1, 6):
+            for beta in rng.uniform(-7, 7, 4):
+                c, s = np.cos(beta), np.sin(beta)
+                r1 = np.array([[c, -1j * s], [-1j * s, c]])
+                block = engine._mixer_block(k, c, s)
+                assert np.max(np.abs(block - reduce(np.kron, [r1] * k))) <= 1e-14
+
     def test_zero_angle_is_identity(self):
         state = plus_state(4)
         before = state.amps.copy()
@@ -118,7 +146,7 @@ class TestMixer:
 
     def test_matches_dense_exponential(self):
         rng = np.random.default_rng(5)
-        for n in (1, 2, 3, 4, 5, 6, 7):
+        for n in (1, 2, 3, 4, 5, 6, 7, 9):  # n=9 runs blocks of 3, 3, 3
             from scipy.linalg import expm
 
             beta = float(rng.uniform(-3, 3))
@@ -170,6 +198,16 @@ class TestEvolve:
             fast = evolve(g, sched)
             dense = dense_oracle_state(g, sched)
             assert abs(np.vdot(fast.amps, dense)) > 1.0 - 1e-10
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(n=st.integers(2, 6), density=st.floats(0.3, 1.0), seed=st.integers(0, 2 ** 32 - 1),
+           angles=st.lists(st.floats(-2 * np.pi, 2 * np.pi), min_size=2, max_size=8))
+    def test_matches_dense_oracle_property(self, n, density, seed, angles):
+        p = len(angles) // 2  # depth 1..4
+        g = gen_erdos_renyi(n, density, seed=seed)
+        sched = standard_unpack(np.array(angles[:2 * p]), p)
+        fast = evolve(g, sched).amps
+        assert np.max(np.abs(fast - dense_oracle_state(g, sched))) <= 1e-10
 
     def test_norm_preserved_deep_circuit(self):
         g = gen_erdos_renyi(8, 0.7, seed=8)
@@ -257,19 +295,26 @@ class TestBestBitstring:
     def test_concentrated_state(self):
         amps = np.zeros(8, dtype=np.complex128)
         amps[1] = 1.0  # assignment 100, an optimal triangle cut
-        res = sample_best_bitstring(StateVector(amps=amps), TRIANGLE, 16, seed=0)
+        res = sample_best_bitstring(StateVector(amps=amps), build_cost_diagonal(TRIANGLE),
+                                    16, seed=0)
         assert res.cut_value == 2.0
         assert res.bitstring == "011"  # canonical representative (bit 0 = 0)
 
     def test_uniform_triangle_finds_optimum(self):
-        res = sample_best_bitstring(plus_state(3), TRIANGLE, 8192, seed=1)
+        res = sample_best_bitstring(plus_state(3), build_cost_diagonal(TRIANGLE), 8192, seed=1)
         assert res.cut_value == 2.0
 
     def test_single_shot(self):
         g = gen_erdos_renyi(5, 0.7, seed=13)
-        res = sample_best_bitstring(plus_state(5), g, 1, seed=2)
+        res = sample_best_bitstring(plus_state(5), build_cost_diagonal(g), 1, seed=2)
         assert 0.0 <= res.cut_value <= g.total_weight
+
+    def test_graph_builds_its_table(self):
+        g = gen_erdos_renyi(6, 0.7, seed=14)
+        state = evolve(g, schedule_of([0.4, 0.7], [0.3, 0.1]))
+        assert sample_best_bitstring(state, g, 64, seed=3) == \
+            sample_best_bitstring(state, build_cost_diagonal(g), 64, seed=3)
 
     def test_requires_positive_shots(self):
         with pytest.raises(ValueError):
-            sample_best_bitstring(plus_state(2), SINGLE_EDGE, 0, seed=0)
+            sample_best_bitstring(plus_state(2), build_cost_diagonal(SINGLE_EDGE), 0, seed=0)

@@ -1,4 +1,6 @@
 import dataclasses
+import json
+import warnings
 
 import numpy as np
 import pytest
@@ -53,6 +55,22 @@ class TestRecordStore:
         write_csv(str(path), [make_record(), make_record(seed=1)])
         lines = path.read_text().strip().splitlines()
         assert len(lines) == 3 and lines[0].startswith("seed,optimizer")
+
+    def test_torn_final_line_dropped_with_warning(self, tmp_path):
+        path = tmp_path / "r.ndjson"
+        lines = [make_record(seed=s).to_json() for s in range(3)]
+        path.write_text("\n".join(lines) + "\n" + lines[0][:17])
+        with pytest.warns(RuntimeWarning, match="torn final line"):
+            records = load_records(str(path))
+        assert [r.seed for r in records] == [0, 1, 2]
+
+    def test_corrupt_middle_line_raises(self, tmp_path):
+        path = tmp_path / "r.ndjson"
+        lines = [make_record(seed=s).to_json() for s in range(3)]
+        lines[1] = lines[1][:17]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(json.JSONDecodeError):
+            load_records(str(path))
 
 
 class TestScore:
@@ -246,6 +264,28 @@ class TestSweep:
         resumed = run_sweep(cfg, workers=1)
         assert len(resumed) == len(records)
         assert {r.run_key() for r in resumed} == {r.run_key() for r in records}
+
+    def test_resume_after_torn_final_line(self, tmp_path):
+        cfg = SweepConfig(**TINY_CFG, out=str(tmp_path / "r.ndjson"))
+        strip = lambda records: sorted(
+            (r.run_key(), dataclasses.replace(r, wall_time=0.0)) for r in records)
+        full = strip(run_sweep(cfg, workers=1))
+        text = (tmp_path / "r.ndjson").read_text()
+        last_start = text.rstrip("\n").rfind("\n") + 1
+        last_len = len(text) - last_start
+        # cut the last record after its first byte, mid-record, before its
+        # closing brace, and before its newline (complete, so nothing is torn)
+        for cut in (1, last_len // 2, last_len - 2, last_len - 1):
+            (tmp_path / "r.ndjson").write_text(text[:last_start + cut])
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                resumed = run_sweep(cfg, workers=1)
+            torn = [w for w in caught if "torn final line" in str(w.message)]
+            assert len(torn) == (cut < last_len - 1)
+            assert strip(resumed) == full
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert strip(load_records(cfg.out)) == full
 
     def test_config_mismatch_rejected(self, tmp_path):
         cfg = SweepConfig(**TINY_CFG, out=str(tmp_path / "r.ndjson"))

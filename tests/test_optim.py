@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from lotus_qaoa import engine
+from lotus_qaoa import engine, instance
 from lotus_qaoa.instance import WeightedGraph, brute_force_maxcut, gen_erdos_renyi
 from lotus_qaoa.optim import (
     DEFAULT_BUDGET,
@@ -183,6 +183,27 @@ class TestFiniteDifferenceGradient:
             rich[i] = (-f(x + 2 * h * e) + 8 * f(x + h * e)
                        - 8 * f(x - h * e) + f(x - 2 * h * e)) / (12 * h)
         assert np.allclose(grad, rich, rtol=1e-4, atol=1e-7)
+
+
+@pytest.mark.parametrize("run", [
+    lambda g: lotus_optimize(g, 2, k_modes=1, shots=256, seed=1, budget=20),
+    lambda g: baseline_optimize(g, 2, method="powell", shots=256, seed=1, budget=20),
+], ids=["lotus", "baseline"])
+def test_one_cut_table_per_run(monkeypatch, run):
+    g = gen_erdos_renyi(5, 0.8, seed=2)
+    original = instance._cut_values_all
+    calls = []
+
+    def counted(graph):
+        calls.append(graph)
+        return original(graph)
+
+    # engine imports _cut_values_all by name, so count it under both names
+    monkeypatch.setattr(instance, "_cut_values_all", counted)
+    monkeypatch.setattr(engine, "_cut_values_all", counted)
+    _, _, record = run(g)
+    assert len(calls) == 1
+    assert record.approx_ratio == record.expectation_exact / original(g).max()
 
 
 class TestLotusOptimize:
