@@ -11,11 +11,27 @@ import argparse
 import csv
 import dataclasses
 import sys
+from collections.abc import Callable
+from typing import TypeVar
 
 import numpy as np
 
 from . import harness, instance, optim
 from .records import load_records
+
+T = TypeVar("T")
+
+
+class _UsageError(Exception):
+    """A bad command-line input, reported as one stderr line with exit code 2."""
+
+
+def _read_input(what: str, load: Callable[[str], T], path: str) -> T:
+    """``load(path)``; a missing or malformed file is a usage error."""
+    try:
+        return load(path)
+    except (OSError, ValueError, TypeError, KeyError) as exc:
+        raise _UsageError(f"cannot read {what} {path}: {type(exc).__name__}: {exc}") from exc
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
@@ -26,7 +42,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    cfg = harness.SweepConfig.from_json_file(args.config)
+    cfg = _read_input("config", harness.SweepConfig.from_json_file, args.config)
     overrides = {}
     if args.out:
         overrides["out"] = args.out
@@ -42,7 +58,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_score(args: argparse.Namespace) -> int:
-    records = load_records(args.results)
+    records = _read_input("results", load_records, args.results)
     scores = harness.score_records(records, alpha=args.alpha)
     out = args.out or (args.results + ".scores.csv")
     with open(out, "w", newline="", encoding="utf-8") as fh:
@@ -64,7 +80,7 @@ def _cmd_score(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    records = load_records(args.results)
+    records = _read_input("results", load_records, args.results)
     summary = harness.improvement_summary(records, k_modes=args.k_modes)
     print("improvement of the HFA multi-start runs over each baseline (medians per cell):")
     print(f"  {'baseline':16s} {'expectation':>12s} {'evaluations':>12s} {'cells':>6s}")
@@ -90,7 +106,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 def _cmd_transfer(args: argparse.Namespace) -> int:
     if args.instance:
-        g = instance.load_graph(args.instance)
+        g = _read_input("instance", instance.load_graph, args.instance)
     else:
         g = instance.gen_erdos_renyi(args.nodes, args.p_graph, args.seed)
     params, _, record = optim.lotus_optimize(
@@ -181,7 +197,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except _UsageError as exc:
+        print(f"lotus-qaoa: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

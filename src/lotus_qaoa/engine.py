@@ -22,14 +22,6 @@ from .schedule import Schedule
 DEFAULT_QUBIT_CAP = 20
 _MIXER_BLOCK = 4  # qubits fused per mixer matmul
 
-# Monotone count of evolve() calls, used to cross-check optimizer
-# evaluation accounting. Read it via evolve_call_count().
-_evolve_calls = 0
-
-
-def evolve_call_count() -> int:
-    return _evolve_calls
-
 
 @dataclass(frozen=True)
 class CostDiagonal:
@@ -59,6 +51,26 @@ class StateVector:
         return np.abs(self.amps) ** 2
 
 
+@dataclass
+class MirroredHalf:
+    """Kept half of a state that is invariant under a global bit flip.
+
+    ``amps`` holds the 2^(n-1) amplitudes whose top bit is clear. The
+    amplitude at z ^ mask equals the one at z, and z ^ mask = mask - z, so
+    the dropped half is ``amps[::-1]``. ``evolve`` carries this form, since
+    |+>^n, every cut diagonal and the X mixer all commute with the flip.
+    """
+
+    amps: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return int(self.amps.size).bit_length()
+
+    def full(self) -> StateVector:
+        return StateVector(amps=np.concatenate((self.amps, self.amps[::-1])))
+
+
 def build_cost_diagonal(g: WeightedGraph, max_qubits: int = DEFAULT_QUBIT_CAP) -> CostDiagonal:
     if g.n > max_qubits:
         raise ValueError(f"qubit cap {max_qubits} exceeded (n={g.n})")
@@ -73,11 +85,18 @@ def plus_state(n: int, max_qubits: int = DEFAULT_QUBIT_CAP) -> StateVector:
     return StateVector(amps=np.full(dim, dim ** -0.5, dtype=np.complex128))
 
 
-def apply_cost_phase(state: StateVector, diag: CostDiagonal, gamma: float) -> StateVector:
-    """In-place amps[z] *= exp(-i*gamma*values[z]); returns the same state."""
-    if state.amps.size != diag.values.size:
+def apply_cost_phase(state: StateVector | MirroredHalf, diag: CostDiagonal,
+                     gamma: float) -> StateVector | MirroredHalf:
+    """In-place amps[z] *= exp(-i*gamma*values[z]); returns the same state.
+
+    A ``MirroredHalf`` reads the first half of the flip-invariant diagonal.
+    """
+    values = diag.values
+    if isinstance(state, MirroredHalf):
+        values = values[:values.size // 2]
+    if state.amps.size != values.size:
         raise ValueError("state and diagonal dimensions differ")
-    state.amps *= np.exp((-1j * gamma) * diag.values)
+    state.amps *= np.exp((-1j * gamma) * values)
     return state
 
 
@@ -109,7 +128,7 @@ def _mixer_block(k: int, c: float, s: float) -> np.ndarray:
     return powers[_hamming_table(k)]
 
 
-def apply_mixer(state: StateVector, beta: float) -> StateVector:
+def apply_mixer(state: StateVector | MirroredHalf, beta: float) -> StateVector | MirroredHalf:
     """In-place exp(-i*beta*X) on every qubit; returns the same state.
 
     Qubits are processed in blocks: the block rotation R^(x)k is one small
@@ -117,14 +136,24 @@ def apply_mixer(state: StateVector, beta: float) -> StateVector:
     next block lands low. The rotations sum to n bits, restoring the
     original layout. Equivalent to a per-qubit loop but with far fewer
     numpy dispatches.
+
+    A ``MirroredHalf`` lacks the top qubit, which belongs to the last
+    block. There the block's inputs with that bit set are the kept half
+    reversed, so they are laid beside the kept ones and only the output
+    columns with the bit clear are formed.
     """
     sizes = _mixer_block_sizes(state.n)
     c, s = float(np.cos(beta)), float(np.sin(beta))
     blocks = {k: _mixer_block(k, c, s) for k in set(sizes)}
     amps = state.amps
-    for k in sizes:
+    half = isinstance(state, MirroredHalf)
+    for k in sizes[:-1] if half else sizes:
         # apply to the low k bits, then rotate them to the top
         amps = (amps.reshape(-1, 1 << k) @ blocks[k]).T.ravel()
+    if half:
+        w = 1 << (sizes[-1] - 1)
+        folded = np.concatenate((amps.reshape(-1, w), amps[::-1].reshape(-1, w)), axis=1)
+        amps = (folded @ blocks[sizes[-1]][:, :w]).T.ravel()
     state.amps = amps
     return state
 
@@ -133,17 +162,18 @@ def evolve(g: WeightedGraph, sched: Schedule, max_qubits: int = DEFAULT_QUBIT_CA
            diag: CostDiagonal | None = None) -> StateVector:
     """Run the full circuit: |+>^n, then p cost-phase + mixer layers.
 
-    Pass a prebuilt ``diag`` to skip rebuilding it in hot loops.
+    Pass a prebuilt ``diag`` to skip rebuilding it in hot loops. The layers
+    run on the ``MirroredHalf`` of the state (the circuit commutes with a
+    global bit flip); the full state is formed once at the end.
     """
-    global _evolve_calls
-    _evolve_calls += 1
     if diag is None:
         diag = build_cost_diagonal(g, max_qubits=max_qubits)
-    state = plus_state(g.n, max_qubits=max_qubits)
+    plus = plus_state(g.n, max_qubits=max_qubits).amps
+    state = MirroredHalf(amps=plus[:plus.size // 2])
     for gamma, beta in zip(sched.raw_gammas, sched.raw_betas):
         apply_cost_phase(state, diag, float(gamma))
         apply_mixer(state, float(beta))
-    return state
+    return state.full()
 
 
 def expectation_exact(state: StateVector, diag: CostDiagonal) -> float:

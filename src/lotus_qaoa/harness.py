@@ -70,6 +70,13 @@ class SweepConfig:
                 raise ValueError(f"{name} must be non-empty")
         if self.seeds < 1:
             raise ValueError("need at least one seed per cell")
+        seen: dict[int, str] = {}
+        for optimizer in self.optimizers:
+            tag = _optimizer_tag(optimizer)
+            if tag in seen:
+                raise ValueError(f"optimizers {seen[tag]!r} and {optimizer!r} would share "
+                                 "run seeds")
+            seen[tag] = optimizer
 
     def to_json(self) -> str:
         return json.dumps(dataclasses.asdict(self), sort_keys=True)
@@ -98,12 +105,17 @@ def _cell_instance_seed(cfg: SweepConfig, n: int, p: int, density: float, seed_i
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
+def _optimizer_tag(optimizer: str) -> int:
+    """Seed tag of an optimizer id: the sum of its character codes, so
+    anagrams share it (SweepConfig rejects such rosters)."""
+    return sum(map(ord, optimizer))
+
+
 def _run_seed(cfg: SweepConfig, n: int, p: int, density: float, seed_idx: int,
               optimizer: str, k_modes: int) -> int:
-    opt_tag = sum(map(ord, optimizer))
     ss = np.random.SeedSequence(
         [cfg.base_seed & 0xFFFFFFFFFFFFFFFF, 2, n, p, _density_key(density),
-         seed_idx, opt_tag, k_modes])
+         seed_idx, _optimizer_tag(optimizer), k_modes])
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
@@ -382,9 +394,10 @@ def depth_transfer_experiment(
             cold_e, cold_evals = cold_rec.expectation_exact, cold_out.evaluations
             obj = optim.ObjectiveSpec(
                 dimension=params.dimension,
-                evaluator=lambda x, _p=p: -engine.expectation_exact(
-                    engine.evolve(g, schedule.hfa_generate(
-                        schedule.HfaParams.from_vector(x), _p), diag=diag), diag),
+                evaluator=optim._negative_expectation_objective(
+                    g, diag, lambda x, _p=p: schedule.hfa_generate(
+                        schedule.HfaParams.from_vector(x), _p),
+                    shots=0, noise_rng=None),
             )
             warm = optim.minimize(method, obj, params.to_vector(), budget=budget,
                                   tol=optim.DEFAULT_TOL_EXACT)

@@ -276,8 +276,12 @@ def _negative_expectation_objective(
     diag: engine.CostDiagonal,
     to_schedule: Callable[[np.ndarray], Schedule],
     shots: int,
-    noise_rng: np.random.Generator,
+    noise_rng: np.random.Generator | None,
 ) -> Callable[[np.ndarray], float]:
+    """Objective x -> -expectation of the circuit ``to_schedule(x)``.
+
+    ``shots=0`` is exact and draws nothing, so ``noise_rng`` may be None.
+    """
     def evaluate(x: np.ndarray) -> float:
         state = engine.evolve(g, to_schedule(x), diag=diag)
         if shots == 0:

@@ -103,3 +103,12 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as err:
             run_cli("gen", "-n", "4")
         assert err.value.code == 2
+
+    def test_bad_input_files_exit_two(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"qubits": [4], "bogus": 1}))
+        assert run_cli("run", "--config", str(cfg_path)) == 2
+        assert run_cli("score", "--results", str(tmp_path / "missing.ndjson")) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2
+        assert "bogus" in err[0] and "missing.ndjson" in err[1]

@@ -1,3 +1,4 @@
+from collections import Counter
 from functools import reduce
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from lotus_qaoa import engine, instance
 from lotus_qaoa.engine import (
+    MirroredHalf,
     StateVector,
     apply_cost_phase,
     apply_mixer,
@@ -146,7 +148,8 @@ class TestMixer:
 
     def test_matches_dense_exponential(self):
         rng = np.random.default_rng(5)
-        for n in (1, 2, 3, 4, 5, 6, 7, 9):  # n=9 runs blocks of 3, 3, 3
+        # n=9 runs blocks of 3, 3, 3; the last (top) block takes 1..4 qubits
+        for n in range(1, 11):
             from scipy.linalg import expm
 
             beta = float(rng.uniform(-3, 3))
@@ -156,6 +159,12 @@ class TestMixer:
             apply_mixer(state, beta)
             expected = expm(-1j * beta * dense_mixer_matrix(n)) @ amps
             assert np.allclose(state.amps, expected, atol=1e-10)
+            # the kept half of a flip-symmetric state folds the top block
+            half = amps[:amps.size // 2]
+            mirrored = np.concatenate((half, half[::-1])) / np.linalg.norm(half) / np.sqrt(2)
+            full = apply_mixer(StateVector(amps=mirrored.copy()), beta).amps
+            folded = apply_mixer(MirroredHalf(amps=mirrored[:half.size].copy()), beta)
+            assert np.max(np.abs(folded.full().amps - full)) <= 1e-14
 
     def test_norm_preserved(self):
         rng = np.random.default_rng(6)
@@ -190,10 +199,12 @@ class TestEvolve:
 
     def test_matches_dense_oracle(self):
         rng = np.random.default_rng(7)
-        for trial in range(12):
-            n = int(rng.integers(2, 4))
+        # a single qubit (its top block is the whole mixer) and n=7, whose
+        # folded top block has 3 qubits
+        graphs = [gen_erdos_renyi(int(rng.integers(2, 4)), 1.0, seed=trial) for trial in range(12)]
+        graphs += [WeightedGraph(n=1, edges=()), gen_erdos_renyi(7, 0.6, seed=12)]
+        for g in graphs:
             p = int(rng.integers(1, 3))
-            g = gen_erdos_renyi(n, 1.0, seed=trial)
             sched = standard_unpack(rng.uniform(-2 * np.pi, 2 * np.pi, 2 * p), p)
             fast = evolve(g, sched)
             dense = dense_oracle_state(g, sched)
@@ -226,10 +237,21 @@ class TestEvolve:
         e1 = expectation_exact(evolve(g, standard_unpack(shifted, 3), diag=diag), diag)
         assert e0 == pytest.approx(e1, abs=1e-10)
 
-    def test_call_counter_increments(self):
-        before = engine.evolve_call_count()
-        evolve(SINGLE_EDGE, schedule_of([0.1], [0.2]))
-        assert engine.evolve_call_count() == before + 1
+    def test_call_counter_increments(self, monkeypatch):
+        # evolve runs one phase and one mixer per layer, looked up as module
+        # globals so that a wrapper (the benchmark's tracer) sees every call
+        calls = Counter()
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("evolve", "apply_cost_phase", "apply_mixer"):
+            monkeypatch.setattr(engine, name, counting(name, getattr(engine, name)))
+        engine.evolve(SINGLE_EDGE, schedule_of([0.1, 0.3], [0.2, 0.4]))
+        assert calls == {"evolve": 1, "apply_cost_phase": 2, "apply_mixer": 2}
 
 
 class TestExpectation:

@@ -313,6 +313,12 @@ class TestSweep:
         with pytest.raises(ValueError):
             SweepConfig(seeds=0)
 
+    def test_colliding_optimizer_ids_rejected(self):
+        # run seeds tag an optimizer by its character-code sum
+        for roster in (("powell", "lowpel"), ("powell", "powell")):
+            with pytest.raises(ValueError, match="share run seeds"):
+                SweepConfig(optimizers=roster)
+
     def test_default_grid_matches_benchmark_ranges(self):
         cfg = SweepConfig()
         assert cfg.qubits == (8, 12)
