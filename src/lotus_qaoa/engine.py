@@ -71,16 +71,16 @@ class MirroredHalf:
         return StateVector(amps=np.concatenate((self.amps, self.amps[::-1])))
 
 
-def build_cost_diagonal(g: WeightedGraph, max_qubits: int = DEFAULT_QUBIT_CAP) -> CostDiagonal:
-    if g.n > max_qubits:
-        raise ValueError(f"qubit cap {max_qubits} exceeded (n={g.n})")
+def build_cost_diagonal(g: WeightedGraph) -> CostDiagonal:
+    if g.n > DEFAULT_QUBIT_CAP:
+        raise ValueError(f"qubit cap {DEFAULT_QUBIT_CAP} exceeded (n={g.n})")
     return CostDiagonal(values=_cut_values_all(g))
 
 
-def plus_state(n: int, max_qubits: int = DEFAULT_QUBIT_CAP) -> StateVector:
+def plus_state(n: int) -> StateVector:
     """Uniform superposition |+>^n."""
-    if not (1 <= n <= max_qubits):
-        raise ValueError(f"need 1 <= n <= {max_qubits}, got {n}")
+    if not (1 <= n <= DEFAULT_QUBIT_CAP):
+        raise ValueError(f"need 1 <= n <= {DEFAULT_QUBIT_CAP}, got {n}")
     dim = 1 << n
     return StateVector(amps=np.full(dim, dim ** -0.5, dtype=np.complex128))
 
@@ -158,8 +158,7 @@ def apply_mixer(state: StateVector | MirroredHalf, beta: float) -> StateVector |
     return state
 
 
-def evolve(g: WeightedGraph, sched: Schedule, max_qubits: int = DEFAULT_QUBIT_CAP,
-           diag: CostDiagonal | None = None) -> StateVector:
+def evolve(g: WeightedGraph, sched: Schedule, diag: CostDiagonal | None = None) -> StateVector:
     """Run the full circuit: |+>^n, then p cost-phase + mixer layers.
 
     Pass a prebuilt ``diag`` to skip rebuilding it in hot loops. The layers
@@ -167,8 +166,8 @@ def evolve(g: WeightedGraph, sched: Schedule, max_qubits: int = DEFAULT_QUBIT_CA
     global bit flip); the full state is formed once at the end.
     """
     if diag is None:
-        diag = build_cost_diagonal(g, max_qubits=max_qubits)
-    plus = plus_state(g.n, max_qubits=max_qubits).amps
+        diag = build_cost_diagonal(g)
+    plus = plus_state(g.n).amps
     state = MirroredHalf(amps=plus[:plus.size // 2])
     for gamma, beta in zip(sched.raw_gammas, sched.raw_betas):
         apply_cost_phase(state, diag, float(gamma))

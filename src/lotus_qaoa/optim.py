@@ -10,8 +10,8 @@ to run past the budget, so reported evaluation counts never exceed it.
 from __future__ import annotations
 
 import time
-from collections.abc import Callable
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import minimize as _scipy_minimize
@@ -34,6 +34,11 @@ DEFAULT_SHOTS = 1024
 VERIFY_SHOTS = 8192
 FD_STEP = 1e-6
 LAMBDA_CLAMP = 0.999
+# Distribution of the HFA restart draws (LotusInitConfig.draw)
+INIT_SIGMA_SPECTRAL = 0.5
+INIT_LAMBDA_RANGE = (0.5, 0.95)
+INIT_SIGMA_RESIDUAL = 0.1
+INIT_WEIGHT_NOISE = 0.1
 
 
 class BudgetExhausted(Exception):
@@ -87,30 +92,6 @@ class OptimizerOutcome:
     evaluations: int
     converged: bool
     trace: np.ndarray | None = None
-
-
-class _Run:
-    """Budget guard: clamps, evaluates, tracks the best-so-far trace."""
-
-    def __init__(self, obj: ObjectiveSpec, budget: int):
-        self.obj = obj
-        self.budget = budget
-        self.used = 0
-        self.best_x: np.ndarray | None = None
-        self.best_f = np.inf
-        self.trace: list[float] = []
-
-    def __call__(self, x: np.ndarray) -> float:
-        if self.used >= self.budget:
-            raise BudgetExhausted()
-        x = self.obj.clamp(x)
-        f = self.obj(x)
-        self.used += 1
-        if f < self.best_f:
-            self.best_f = f
-            self.best_x = x
-        self.trace.append(self.best_f)
-        return f
 
 
 def _central_diff(fun: Callable[[np.ndarray], float], x: np.ndarray, h: float) -> np.ndarray:
@@ -214,56 +195,61 @@ def minimize(
         raise ValueError(f"x0 has length {x0.size}, objective expects {obj.dimension}")
     if budget < obj.dimension + 2:
         raise ValueError(f"budget {budget} below dimension + 2 = {obj.dimension + 2}")
-    run = _Run(obj, budget)
-    iter_count = [0]
+    start = obj.eval_counter
+    best_x, best_f, trace, reported = None, np.inf, [], 0
+
+    def guarded(x: np.ndarray) -> float:
+        """Budget guard: clamps, evaluates, tracks the best-so-far trace."""
+        nonlocal best_x, best_f
+        if obj.eval_counter - start >= budget:
+            raise BudgetExhausted()
+        x = obj.clamp(x)
+        f = obj(x)
+        if f < best_f:
+            best_f, best_x = f, x
+        trace.append(best_f)
+        return f
 
     def report_iteration() -> None:
-        iter_count[0] += 1
+        nonlocal reported
+        reported += 1
 
     try:
-        nit, converged = _OPTIMIZERS[method](run, x0, obj.bounds, tol, report_iteration)
-        iterations = iter_count[0] if nit is None else int(nit)
+        nit, converged = _OPTIMIZERS[method](guarded, x0, obj.bounds, tol, report_iteration)
     except BudgetExhausted:
-        iterations = iter_count[0]
-        converged = False
-    if run.best_x is None:  # pragma: no cover - budget >= dim + 2 guarantees evals
+        nit, converged = None, False
+    if best_x is None:  # pragma: no cover - budget >= dim + 2 guarantees evals
         raise RuntimeError("optimizer made no evaluations")
     return OptimizerOutcome(
-        x_best=run.best_x,
-        f_best=run.best_f,
-        iterations=max(iterations, 1),
-        evaluations=run.used,
+        x_best=best_x,
+        f_best=best_f,
+        iterations=max(reported if nit is None else int(nit), 1),
+        evaluations=obj.eval_counter - start,
         converged=bool(converged),
-        trace=np.asarray(run.trace),
+        trace=np.asarray(trace),
     )
 
 
 @dataclass(frozen=True)
 class LotusInitConfig:
-    """Multi-start initialization for the HFA hyperparameter search."""
+    """Multi-start initialization for the HFA hyperparameter search; the
+    draw distribution is set by the module's INIT_* constants."""
 
     n_restarts: int = 5
-    sigma_spectral: float = 0.5
-    lambda_range: tuple[float, float] = (0.5, 0.95)
-    sigma_residual: float = 0.1
-    weight_noise: float = 0.1
 
     def __post_init__(self) -> None:
         if self.n_restarts < 1:
             raise ValueError("need n_restarts >= 1")
-        lo, hi = self.lambda_range
-        if not (-1.0 < lo <= hi < 1.0):
-            raise ValueError("lambda_range must sit inside (-1, 1)")
 
     def draw(self, k_modes: int, rng: np.random.Generator) -> HfaParams:
         return HfaParams(
-            a=rng.normal(0.0, self.sigma_spectral, k_modes),
-            b=rng.normal(0.0, self.sigma_spectral, k_modes),
-            lambda_gamma=float(rng.uniform(*self.lambda_range)),
-            lambda_beta=float(rng.uniform(*self.lambda_range)),
-            delta_gamma0=float(rng.normal(0.0, self.sigma_residual)),
-            delta_beta0=float(rng.normal(0.0, self.sigma_residual)),
-            weights=1.0 + rng.normal(0.0, self.weight_noise, k_modes),
+            a=rng.normal(0.0, INIT_SIGMA_SPECTRAL, k_modes),
+            b=rng.normal(0.0, INIT_SIGMA_SPECTRAL, k_modes),
+            lambda_gamma=float(rng.uniform(*INIT_LAMBDA_RANGE)),
+            lambda_beta=float(rng.uniform(*INIT_LAMBDA_RANGE)),
+            delta_gamma0=float(rng.normal(0.0, INIT_SIGMA_RESIDUAL)),
+            delta_beta0=float(rng.normal(0.0, INIT_SIGMA_RESIDUAL)),
+            weights=1.0 + rng.normal(0.0, INIT_WEIGHT_NOISE, k_modes),
         )
 
 
@@ -292,21 +278,33 @@ def _negative_expectation_objective(
     return evaluate
 
 
-def _verify_and_record(
-    g: WeightedGraph,
-    diag: engine.CostDiagonal,
-    sched: Schedule,
-    *,
-    seed: int,
-    optimizer: str,
-    k_modes: int,
-    shots: int,
-    iterations: int,
-    evaluations: int,
-    maxcut_value: float | None,
-    started: float,
-) -> RunRecord:
-    """Final high-shot verification at the best point found."""
+def _optimize(g: WeightedGraph, p: int, method: str,
+              to_schedule: Callable[[np.ndarray], Schedule],
+              starts: Iterable[tuple[np.ndarray, np.random.Generator]],
+              bounds: list[tuple[float | None, float | None]] | None,
+              shots: int, seed: int, budget: int,
+              k_modes: int) -> tuple[OptimizerOutcome, Schedule, RunRecord]:
+    """The run protocol of ``lotus_optimize`` and ``baseline_optimize``: one
+    cut table, one ``minimize`` per ``(x0, noise_rng)`` start, one record."""
+    started = time.perf_counter()
+    tol = DEFAULT_TOL_EXACT if shots == 0 else DEFAULT_TOL_SAMPLED
+    diag = engine.build_cost_diagonal(g)
+    best: OptimizerOutcome | None = None
+    total_evals = total_iters = 0
+    for x0, noise_rng in starts:
+        obj = ObjectiveSpec(
+            dimension=x0.size,
+            evaluator=_negative_expectation_objective(g, diag, to_schedule, shots, noise_rng),
+            bounds=bounds,
+        )
+        outcome = minimize(method, obj, x0, budget=budget, tol=tol)
+        total_evals += outcome.evaluations
+        total_iters += outcome.iterations
+        if best is None or outcome.f_best < best.f_best:
+            best = outcome
+    assert best is not None
+
+    sched = to_schedule(best.x_best)
     state = engine.evolve(g, sched, diag=diag)
     exact = engine.expectation_exact(state, diag)
     if shots == 0:
@@ -314,24 +312,22 @@ def _verify_and_record(
     else:
         expectation, _ = engine.expectation_sampled(state, diag, VERIFY_SHOTS, _seed_rng(seed, 90))
     best_cut = engine.sample_best_bitstring(state, diag, VERIFY_SHOTS, _seed_rng(seed, 91))
-    if maxcut_value is None:
-        maxcut_value = float(diag.values.max())
-    ratio = exact / maxcut_value
-    return RunRecord(
+    record = RunRecord(
         seed=seed,
-        optimizer=optimizer,
+        optimizer=method,
         n_qubits=g.n,
-        depth=sched.depth,
+        depth=p,
         p_graph=g.p_graph if g.p_graph is not None else float("nan"),
         k_modes=k_modes,
         expectation=expectation,
         expectation_exact=exact,
-        iterations=iterations,
-        evaluations=evaluations,
+        iterations=total_iters,
+        evaluations=total_evals,
         best_cut=best_cut,
-        approx_ratio=ratio,
+        approx_ratio=exact / float(diag.values.max()),
         wall_time=time.perf_counter() - started,
     )
+    return replace(best, iterations=total_iters, evaluations=total_evals), sched, record
 
 
 def lotus_optimize(
@@ -343,8 +339,6 @@ def lotus_optimize(
     seed: int = 0,
     method: str = "nelder-mead",
     budget: int | None = None,
-    tol: float | None = None,
-    maxcut_value: float | None = None,
 ) -> tuple[HfaParams, OptimizerOutcome, RunRecord]:
     """Multi-start HFA hyperparameter search (dimension 3K + 4).
 
@@ -355,47 +349,17 @@ def lotus_optimize(
     winning point is re-verified at 8192 shots (exact when shots=0).
     The default per-restart budget is LOTUS_BUDGET_PER_DIM * (3K + 4).
     """
-    started = time.perf_counter()
     init = init or LotusInitConfig()
-    tol = (DEFAULT_TOL_EXACT if shots == 0 else DEFAULT_TOL_SAMPLED) if tol is None else tol
-    diag = engine.build_cost_diagonal(g)
     dim = 3 * k_modes + 4
-    budget = LOTUS_BUDGET_PER_DIM * dim if budget is None else budget
     bounds: list[tuple[float | None, float | None]] = [(None, None)] * dim
     bounds[2 * k_modes] = (-LAMBDA_CLAMP, LAMBDA_CLAMP)
     bounds[2 * k_modes + 1] = (-LAMBDA_CLAMP, LAMBDA_CLAMP)
-
-    best: OptimizerOutcome | None = None
-    total_evals = 0
-    total_iters = 0
-    for restart in range(init.n_restarts):
-        x0 = init.draw(k_modes, _seed_rng(seed, 10, restart)).to_vector()
-        obj = ObjectiveSpec(
-            dimension=dim,
-            evaluator=_negative_expectation_objective(
-                g, diag, lambda x: hfa_generate(HfaParams.from_vector(x), p),
-                shots, _seed_rng(seed, 11, restart),
-            ),
-            bounds=bounds,
-        )
-        outcome = minimize(method, obj, x0, budget=budget, tol=tol)
-        total_evals += outcome.evaluations
-        total_iters += outcome.iterations
-        if best is None or outcome.f_best < best.f_best:
-            best = outcome
-    assert best is not None
-    params = HfaParams.from_vector(best.x_best)
-    record = _verify_and_record(
-        g, diag, hfa_generate(params, p),
-        seed=seed, optimizer=method, k_modes=k_modes, shots=shots,
-        iterations=total_iters, evaluations=total_evals,
-        maxcut_value=maxcut_value, started=started,
-    )
-    summary = OptimizerOutcome(
-        x_best=best.x_best, f_best=best.f_best, iterations=total_iters,
-        evaluations=total_evals, converged=best.converged, trace=best.trace,
-    )
-    return params, summary, record
+    starts = ((init.draw(k_modes, _seed_rng(seed, 10, r)).to_vector(), _seed_rng(seed, 11, r))
+              for r in range(init.n_restarts))
+    outcome, _, record = _optimize(
+        g, p, method, lambda x: hfa_generate(HfaParams.from_vector(x), p), starts, bounds,
+        shots, seed, LOTUS_BUDGET_PER_DIM * dim if budget is None else budget, k_modes)
+    return HfaParams.from_vector(outcome.x_best), outcome, record
 
 
 def baseline_optimize(
@@ -405,30 +369,13 @@ def baseline_optimize(
     shots: int = DEFAULT_SHOTS,
     seed: int = 0,
     budget: int = DEFAULT_BUDGET,
-    tol: float | None = None,
-    maxcut_value: float | None = None,
 ) -> tuple[Schedule, OptimizerOutcome, RunRecord]:
     """Direct optimization of the 2p layer angles (single start).
 
     The start point is uniform in [0, 2*pi]^(2p); the shot protocol and
     final verification match the HFA loop.
     """
-    started = time.perf_counter()
-    tol = (DEFAULT_TOL_EXACT if shots == 0 else DEFAULT_TOL_SAMPLED) if tol is None else tol
-    diag = engine.build_cost_diagonal(g)
-    x0 = _seed_rng(seed, 20).uniform(0.0, 2.0 * np.pi, 2 * p)
-    obj = ObjectiveSpec(
-        dimension=2 * p,
-        evaluator=_negative_expectation_objective(
-            g, diag, lambda x: standard_unpack(x, p), shots, _seed_rng(seed, 21),
-        ),
-    )
-    outcome = minimize(method, obj, x0, budget=budget, tol=tol)
-    sched = standard_unpack(outcome.x_best, p)
-    record = _verify_and_record(
-        g, diag, sched,
-        seed=seed, optimizer=method, k_modes=0, shots=shots,
-        iterations=outcome.iterations, evaluations=outcome.evaluations,
-        maxcut_value=maxcut_value, started=started,
-    )
+    starts = [(_seed_rng(seed, 20).uniform(0.0, 2.0 * np.pi, 2 * p), _seed_rng(seed, 21))]
+    outcome, sched, record = _optimize(
+        g, p, method, lambda x: standard_unpack(x, p), starts, None, shots, seed, budget, 0)
     return sched, outcome, record

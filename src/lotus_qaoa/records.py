@@ -10,11 +10,15 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import warnings
 from dataclasses import asdict, dataclass
 
 from .instance import CutResult
+
+# cell_key's one object for every unknown p_graph: equal tuple items match by identity first
+_NAN = float("nan")
 
 
 @dataclass(frozen=True)
@@ -36,8 +40,9 @@ class RunRecord:
     wall_time: float
 
     def cell_key(self) -> tuple:
-        """Identity of the (instance, seed) cell this record belongs to."""
-        return (self.n_qubits, self.depth, self.p_graph, self.seed)
+        """Identity of the (instance, seed) cell; all unknown (NaN) densities share one."""
+        p_graph = _NAN if math.isnan(self.p_graph) else self.p_graph
+        return (self.n_qubits, self.depth, p_graph, self.seed)
 
     def run_key(self) -> tuple:
         """Identity of the full run (cell plus optimizer configuration)."""

@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from lotus_qaoa import harness, schedule
+from lotus_qaoa import harness
 from lotus_qaoa.engine import (
     build_cost_diagonal,
     evolve,
@@ -24,8 +24,6 @@ from lotus_qaoa.engine import (
 )
 from lotus_qaoa.harness import (
     SweepConfig,
-    dense_cost_matrix,
-    dense_oracle_state,
     run_sweep,
     score_records,
     significance_matrix,
@@ -65,28 +63,11 @@ def _median_by(records, **field_filters):
 
 
 def test_criterion_01_engine_matches_dense_oracle():
-    rng = np.random.default_rng(101)
     t0 = time.perf_counter()
-    worst_fidelity_defect = 0.0
-    worst_expectation_err = 0.0
-    for trial in range(50):
-        n = int(rng.integers(2, 4))
-        p = int(rng.integers(1, 3))
-        g = gen_erdos_renyi(n, 1.0, seed=int(rng.integers(0, 2 ** 32)))
-        sched = standard_unpack(rng.uniform(-2 * np.pi, 2 * np.pi, 2 * p), p)
-        diag = build_cost_diagonal(g)
-        fast = evolve(g, sched, diag=diag)
-        dense = dense_oracle_state(g, sched)
-        worst_fidelity_defect = max(worst_fidelity_defect,
-                                    1.0 - abs(np.vdot(fast.amps, dense)))
-        dense_expectation = float(np.real(np.vdot(dense, dense_cost_matrix(g) @ dense)))
-        worst_expectation_err = max(worst_expectation_err,
-                                    abs(expectation_exact(fast, diag) - dense_expectation))
+    check = harness._check_engine_oracle_equivalence()  # 50 instances, 1e-10
     elapsed = time.perf_counter() - t0
-    print(f"[criterion 1] PASS: 50 instances, fidelity defect {worst_fidelity_defect:.2e}, "
-          f"expectation error {worst_expectation_err:.2e}, {elapsed:.1f}s")
-    assert worst_fidelity_defect < 1e-10
-    assert worst_expectation_err < 1e-10
+    print(f"[criterion 1] PASS: 50 instances, {check.detail}, {elapsed:.1f}s")
+    assert check.passed, check.detail
     assert elapsed < 10.0
 
 
@@ -145,30 +126,13 @@ def test_criterion_04_hfa_structure():
     assert np.all(sched.raw_betas == 0.0)
 
 
-def _certificate_draw(rng):
-    k = int(rng.integers(1, 5))
-    return HfaParams(
-        a=rng.uniform(-1, 1, k), b=rng.uniform(-1, 1, k),
-        lambda_gamma=float(rng.uniform(0.5, 0.95)),
-        lambda_beta=float(rng.uniform(0.5, 0.95)),
-        delta_gamma0=float(rng.normal(0, 0.5)),
-        delta_beta0=float(rng.normal(0, 0.5)),
-        weights=rng.uniform(-1, 1, k),
-    )
-
-
 def test_criterion_05_lipschitz_certificate_holds():
-    rng = np.random.default_rng(105)
     t0 = time.perf_counter()
-    worst = -np.inf
-    for _ in range(1000):
-        params = _certificate_draw(rng)
-        for p in (4, 8, 16, 32, 64):
-            worst = max(worst, schedule.lipschitz_certificate(params, p).max_violation)
+    check = harness._check_lipschitz_certificate()  # 1000 draws x 5 depths, 1e-12
     elapsed = time.perf_counter() - t0
     print(f"[criterion 5] PASS: zero violations over 1000 draws x 5 depths "
-          f"(max {worst:.2e}), {elapsed:.1f}s")
-    assert worst <= 1e-12
+          f"({check.detail}), {elapsed:.1f}s")
+    assert check.passed, check.detail
     assert elapsed < 5.0
 
 
@@ -203,20 +167,9 @@ def test_criterion_05_quarter_gap_decay_as_stated():
 def test_criterion_05_gap_decay_against_certified_bound():
     # executable form of the decay clause: the realized gap at p=64 sits
     # within the certificate bound at p=16 scaled by the exact 1/p factor
-    rng = np.random.default_rng(106)
-    worst = 0.0
-    for _ in range(200):
-        k = int(rng.integers(1, 5))
-        params = HfaParams(a=rng.uniform(-1, 1, k), b=rng.uniform(-1, 1, k),
-                           lambda_gamma=0.0, lambda_beta=0.0, delta_gamma0=0.0,
-                           delta_beta0=0.0, weights=rng.uniform(-1, 1, k))
-        report = schedule.lipschitz_certificate(params, 16)
-        bound16 = max(report.c_spec_gamma, report.c_spec_beta) / 16.0
-        if bound16 > 0:
-            worst = max(worst, _pure_fourier_max_gaps(params, 64) / (0.25 * bound16))
-    print(f"[criterion 5, decay vs certified bound] PASS: worst gap(64) / "
-          f"(bound(16)/4) = {worst:.4f} <= 1")
-    assert worst <= 1.0 + 1e-12
+    check = harness._check_layer_gap_decay()  # 200 draws, <= 0.25 * (1 + 1e-12)
+    print(f"[criterion 5, decay vs certified bound] PASS: {check.detail}")
+    assert check.passed, check.detail
 
 
 @pytest.fixture(scope="session")

@@ -18,8 +18,8 @@ from lotus_qaoa.harness import (
     significance_matrix,
     transfer_expectation,
 )
-from lotus_qaoa.instance import CutResult, gen_erdos_renyi
-from lotus_qaoa.optim import lotus_optimize
+from lotus_qaoa.instance import CutResult, WeightedGraph, gen_erdos_renyi
+from lotus_qaoa.optim import baseline_optimize, lotus_optimize
 from lotus_qaoa.records import RunRecord, load_records, write_csv
 
 
@@ -186,6 +186,20 @@ class TestImprovementSummary:
         with pytest.raises(ValueError, match="shared"):
             improvement_summary(records)
 
+    def test_unknown_density_records_share_a_cell(self, tmp_path):
+        # a hand-built graph has no p_graph; each run writes its own NaN
+        g = WeightedGraph(n=4, edges=((0, 1, 1.0), (1, 2, 0.5), (2, 3, 1.0), (0, 3, 0.7)))
+        _, _, lotus = lotus_optimize(g, 2, k_modes=1, shots=0, seed=0, budget=20)
+        _, _, powell = baseline_optimize(g, 2, method="powell", shots=0, seed=0, budget=20)
+        records = [dataclasses.replace(lotus, optimizer="lotus"), powell]
+        assert np.isnan(records[0].p_graph) and records[0].p_graph is not records[1].p_graph
+        assert records[0].cell_key() == records[1].cell_key()
+        assert improvement_summary(records)["powell"]["cells"] == 1
+        path = tmp_path / "r.ndjson"
+        path.write_text("".join(r.to_json() + "\n" for r in records))
+        assert "NaN" in path.read_text()  # the stored form is unchanged
+        assert improvement_summary(load_records(str(path)))["powell"]["cells"] == 1
+
 
 class TestSignificance:
     def test_self_comparison_not_significant(self):
@@ -294,6 +308,16 @@ class TestSweep:
         with pytest.raises(ValueError, match="different config"):
             run_sweep(other, workers=1)
 
+    def test_resume_without_sidecar_rejected(self, tmp_path):
+        cfg = SweepConfig(**TINY_CFG, out=str(tmp_path / "r.ndjson"))
+        run_sweep(cfg, workers=1)
+        (tmp_path / "r.ndjson.config.json").unlink()
+        before = (tmp_path / "r.ndjson").read_text()
+        with pytest.raises(ValueError, match="no config sidecar"):
+            run_sweep(cfg, workers=1)
+        assert (tmp_path / "r.ndjson").read_text() == before
+        assert not (tmp_path / "r.ndjson.config.json").exists()
+
     def test_reload_and_rescore_identical(self, tmp_path):
         cfg = SweepConfig(**TINY_CFG, out=str(tmp_path / "r.ndjson"))
         records = run_sweep(cfg, workers=1)
@@ -376,6 +400,7 @@ class TestInvariantSuite:
     def test_fresh_build_passes(self):
         report = invariant_suite()
         assert report.all_passed, [c.name for c in report.failures()]
+        assert all(type(c.passed) is bool for c in report.checks)  # not numpy's bool
 
     def test_corrupted_generator_fails_certificate_check(self, monkeypatch):
         real = schedule.hfa_generate

@@ -275,8 +275,7 @@ class TestLotusOptimize:
     def test_record_fields(self):
         g = gen_erdos_renyi(5, 0.7, seed=17)
         mc = brute_force_maxcut(g).cut_value
-        _, out, record = lotus_optimize(g, 4, k_modes=3, shots=256, seed=18, budget=80,
-                                        maxcut_value=mc)
+        _, out, record = lotus_optimize(g, 4, k_modes=3, shots=256, seed=18, budget=80)
         assert record.k_modes == 3 and record.depth == 4 and record.n_qubits == 5
         assert record.seed == 18 and record.p_graph == 0.7
         assert 0.0 <= record.approx_ratio <= 1.0 + 1e-9
@@ -287,8 +286,6 @@ class TestLotusOptimize:
     def test_init_config_validation(self):
         with pytest.raises(ValueError):
             LotusInitConfig(n_restarts=0)
-        with pytest.raises(ValueError):
-            LotusInitConfig(lambda_range=(0.5, 1.2))
 
 
 class TestBaselineOptimize:
