@@ -34,6 +34,17 @@ def _read_input(what: str, load: Callable[[str], T], path: str) -> T:
         raise _UsageError(f"cannot read {what} {path}: {type(exc).__name__}: {exc}") from exc
 
 
+def _depth_list(text: str) -> tuple[int, ...]:
+    """``--depths``: comma-separated positive circuit depths."""
+    try:
+        depths = tuple(int(d) for d in text.split(","))
+        if min(depths) >= 1:
+            return depths
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"need comma-separated positive depths, got {text!r}")
+
+
 def _cmd_gen(args: argparse.Namespace) -> int:
     g = instance.gen_erdos_renyi(args.nodes, args.p_graph, args.seed)
     instance.save_graph(g, args.out)
@@ -42,7 +53,6 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    cfg = _read_input("config", harness.SweepConfig.from_json_file, args.config)
     overrides = {}
     if args.out:
         overrides["out"] = args.out
@@ -50,8 +60,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         overrides["shots"] = args.shots
     if args.exact:
         overrides["shots"] = 0
-    if overrides:
-        cfg = dataclasses.replace(cfg, **overrides)
+    cfg = _read_input("config", lambda path: dataclasses.replace(
+        harness.SweepConfig.from_json_file(path), **overrides), args.config)
     records = harness.run_sweep(cfg, workers=args.workers)
     print(f"{len(records)} records in {cfg.out}")
     return 0
@@ -113,9 +123,8 @@ def _cmd_transfer(args: argparse.Namespace) -> int:
         g, args.source_depth, k_modes=args.k_modes, shots=0, seed=args.seed)
     print(f"optimized at depth {args.source_depth}: exact expectation "
           f"{record.expectation_exact:.6f} ({record.evaluations} evaluations)")
-    depths = tuple(int(d) for d in args.depths.split(","))
     rows = harness.depth_transfer_experiment(
-        g, params, args.source_depth, depths, hot_start=args.hot_start, seed=args.seed)
+        g, params, args.source_depth, args.depths, hot_start=args.hot_start, seed=args.seed)
     print(f"  {'depth':>6s} {'expectation':>12s} {'gap':>12s}", end="")
     if args.hot_start:
         print(f" {'cold evals':>11s} {'warm evals':>11s} {'matched':>8s}")
@@ -186,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_transfer.add_argument("--seed", type=int, default=0)
     p_transfer.add_argument("--k-modes", type=int, default=2)
     p_transfer.add_argument("--source-depth", type=int, default=8)
-    p_transfer.add_argument("--depths", default="8,16,32")
+    p_transfer.add_argument("--depths", type=_depth_list, default="8,16,32")
     p_transfer.add_argument("--hot-start", action="store_true")
     p_transfer.set_defaults(fn=_cmd_transfer)
 

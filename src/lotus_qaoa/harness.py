@@ -14,7 +14,8 @@ import json
 import math
 import os
 import statistics
-from concurrent.futures import ProcessPoolExecutor
+import warnings
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from itertools import product
 
@@ -77,6 +78,24 @@ class SweepConfig:
                 raise ValueError(f"optimizers {seen[tag]!r} and {optimizer!r} would share "
                                  "run seeds")
             seen[tag] = optimizer
+        # every run of a bad grid would raise; reject it before any run starts
+        methods = optim.optimizer_ids()
+        for optimizer in self.optimizers:
+            if optimizer != "lotus" and optimizer not in methods:
+                raise ValueError(f"unknown optimizer {optimizer!r}; "
+                                 f"known: lotus, {', '.join(methods)}")
+        if self.lotus_method not in methods:
+            raise ValueError(f"unknown lotus_method {self.lotus_method!r}; "
+                             f"known: {', '.join(methods)}")
+        for name, values, lo, hi in [("qubits", self.qubits, 2, engine.DEFAULT_QUBIT_CAP),
+                                     ("depths", self.depths, 1, math.inf),
+                                     ("modes", self.modes, 1, math.inf)]:
+            if not all(lo <= v <= hi for v in values):
+                raise ValueError(f"{name} must lie in [{lo}, {hi}], got {list(values)}")
+        if not all(0.0 < d <= 1.0 for d in self.densities):
+            raise ValueError(f"densities must lie in (0, 1], got {list(self.densities)}")
+        if self.shots < 0:
+            raise ValueError(f"shots must be >= 0 (0 is exact), got {self.shots}")
 
     def to_json(self) -> str:
         return json.dumps(dataclasses.asdict(self), sort_keys=True)
@@ -121,8 +140,7 @@ def _run_seed(cfg: SweepConfig, n: int, p: int, density: float, seed_idx: int,
 
 def _sweep_task(args: tuple) -> RunRecord:
     """One (cell, optimizer[, K]) run; module-level so worker pools can pickle it."""
-    cfg_dict, n, p, density, seed_idx, optimizer, k_modes = args
-    cfg = SweepConfig.from_dict(cfg_dict)
+    cfg, n, p, density, seed_idx, optimizer, k_modes = args
     g = instance.gen_erdos_renyi(n, density, _cell_instance_seed(cfg, n, p, density, seed_idx))
     run_seed = _run_seed(cfg, n, p, density, seed_idx, optimizer, k_modes)
     if optimizer == "lotus":
@@ -137,33 +155,33 @@ def _sweep_task(args: tuple) -> RunRecord:
 
 
 def _sweep_tasks(cfg: SweepConfig) -> list[tuple]:
-    cfg_dict = dataclasses.asdict(cfg)
-    tasks = []
-    for n, p, density, seed_idx in product(cfg.qubits, cfg.depths, cfg.densities,
-                                           range(cfg.seeds)):
-        for optimizer in cfg.optimizers:
-            if optimizer == "lotus":
-                for k in cfg.modes:
-                    tasks.append((cfg_dict, n, p, density, seed_idx, optimizer, k))
-            else:
-                tasks.append((cfg_dict, n, p, density, seed_idx, optimizer, 0))
-    return tasks
+    """Every run of the grid as ``(cfg,) + run_key``; K is 0 for a baseline."""
+    return [(cfg, n, p, density, seed_idx, optimizer, k)
+            for n, p, density, seed_idx in product(cfg.qubits, cfg.depths, cfg.densities,
+                                                   range(cfg.seeds))
+            for optimizer in cfg.optimizers
+            for k in (cfg.modes if optimizer == "lotus" else (0,))]
 
 
 def run_sweep(cfg: SweepConfig, workers: int | None = None) -> list[RunRecord]:
     """Execute every cell of the sweep, appending records to cfg.out.
 
-    A config sidecar (cfg.out + ".config.json") marks the sweep; rerunning
-    with the same config resumes, skipping runs already on disk (an output
-    file without its sidecar, or with another config's, is refused); a torn
-    final line left by a crash mid-append is cut off and its run redone.
-    Record content is independent of the worker count (all randomness is
-    derived from cell-local seeds); only completion order may differ.
+    Every run goes through a pool of ``workers`` processes, and each record
+    is appended as its run finishes. A run that raises costs only itself:
+    the others are still appended, each failure is warned about with its
+    run key, and the first error is raised once the pool is drained. A
+    config sidecar (cfg.out + ".config.json") marks the sweep; rerunning
+    with the same config resumes, running only the runs not on disk (failed
+    ones included); an output file without its sidecar, or with another
+    config's, is refused; a torn final line left by a crash mid-append is
+    cut off and its run redone. Record content is independent of the worker
+    count (all randomness is derived from cell-local seeds); only completion
+    order may differ.
     """
     workers = default_workers() if workers is None else max(1, workers)
     sidecar = cfg.out + ".config.json"
     done: set[tuple] = set()
-    existing: list[RunRecord] = []
+    records: list[RunRecord] = []
     if os.path.exists(cfg.out):
         if not os.path.exists(sidecar):
             raise ValueError(
@@ -174,30 +192,27 @@ def run_sweep(cfg: SweepConfig, workers: int | None = None) -> list[RunRecord]:
                 raise ValueError(
                     f"{cfg.out} was produced by a different config; "
                     "remove it or choose another output path")
-        existing = resume_records(cfg.out)
-        done = {r.run_key() for r in existing}
+        records = resume_records(cfg.out)
+        done = {r.run_key() for r in records}
     with open(sidecar, "w", encoding="utf-8") as fh:
         fh.write(cfg.to_json() + "\n")
 
-    pending = []
-    for task in _sweep_tasks(cfg):
-        _, n, p, density, seed_idx, optimizer, k_modes = task
-        if (n, p, density, seed_idx, optimizer, k_modes) not in done:
-            pending.append(task)
-
-    fresh: list[RunRecord] = []
-    if workers == 1:
-        for task in pending:
-            record = _sweep_task(task)
+    error: Exception | None = None
+    with ProcessPoolExecutor(max_workers=workers) as pool:  # starts workers on first submit
+        futures = {pool.submit(_sweep_task, task): task[1:]
+                   for task in _sweep_tasks(cfg) if task[1:] not in done}
+        for future in as_completed(futures):
+            try:
+                record = future.result()
+            except Exception as exc:  # the run is not on disk, so a rerun retries it
+                warnings.warn(f"run {futures[future]} failed: {exc!r}", RuntimeWarning)
+                error = error or exc
+                continue
             append_record(cfg.out, record)
-            fresh.append(record)
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for record in pool.map(_sweep_task, pending):
-                append_record(cfg.out, record)
-                fresh.append(record)
-    records = existing + fresh
+            records.append(record)
     write_csv(cfg.out + ".csv", records)
+    if error is not None:
+        raise error
     return records
 
 

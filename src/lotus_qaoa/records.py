@@ -48,12 +48,16 @@ class RunRecord:
         """Identity of the full run (cell plus optimizer configuration)."""
         return self.cell_key() + (self.optimizer, self.k_modes)
 
-    def to_json(self) -> str:
+    def _row(self) -> dict:
+        """The fields with ``best_cut`` split into its two columns: one row."""
         d = asdict(self)
         cut = d.pop("best_cut")
         d["best_bitstring"] = cut["bitstring"]
         d["best_cut_value"] = cut["cut_value"]
-        return json.dumps(d, sort_keys=True)
+        return d
+
+    def to_json(self) -> str:
+        return json.dumps(self._row(), sort_keys=True)
 
     @classmethod
     def from_json(cls, line: str) -> "RunRecord":
@@ -147,14 +151,8 @@ _CSV_COLUMNS = [
 
 
 def write_csv(path: str, records: list[RunRecord]) -> None:
-    """Derived CSV view of a record list (floats via repr, lossless)."""
+    """Derived CSV view of a record list (floats via repr, lossless; None is empty)."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_CSV_COLUMNS)
-        for r in records:
-            writer.writerow([
-                r.seed, r.optimizer, r.n_qubits, r.depth, repr(r.p_graph), r.k_modes,
-                repr(r.expectation), repr(r.expectation_exact), r.iterations,
-                r.evaluations, r.best_cut.bitstring, repr(r.best_cut.cut_value),
-                "" if r.approx_ratio is None else repr(r.approx_ratio), repr(r.wall_time),
-            ])
+        writer = csv.DictWriter(fh, _CSV_COLUMNS)
+        writer.writeheader()
+        writer.writerows(r._row() for r in records)

@@ -79,6 +79,13 @@ class TestTransfer:
         out = capsys.readouterr().out
         assert "expectation" in out and " 4 " in out
 
+    def test_bad_depth_list_exits_two(self, capsys):
+        for depths in ("4,,8", "8,0", "x"):
+            with pytest.raises(SystemExit) as err:
+                run_cli("transfer", "--depths", depths)
+            assert err.value.code == 2
+            assert "positive depths" in capsys.readouterr().err
+
 
 class TestCheck:
     def test_passes_on_fresh_build(self, capsys):
@@ -112,3 +119,26 @@ class TestUsageErrors:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 2
         assert "bogus" in err[0] and "missing.ndjson" in err[1]
+
+    @pytest.mark.parametrize("field, value, flags, message", [
+        ("modes", [0], (), "modes must lie in [1, inf]"),
+        ("depths", [0], (), "depths must lie in [1, inf]"),
+        ("optimizers", ["lotus", "cobyla"], (), "unknown optimizer 'cobyla'"),
+        ("lotus_method", "cobyla", (), "unknown lotus_method 'cobyla'"),
+        ("qubits", [1], (), "qubits must lie in [2, 20]"),
+        ("qubits", [21], (), "qubits must lie in [2, 20]"),
+        ("densities", [0.0], (), "densities must lie in (0, 1]"),
+        ("densities", [1.5], (), "densities must lie in (0, 1]"),
+        ("shots", -4, (), "shots must be >= 0"),
+        ("shots", 0, ("--shots", "-4"), "shots must be >= 0"),
+    ])
+    def test_bad_sweep_grid_exits_two_before_any_run(self, tmp_path, capsys,
+                                                      field, value, flags, message):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"qubits": [4], "depths": [2], "densities": [0.9],
+                                        "modes": [1], "seeds": 1,
+                                        "out": str(tmp_path / "r.ndjson"), field: value}))
+        assert run_cli("run", "--config", str(cfg_path), *flags) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and message in err[0]
+        assert list(tmp_path.iterdir()) == [cfg_path]  # no sidecar, no records

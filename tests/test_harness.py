@@ -35,6 +35,17 @@ def make_record(seed=0, optimizer="powell", expectation=1.0, evaluations=100,
     )
 
 
+_SWEEP_TASK = harness._sweep_task
+
+
+def _first_run_raises(task):
+    """Stand-in for ``harness._sweep_task`` (module-level, so the pool can
+    pickle it): the first run of TINY_CFG raises, the others run as usual."""
+    if task[4:] == (0, "lotus", 1):  # seed index, optimizer, K
+        raise RuntimeError("injected failure")
+    return _SWEEP_TASK(task)
+
+
 TINY_CFG = dict(qubits=(4,), depths=(2,), densities=(0.9,), modes=(1,),
                 seeds=2, optimizers=("lotus", "nelder-mead"), shots=0,
                 base_seed=3, budget=40, lotus_budget=30)
@@ -51,10 +62,18 @@ class TestRecordStore:
         assert RunRecord.from_json(record.to_json()).approx_ratio is None
 
     def test_csv_written(self, tmp_path):
+        # the CSV row is the NDJSON dict: floats via repr, NaN as nan, None empty
         path = tmp_path / "r.csv"
-        write_csv(str(path), [make_record(), make_record(seed=1)])
-        lines = path.read_text().strip().splitlines()
-        assert len(lines) == 3 and lines[0].startswith("seed,optimizer")
+        write_csv(str(path), [
+            make_record(expectation=0.1 + 0.2, evaluations=137),
+            dataclasses.replace(make_record(seed=1), p_graph=float("nan"), approx_ratio=None),
+        ])
+        assert path.read_bytes().decode() == (
+            "seed,optimizer,n_qubits,depth,p_graph,k_modes,expectation,expectation_exact,"
+            "iterations,evaluations,best_bitstring,best_cut_value,approx_ratio,wall_time\r\n"
+            "0,powell,6,4,0.75,0,0.30000000000000004,0.30000000000000004,13,137,000000,"
+            "0.30000000000000004,0.9,0.123\r\n"
+            "1,powell,6,4,nan,0,1.0,1.0,10,100,000000,1.0,,0.123\r\n")
 
     def test_torn_final_line_dropped_with_warning(self, tmp_path):
         path = tmp_path / "r.ndjson"
@@ -300,6 +319,21 @@ class TestSweep:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 assert strip(load_records(cfg.out)) == full
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failing_run_keeps_the_others(self, tmp_path, monkeypatch, workers):
+        cfg = SweepConfig(**TINY_CFG, out=str(tmp_path / "r.ndjson"))
+        monkeypatch.setattr(harness, "_sweep_task", _first_run_raises)
+        with pytest.warns(RuntimeWarning, match=r"run \(4, 2, 0.9, 0, 'lotus', 1\) failed"), \
+                pytest.raises(RuntimeError, match="injected failure"):
+            run_sweep(cfg, workers=workers)
+        survivors = load_records(cfg.out)
+        assert len(survivors) == 3
+        assert (4, 2, 0.9, 0, "lotus", 1) not in {r.run_key() for r in survivors}
+        monkeypatch.undo()
+        records = run_sweep(cfg, workers=workers)  # resumes: retries the failed run only
+        assert len(records) == len(load_records(cfg.out)) == 4
+        assert load_records(cfg.out)[:3] == survivors
 
     def test_config_mismatch_rejected(self, tmp_path):
         cfg = SweepConfig(**TINY_CFG, out=str(tmp_path / "r.ndjson"))
