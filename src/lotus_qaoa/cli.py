@@ -34,15 +34,24 @@ def _read_input(what: str, load: Callable[[str], T], path: str) -> T:
         raise _UsageError(f"cannot read {what} {path}: {type(exc).__name__}: {exc}") from exc
 
 
+def _positive_int(text: str) -> int:
+    """An argument that must be an integer >= 1."""
+    try:
+        value = int(text)
+        if value >= 1:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"need a positive integer, got {text!r}")
+
+
 def _depth_list(text: str) -> tuple[int, ...]:
     """``--depths``: comma-separated positive circuit depths."""
     try:
-        depths = tuple(int(d) for d in text.split(","))
-        if min(depths) >= 1:
-            return depths
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"need comma-separated positive depths, got {text!r}")
+        return tuple(_positive_int(d) for d in text.split(","))
+    except argparse.ArgumentTypeError:
+        raise argparse.ArgumentTypeError(
+            f"need comma-separated positive depths, got {text!r}") from None
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
@@ -193,8 +202,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_transfer.add_argument("--nodes", "-n", type=int, default=8)
     p_transfer.add_argument("--p-graph", type=float, default=0.75)
     p_transfer.add_argument("--seed", type=int, default=0)
-    p_transfer.add_argument("--k-modes", type=int, default=2)
-    p_transfer.add_argument("--source-depth", type=int, default=8)
+    p_transfer.add_argument("--k-modes", type=_positive_int, default=2)
+    p_transfer.add_argument("--source-depth", type=_positive_int, default=8)
     p_transfer.add_argument("--depths", type=_depth_list, default="8,16,32")
     p_transfer.add_argument("--hot-start", action="store_true")
     p_transfer.set_defaults(fn=_cmd_transfer)

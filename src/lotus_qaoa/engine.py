@@ -8,26 +8,49 @@ graph maps to bit ``i`` of the amplitude index (little-endian).
 Cost phases are computed from the raw (unwrapped) angles handed to
 ``evolve``; the mixer rotation is 2*pi-periodic in beta by construction,
 while the cost phase is periodic only for integer spectra.
+
+``evolve`` works on, and returns, the ``MirroredHalf`` of the state: the
+circuit commutes with a global bit flip, so half the amplitudes determine
+the rest. The readouts accept it as well as a full ``StateVector``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import cmath
+from dataclasses import dataclass, field
 from functools import cache
 
 import numpy as np
 
-from .instance import CutResult, WeightedGraph, _cut_values_all, index_to_bitstring
+from .instance import (
+    CutResult,
+    WeightedGraph,
+    _cut_values_all,
+    _double_by_node,
+    _lower_neighbours,
+    index_to_bitstring,
+)
 from .schedule import Schedule
 
 DEFAULT_QUBIT_CAP = 20
 _MIXER_BLOCK = 4  # qubits fused per mixer matmul
+# Up to this many amplitudes the cost phase is one complex exp per entry;
+# larger states build it by doubling (at n = 14, half 2^13, the doubling is
+# the faster one; at n = 13 the exp is)
+_EXP_PHASE_MAX_SIZE = 1 << 12
 
 
 @dataclass(frozen=True)
 class CostDiagonal:
-    """Cut value of every basis state: entry z equals cut_value(g, z)."""
+    """Cut value of every basis state: entry z equals cut_value(g, z).
+
+    ``lower`` holds the graph's edges per node to lower nodes, the recipe
+    from which ``apply_cost_phase`` builds large phase tables; without it
+    the phases come from ``values``.
+    """
 
     values: np.ndarray
+    lower: tuple[tuple[tuple[int, float], ...], ...] | None = field(
+        default=None, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -55,34 +78,58 @@ class StateVector:
 class MirroredHalf:
     """Kept half of a state that is invariant under a global bit flip.
 
-    ``amps`` holds the 2^(n-1) amplitudes whose top bit is clear. The
+    ``half`` holds the 2^(n-1) amplitudes whose top bit is clear. The
     amplitude at z ^ mask equals the one at z, and z ^ mask = mask - z, so
-    the dropped half is ``amps[::-1]``. ``evolve`` carries this form, since
-    |+>^n, every cut diagonal and the X mixer all commute with the flip.
+    the dropped half is ``half[::-1]``. ``evolve`` carries and returns this
+    form, since |+>^n, every cut diagonal and the X mixer all commute with
+    the flip; the readouts work on the half. ``amps`` forms the full 2^n
+    vector on each access.
     """
 
-    amps: np.ndarray
+    half: np.ndarray
 
     @property
     def n(self) -> int:
-        return int(self.amps.size).bit_length()
+        return int(self.half.size).bit_length()
 
-    def full(self) -> StateVector:
-        return StateVector(amps=np.concatenate((self.amps, self.amps[::-1])))
+    @property
+    def amps(self) -> np.ndarray:
+        return np.concatenate((self.half, self.half[::-1]))
+
+    def norm_sq(self) -> float:
+        return 2.0 * float(np.sum(np.abs(self.half) ** 2))
 
 
 def build_cost_diagonal(g: WeightedGraph) -> CostDiagonal:
     if g.n > DEFAULT_QUBIT_CAP:
         raise ValueError(f"qubit cap {DEFAULT_QUBIT_CAP} exceeded (n={g.n})")
-    return CostDiagonal(values=_cut_values_all(g))
+    lower = tuple(tuple(nbrs) for nbrs in _lower_neighbours(g))
+    return CostDiagonal(values=_cut_values_all(g), lower=lower)
+
+
+def _dimension(n: int) -> int:
+    """2^n, for a qubit count within the cap."""
+    if not (1 <= n <= DEFAULT_QUBIT_CAP):
+        raise ValueError(f"need 1 <= n <= {DEFAULT_QUBIT_CAP}, got {n}")
+    return 1 << n
 
 
 def plus_state(n: int) -> StateVector:
     """Uniform superposition |+>^n."""
-    if not (1 <= n <= DEFAULT_QUBIT_CAP):
-        raise ValueError(f"need 1 <= n <= {DEFAULT_QUBIT_CAP}, got {n}")
-    dim = 1 << n
+    dim = _dimension(n)
     return StateVector(amps=np.full(dim, dim ** -0.5, dtype=np.complex128))
+
+
+def _phase_table(lower: tuple, gamma: float, size: int) -> np.ndarray:
+    """exp(-i*gamma*values) for the first ``size`` entries, by doubling.
+
+    The cut table's node-by-node build with per-edge phases e^(-i*gamma*w)
+    multiplied where the table adds weights w: a few complex multiplies per
+    entry instead of one complex exp.
+    """
+    phases = [[(i, cmath.exp(-1j * gamma * w)) for i, w in nbrs] for nbrs in lower]
+    return _double_by_node(phases, np.ones(size, dtype=np.complex128),
+                           np.ones(1 << (len(lower) - 1), dtype=np.complex128), np.multiply)
 
 
 def apply_cost_phase(state: StateVector | MirroredHalf, diag: CostDiagonal,
@@ -90,13 +137,22 @@ def apply_cost_phase(state: StateVector | MirroredHalf, diag: CostDiagonal,
     """In-place amps[z] *= exp(-i*gamma*values[z]); returns the same state.
 
     A ``MirroredHalf`` reads the first half of the flip-invariant diagonal.
+    Above ``_EXP_PHASE_MAX_SIZE`` amplitudes the phases are built by
+    doubling from the diagonal's edge lists, which agrees with the complex
+    exp to round-off; smaller states take the exp, where it is cheaper.
     """
     values = diag.values
     if isinstance(state, MirroredHalf):
+        amps = state.half
         values = values[:values.size // 2]
-    if state.amps.size != values.size:
+    else:
+        amps = state.amps
+    if amps.size != values.size:
         raise ValueError("state and diagonal dimensions differ")
-    state.amps *= np.exp((-1j * gamma) * values)
+    if amps.size > _EXP_PHASE_MAX_SIZE and diag.lower is not None:
+        amps *= _phase_table(diag.lower, gamma, amps.size)
+    else:
+        amps *= np.exp((-1j * gamma) * values)
     return state
 
 
@@ -137,60 +193,87 @@ def apply_mixer(state: StateVector | MirroredHalf, beta: float) -> StateVector |
     original layout. Equivalent to a per-qubit loop but with far fewer
     numpy dispatches.
 
+    Each block is ``R @ A.T`` with A the state as a (rest, 2^k) matrix:
+    BLAS reads the transposed view, and since R is symmetric the product
+    (A @ R).T comes out already in the rotated layout, with no copy.
+
     A ``MirroredHalf`` lacks the top qubit, which belongs to the last
-    block. There the block's inputs with that bit set are the kept half
-    reversed, so they are laid beside the kept ones and only the output
-    columns with the bit clear are formed.
+    block. With A0 the kept half as a (rest, w) matrix (w = 2^(k-1)), the
+    inputs with that bit set are A0[::-1, ::-1], and R[~x, ~y] = R[x, y].
+    So one product Y = R[:, :w] @ A0.T gives the output rows with the bit
+    clear as Y[:w] + Y[w:][::-1, ::-1], and the full state is never formed.
     """
     sizes = _mixer_block_sizes(state.n)
     c, s = float(np.cos(beta)), float(np.sin(beta))
     blocks = {k: _mixer_block(k, c, s) for k in set(sizes)}
-    amps = state.amps
     half = isinstance(state, MirroredHalf)
+    amps = state.half if half else state.amps
     for k in sizes[:-1] if half else sizes:
-        # apply to the low k bits, then rotate them to the top
-        amps = (amps.reshape(-1, 1 << k) @ blocks[k]).T.ravel()
+        # apply to the low k bits, which land on top
+        amps = (blocks[k] @ amps.reshape(-1, 1 << k).T).ravel()
     if half:
         w = 1 << (sizes[-1] - 1)
-        folded = np.concatenate((amps.reshape(-1, w), amps[::-1].reshape(-1, w)), axis=1)
-        amps = (folded @ blocks[sizes[-1]][:, :w]).T.ravel()
-    state.amps = amps
+        y = blocks[sizes[-1]][:, :w] @ amps.reshape(-1, w).T
+        state.half = (y[:w] + y[w:][::-1, ::-1]).ravel()
+    else:
+        state.amps = amps
     return state
 
 
-def evolve(g: WeightedGraph, sched: Schedule, diag: CostDiagonal | None = None) -> StateVector:
+def evolve(g: WeightedGraph, sched: Schedule, diag: CostDiagonal | None = None) -> MirroredHalf:
     """Run the full circuit: |+>^n, then p cost-phase + mixer layers.
 
-    Pass a prebuilt ``diag`` to skip rebuilding it in hot loops. The layers
-    run on the ``MirroredHalf`` of the state (the circuit commutes with a
-    global bit flip); the full state is formed once at the end.
+    Pass a prebuilt ``diag`` to skip rebuilding it in hot loops. The
+    circuit commutes with a global bit flip, so the layers run on, and
+    ``evolve`` returns, the ``MirroredHalf`` of the state.
     """
     if diag is None:
         diag = build_cost_diagonal(g)
-    plus = plus_state(g.n).amps
-    state = MirroredHalf(amps=plus[:plus.size // 2])
+    dim = _dimension(g.n)
+    state = MirroredHalf(half=np.full(dim // 2, dim ** -0.5, dtype=np.complex128))
     for gamma, beta in zip(sched.raw_gammas, sched.raw_betas):
         apply_cost_phase(state, diag, float(gamma))
         apply_mixer(state, float(beta))
-    return state.full()
+    return state
 
 
-def expectation_exact(state: StateVector, diag: CostDiagonal) -> float:
-    """Sum_z |amps[z]|^2 * values[z]."""
-    if state.amps.size != diag.values.size:
+def expectation_exact(state: StateVector | MirroredHalf, diag: CostDiagonal) -> float:
+    """Sum_z |amps[z]|^2 * values[z]; twice the sum over a kept half."""
+    if isinstance(state, MirroredHalf):
+        amps, scale = state.half, 2.0
+    else:
+        amps, scale = state.amps, 1.0
+    if scale * amps.size != diag.values.size:
         raise ValueError("state and diagonal dimensions differ")
-    return float(np.real(np.vdot(state.amps, diag.values * state.amps)))
+    return scale * float(np.real(np.vdot(amps, diag.values[:amps.size] * amps)))
 
 
-def _sample_indices(state: StateVector, shots: int, rng: np.random.Generator) -> np.ndarray:
-    cdf = np.cumsum(state.probabilities())
-    cdf[-1] = 1.0
-    idx = np.searchsorted(cdf, rng.random(shots), side="right")
-    return np.minimum(idx, state.amps.size - 1)
+def _sample_indices(state: StateVector | MirroredHalf, shots: int,
+                    rng: np.random.Generator) -> np.ndarray:
+    """Full basis indices of ``shots`` draws, one uniform per draw.
+
+    On a kept half with CDF C and total S (one half of the mass), a uniform
+    u < S maps through C, and u >= S through the mirrored half: the full
+    CDF at index 2^n - 1 - j is 2S - C[j - 1], so u lands on index
+    2^n - 1 - k for the first k with C[k] > 2S - u. That is the index the
+    full state's CDF gives, up to round-off at bin edges; the two rules
+    part only where 2S - u equals an entry of C exactly.
+    """
+    if isinstance(state, StateVector):
+        cdf = np.cumsum(state.probabilities())
+        cdf[-1] = 1.0
+        idx = np.searchsorted(cdf, rng.random(shots), side="right")
+        return np.minimum(idx, state.amps.size - 1)
+    cdf = np.cumsum(np.abs(state.half) ** 2)
+    total = cdf[-1]
+    u = rng.random(shots)
+    upper = u >= total
+    idx = np.searchsorted(cdf, np.where(upper, 2 * total - u, u), side="right")
+    return np.where(upper, 2 * cdf.size - 1 - idx, idx)
 
 
 def expectation_sampled(
-    state: StateVector,
+    state: StateVector | MirroredHalf,
     diag: CostDiagonal,
     shots: int,
     seed: int | np.random.Generator,
@@ -214,7 +297,7 @@ def expectation_sampled(
 
 
 def sample_best_bitstring(
-    state: StateVector,
+    state: StateVector | MirroredHalf,
     diag: CostDiagonal | WeightedGraph,
     shots: int,
     seed: int | np.random.Generator,

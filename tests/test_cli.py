@@ -86,6 +86,16 @@ class TestTransfer:
             assert err.value.code == 2
             assert "positive depths" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--source-depth", "--k-modes"])
+    @pytest.mark.parametrize("value", ["0", "-3", "two"])
+    def test_non_positive_transfer_argument_exits_two(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as err:
+            run_cli("transfer", flag, value)
+        assert err.value.code == 2
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if "error:" in line]
+        assert len(errors) == 1 and f"need a positive integer, got {value!r}" in errors[0]
+
 
 class TestCheck:
     def test_passes_on_fresh_build(self, capsys):
@@ -120,6 +130,16 @@ class TestUsageErrors:
         assert len(err) == 2
         assert "bogus" in err[0] and "missing.ndjson" in err[1]
 
+    def test_budget_below_search_dimension_exits_two(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"qubits": [4], "depths": [4], "densities": [0.9],
+                                        "modes": [1], "seeds": 1, "budget": 5,
+                                        "out": str(tmp_path / "r.ndjson")}))
+        assert run_cli("run", "--config", str(cfg_path)) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "budget 5 below 2 * max(depths) + 2 = 10" in err[0]
+        assert list(tmp_path.iterdir()) == [cfg_path]
+
     @pytest.mark.parametrize("field, value, flags, message", [
         ("modes", [0], (), "modes must lie in [1, inf]"),
         ("depths", [0], (), "depths must lie in [1, inf]"),
@@ -131,6 +151,8 @@ class TestUsageErrors:
         ("densities", [1.5], (), "densities must lie in (0, 1]"),
         ("shots", -4, (), "shots must be >= 0"),
         ("shots", 0, ("--shots", "-4"), "shots must be >= 0"),
+        ("budget", 5, (), "budget 5 below 2 * max(depths) + 2 = 6"),
+        ("lotus_budget", 8, (), "lotus_budget 8 below 3 * max(modes) + 6 = 9"),
     ])
     def test_bad_sweep_grid_exits_two_before_any_run(self, tmp_path, capsys,
                                                       field, value, flags, message):

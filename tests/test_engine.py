@@ -163,8 +163,8 @@ class TestMixer:
             half = amps[:amps.size // 2]
             mirrored = np.concatenate((half, half[::-1])) / np.linalg.norm(half) / np.sqrt(2)
             full = apply_mixer(StateVector(amps=mirrored.copy()), beta).amps
-            folded = apply_mixer(MirroredHalf(amps=mirrored[:half.size].copy()), beta)
-            assert np.max(np.abs(folded.full().amps - full)) <= 1e-14
+            folded = apply_mixer(MirroredHalf(half=mirrored[:half.size].copy()), beta)
+            assert np.max(np.abs(folded.amps - full)) <= 1e-14
 
     def test_norm_preserved(self):
         rng = np.random.default_rng(6)
@@ -340,3 +340,90 @@ class TestBestBitstring:
     def test_requires_positive_shots(self):
         with pytest.raises(ValueError):
             sample_best_bitstring(plus_state(2), build_cost_diagonal(SINGLE_EDGE), 0, seed=0)
+
+
+# the smallest n whose kept half builds its phases by doubling
+FIRST_DOUBLED_N = engine._EXP_PHASE_MAX_SIZE.bit_length() + 1
+
+
+def kept_half_of(n, seed):
+    """An evolved kept half at n qubits (p = 2) and its cut table."""
+    g = gen_erdos_renyi(n, 0.5, seed=seed)
+    diag = build_cost_diagonal(g)
+    angles = np.random.default_rng(seed).uniform(-np.pi, np.pi, 4)
+    return g, diag, evolve(g, standard_unpack(angles, 2), diag=diag)
+
+
+class TestKeptHalf:
+    def test_amps_form_the_full_state(self):
+        half = np.arange(4) + 1j
+        state = MirroredHalf(half=half)
+        assert state.n == 3
+        assert np.array_equal(state.amps, np.concatenate((half, half[::-1])))
+        assert state.norm_sq() == pytest.approx(np.sum(np.abs(state.amps) ** 2), rel=1e-15)
+
+    @pytest.mark.parametrize("gamma", [0.37, -2.1, 25.0])
+    def test_doubled_phase_table_matches_exp(self, gamma):
+        # np.exp's own argument gamma*c is good only to about eps*|gamma|*sum(w),
+        # which is what the two tables differ by (measured 0.8-1.3 times it)
+        eps = np.finfo(float).eps
+        for n in [*range(FIRST_DOUBLED_N, 17), 20]:
+            g = gen_erdos_renyi(n, 0.5, seed=100 * n)
+            diag = build_cost_diagonal(g)
+            size = 1 << (n - 1)
+            table = engine._phase_table(diag.lower, gamma, size)
+            reference = np.exp(-1j * gamma * diag.values[:size])
+            tol = 4 * eps * abs(gamma) * g.total_weight
+            assert np.max(np.abs(table - reference)) <= tol, (n, gamma)
+
+    def test_phase_path_switches_at_the_crossover(self):
+        for n in (FIRST_DOUBLED_N - 1, FIRST_DOUBLED_N):
+            g = gen_erdos_renyi(n, 0.5, seed=n)
+            diag = build_cost_diagonal(g)
+            size = 1 << (n - 1)
+            state = apply_cost_phase(MirroredHalf(half=np.ones(size, dtype=complex)), diag, 0.7)
+            if n < FIRST_DOUBLED_N:  # the exp over the kept half, bit for bit
+                expected = np.exp((-1j * 0.7) * diag.values[:size])
+            else:
+                expected = engine._phase_table(diag.lower, 0.7, size)
+            assert np.array_equal(state.half, expected)
+
+    def test_evolve_above_crossover_matches_full_state(self):
+        for n in (FIRST_DOUBLED_N, 16):
+            g = gen_erdos_renyi(n, 0.5, seed=n)
+            diag = build_cost_diagonal(g)
+            angles = np.random.default_rng(n).uniform(-np.pi, np.pi, 6)
+            state = evolve(g, standard_unpack(angles, 3), diag=diag)
+            reference = plus_state(n)
+            for gamma, beta in zip(angles[:3], angles[3:]):
+                reference.amps *= np.exp(-1j * gamma * diag.values)
+                apply_mixer(reference, beta)
+            assert np.max(np.abs(state.amps - reference.amps)) <= 1e-10
+
+    def test_sample_indices_match_the_full_state(self):
+        for n in range(4, 21):
+            _, diag, state = kept_half_of(n, seed=n)
+            full = StateVector(amps=state.amps)
+            for seed in (0, 1):
+                from_half = engine._sample_indices(state, 4096, np.random.default_rng(seed))
+                from_full = engine._sample_indices(full, 4096, np.random.default_rng(seed))
+                assert np.array_equal(from_half, from_full), (n, seed)
+            assert sample_best_bitstring(state, diag, 512, seed=2) == \
+                sample_best_bitstring(full, diag, 512, seed=2)
+
+    def test_sampled_indices_cover_both_halves(self):
+        _, diag, state = kept_half_of(6, seed=3)
+        idx = engine._sample_indices(state, 20_000, np.random.default_rng(4))
+        assert 0.45 < np.mean(idx >= 32) < 0.55
+        assert np.all((idx >= 0) & (idx < 64))
+
+    def test_exact_expectation_matches_the_full_state(self):
+        for n in (4, 9, FIRST_DOUBLED_N, 20):
+            _, diag, state = kept_half_of(n, seed=n)
+            full = expectation_exact(StateVector(amps=state.amps), diag)
+            assert expectation_exact(state, diag) == pytest.approx(full, rel=1e-12)
+
+    def test_half_dimension_mismatch(self):
+        with pytest.raises(ValueError, match="dimensions"):
+            expectation_exact(MirroredHalf(half=np.ones(4, dtype=complex)),
+                              build_cost_diagonal(SINGLE_EDGE))

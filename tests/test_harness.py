@@ -1,9 +1,13 @@
 import dataclasses
 import json
+import os
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lotus_qaoa import harness, schedule
 from lotus_qaoa.harness import (
@@ -20,7 +24,7 @@ from lotus_qaoa.harness import (
 )
 from lotus_qaoa.instance import CutResult, WeightedGraph, gen_erdos_renyi
 from lotus_qaoa.optim import baseline_optimize, lotus_optimize
-from lotus_qaoa.records import RunRecord, load_records, write_csv
+from lotus_qaoa.records import RunRecord, append_record, load_records, write_csv
 
 
 def make_record(seed=0, optimizer="powell", expectation=1.0, evaluations=100,
@@ -46,12 +50,50 @@ def _first_run_raises(task):
     return _SWEEP_TASK(task)
 
 
+def _key_record(task):
+    """Stand-in for ``harness._sweep_task`` that makes a record from the run key
+    alone (module-level, so the pool can pickle it)."""
+    _, n, p, density, seed_idx, optimizer, k_modes = task
+    return harness._synthetic_record(seed_idx, optimizer, expectation=n + p / 7 + seed_idx / 3,
+                                     evaluations=10 + k_modes, k_modes=k_modes, n_qubits=n,
+                                     depth=p, p_graph=density)
+
+
 TINY_CFG = dict(qubits=(4,), depths=(2,), densities=(0.9,), modes=(1,),
                 seeds=2, optimizers=("lotus", "nelder-mead"), shots=0,
                 base_seed=3, budget=40, lotus_budget=30)
 
 
+_ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True)
+_RECORDS = st.builds(
+    RunRecord,
+    seed=st.integers(0, 2 ** 64 - 1), optimizer=st.text(min_size=1),
+    n_qubits=st.integers(1, 20), depth=st.integers(1, 1024),
+    p_graph=st.one_of(st.just(float("nan")), st.floats(0.0, 1.0)),
+    k_modes=st.integers(0, 16), expectation=_ANY_FLOAT, expectation_exact=_ANY_FLOAT,
+    iterations=st.integers(0, 10 ** 9), evaluations=st.integers(0, 10 ** 9),
+    best_cut=st.builds(CutResult, bitstring=st.text("01", min_size=1, max_size=20),
+                       cut_value=_ANY_FLOAT),
+    approx_ratio=st.one_of(st.none(), _ANY_FLOAT), wall_time=st.floats(0.0, 1e9))
+
+
 class TestRecordStore:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(records=st.lists(_RECORDS, max_size=5))
+    def test_ndjson_round_trip_property(self, records):
+        # repr tells NaNs apart from numbers and keeps every float bit; NaN != NaN
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "r.ndjson")
+            open(path, "w").close()
+            for record in records:
+                append_record(path, record)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                loaded = load_records(path)
+        assert [repr(r) for r in loaded] == [repr(r) for r in records]
+        # resume matches loaded runs to the grid by key, NaN densities included
+        assert {r.run_key() for r in loaded} == {r.run_key() for r in records}
+
     def test_json_round_trip_bit_exact(self):
         record = make_record(expectation=0.1 + 0.2, evaluations=137)
         again = RunRecord.from_json(record.to_json())
@@ -320,6 +362,27 @@ class TestSweep:
                 warnings.simplefilter("error")
                 assert strip(load_records(cfg.out)) == full
 
+    def test_resume_after_a_cut_at_every_byte_of_the_last_line(self, tmp_path, monkeypatch):
+        # records made from the run key keep each resume to a pool start-up
+        monkeypatch.setattr(harness, "_sweep_task", _key_record)
+        cfg = SweepConfig(**{**TINY_CFG, "seeds": 3}, out=str(tmp_path / "r.ndjson"))
+        full = sorted(r.to_json() for r in run_sweep(cfg, workers=1))
+        text = (tmp_path / "r.ndjson").read_bytes()
+        last_start = text.rstrip(b"\n").rfind(b"\n") + 1
+        for end in range(last_start, len(text) + 1):
+            (tmp_path / "r.ndjson").write_bytes(text[:end])
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                resumed = run_sweep(cfg, workers=1)
+            torn = [w for w in caught if "torn final line" in str(w.message)]
+            assert len(torn) == (last_start < end < len(text) - 1), end
+            assert sorted(r.to_json() for r in resumed) == full, end
+            stored = (tmp_path / "r.ndjson").read_bytes()
+            assert stored.endswith(b"\n") and stored.count(b"\n") == len(full), end
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert sorted(r.to_json() for r in load_records(cfg.out)) == full, end
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_failing_run_keeps_the_others(self, tmp_path, monkeypatch, workers):
         cfg = SweepConfig(**TINY_CFG, out=str(tmp_path / "r.ndjson"))
@@ -370,6 +433,21 @@ class TestSweep:
             SweepConfig(qubits=())
         with pytest.raises(ValueError):
             SweepConfig(seeds=0)
+
+    def test_budgets_below_search_dimension_rejected(self):
+        # a baseline at depth p searches 2p angles, HFA with K modes 3K + 4
+        # hyperparameters; minimize() needs dimension + 2 evaluations
+        with pytest.raises(ValueError, match=r"budget 9 below 2 \* max\(depths\) \+ 2 = 10"):
+            SweepConfig(depths=(2, 4), budget=9)
+        with pytest.raises(ValueError, match=r"lotus_budget 17 below 3 \* max\(modes\) \+ 6"):
+            SweepConfig(modes=(2, 4), lotus_budget=17)
+        SweepConfig(depths=(2, 4), budget=10, modes=(2, 4), lotus_budget=18)
+        # each bound applies only when its optimizer is in the roster
+        SweepConfig(depths=(4,), budget=1, optimizers=("lotus",))
+        SweepConfig(modes=(4,), lotus_budget=1, optimizers=("powell",))
+        # the benchmark's smoke-sized grids pass
+        SweepConfig(depths=(8,), modes=(2, 3, 4), budget=40, lotus_budget=20)
+        SweepConfig(depths=(6,), modes=(2,), budget=40, lotus_budget=20)
 
     def test_colliding_optimizer_ids_rejected(self):
         # run seeds tag an optimizer by its character-code sum
