@@ -3,8 +3,9 @@
     python3 scripts/bench_pairs.py --parent HEAD~1 --change HEAD --out BENCH_6.json
 
 Each commit's files are exported with ``git archive`` into its own fresh
-directory, so both sides run committed code the same way and the
-repository's working tree and metadata are left alone. For every pair and
+temporary directory (``TMPDIR`` chooses where; it is removed at the end),
+so both sides run committed code the same way and the repository's
+working tree and metadata are left alone. For every pair and
 every workload in ``BENCHMARK.json`` the script runs
 ``perfbench/run.py --seconds S --trace 0`` once on each side, on the same
 seed; even pairs run the parent first and odd pairs the change first, so
@@ -126,26 +127,12 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--first-seed", type=int, default=301,
                         help="pair i runs seed first-seed + i")
     parser.add_argument("--seconds", type=float, default=30.0)
-    parser.add_argument("--workloads", default=None,
-                        help="comma-separated subset of BENCHMARK.json's workloads")
-    parser.add_argument("--workdir", default=None,
-                        help="where the two trees are exported (default: a temporary "
-                             "directory, removed afterwards)")
     parser.add_argument("--out", required=True)
     args = parser.parse_args(argv)
 
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         spec = json.load(fh)
-    if args.workloads:
-        chosen = args.workloads.split(",")
-        spec["workloads"] = [w for w in spec["workloads"] if w["name"] in chosen]
     commits = {"parent": _git("rev-parse", args.parent), "change": _git("rev-parse", args.change)}
-    workdir = args.workdir or tempfile.mkdtemp(prefix="bench-pairs-")
-    trees = {side: os.path.join(workdir, side) for side in commits}
-    for side, commit in commits.items():
-        shutil.rmtree(trees[side], ignore_errors=True)
-        _export(commit, trees[side])
-
     seeds = [args.first_seed + i for i in range(args.pairs)]
     header = {
         "command": "python3 scripts/bench_pairs.py " + " ".join(argv or sys.argv[1:]),
@@ -168,7 +155,11 @@ def main(argv: list[str] | None = None) -> int:
             json.dump(payload, fh, indent=1)
             fh.write("\n")
 
+    workdir = tempfile.mkdtemp(prefix="bench-pairs-")
     try:
+        trees = {side: os.path.join(workdir, side) for side in commits}
+        for side, commit in commits.items():
+            _export(commit, trees[side])
         for i, seed in enumerate([*seeds, HOLDOUT_SEED]):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for wl in spec["workloads"]:
@@ -181,8 +172,7 @@ def main(argv: list[str] | None = None) -> int:
             write(complete=False)
         write(complete=True)
     finally:
-        if args.workdir is None:
-            shutil.rmtree(workdir, ignore_errors=True)
+        shutil.rmtree(workdir, ignore_errors=True)
     return 0
 
 

@@ -411,12 +411,6 @@ class TestKeptHalf:
             assert sample_best_bitstring(state, diag, 512, seed=2) == \
                 sample_best_bitstring(full, diag, 512, seed=2)
 
-    def test_sampled_indices_cover_both_halves(self):
-        _, diag, state = kept_half_of(6, seed=3)
-        idx = engine._sample_indices(state, 20_000, np.random.default_rng(4))
-        assert 0.45 < np.mean(idx >= 32) < 0.55
-        assert np.all((idx >= 0) & (idx < 64))
-
     def test_exact_expectation_matches_the_full_state(self):
         for n in (4, 9, FIRST_DOUBLED_N, 20):
             _, diag, state = kept_half_of(n, seed=n)
