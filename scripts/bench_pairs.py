@@ -8,9 +8,11 @@ so both sides run committed code the same way and the repository's
 working tree and metadata are left alone. For every pair and
 every workload in ``BENCHMARK.json`` the script runs
 ``perfbench/run.py --seconds S --trace 0`` once on each side, on the same
-seed; even pairs run the parent first and odd pairs the change first, so
-slow drift of the host falls on both sides alike. The holdout seed runs as
-one more pair after the tuned seeds and is reported apart from them.
+seed, where S is the benchmark's ``run_seconds``. There are ``PAIRS``
+pairs on seeds ``FIRST_SEED`` upward; even pairs run the parent first and
+odd pairs the change first, so slow drift of the host falls on both sides
+alike. The holdout seed runs as one more pair after the tuned seeds and is
+reported apart from them.
 
 The output holds, per workload and end-to-end metric: both sides' values
 per seed, their medians and quartiles, how many pairs the change won, and
@@ -37,6 +39,8 @@ import numpy
 import scipy
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PAIRS = 10
+FIRST_SEED = 301  # pair i runs seed FIRST_SEED + i
 HOLDOUT_SEED = 9001
 
 
@@ -123,20 +127,17 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", default="HEAD~1", help="commit to compare against")
     parser.add_argument("--change", default="HEAD", help="commit under test")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--first-seed", type=int, default=301,
-                        help="pair i runs seed first-seed + i")
-    parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--out", required=True)
     args = parser.parse_args(argv)
 
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         spec = json.load(fh)
     commits = {"parent": _git("rev-parse", args.parent), "change": _git("rev-parse", args.change)}
-    seeds = [args.first_seed + i for i in range(args.pairs)]
+    seconds = spec["run_seconds"]
+    seeds = [FIRST_SEED + i for i in range(PAIRS)]
     header = {
         "command": "python3 scripts/bench_pairs.py " + " ".join(argv or sys.argv[1:]),
-        "commits": commits, "seconds": args.seconds, "seeds": seeds,
+        "commits": commits, "seconds": seconds, "seeds": seeds,
         "holdout_seed": HOLDOUT_SEED,
         "order": "even pairs run the parent first, odd pairs the change first",
         "environment": {
@@ -164,7 +165,7 @@ def main(argv: list[str] | None = None) -> int:
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for wl in spec["workloads"]:
                 for side in order:
-                    result = _run(trees[side], wl["name"], seed, args.seconds)
+                    result = _run(trees[side], wl["name"], seed, seconds)
                     runs[wl["name"]].setdefault(seed, {})[side] = result
                     print(f"pair {i} seed {seed} {wl['name']} {side}: "
                           f"{result.get('ms_per_eval_at_ref', result.get('error'))}",

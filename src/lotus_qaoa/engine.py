@@ -44,13 +44,11 @@ class CostDiagonal:
     """Cut value of every basis state: entry z equals cut_value(g, z).
 
     ``lower`` holds the graph's edges per node to lower nodes, the recipe
-    from which ``apply_cost_phase`` builds large phase tables; without it
-    the phases come from ``values``.
+    from which ``apply_cost_phase`` builds large phase tables.
     """
 
     values: np.ndarray
-    lower: tuple[tuple[tuple[int, float], ...], ...] | None = field(
-        default=None, repr=False, compare=False)
+    lower: tuple[tuple[tuple[int, float], ...], ...] = field(repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -149,7 +147,7 @@ def apply_cost_phase(state: StateVector | MirroredHalf, diag: CostDiagonal,
         amps = state.amps
     if amps.size != values.size:
         raise ValueError("state and diagonal dimensions differ")
-    if amps.size > _EXP_PHASE_MAX_SIZE and diag.lower is not None:
+    if amps.size > _EXP_PHASE_MAX_SIZE:
         amps *= _phase_table(diag.lower, gamma, amps.size)
     else:
         amps *= np.exp((-1j * gamma) * values)

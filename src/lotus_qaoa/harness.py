@@ -96,15 +96,16 @@ class SweepConfig:
             raise ValueError(f"densities must lie in (0, 1], got {list(self.densities)}")
         if self.shots < 0:
             raise ValueError(f"shots must be >= 0 (0 is exact), got {self.shots}")
-        # minimize() needs budget >= dimension + 2: 2p for a baseline, 3K + 4 for HFA
-        least = 2 * max(self.depths) + 2
+        # a budget minimize() refuses for the largest search would fail every such run
+        least = optim.min_budget(schedule.standard_dimension(max(self.depths)))
         if any(o != "lotus" for o in self.optimizers) and self.budget < least:
-            raise ValueError(f"budget {self.budget} below 2 * max(depths) + 2 = {least}")
-        least = 3 * max(self.modes) + 6
+            raise ValueError(f"budget {self.budget} below {least}, the least a "
+                             f"depth-{max(self.depths)} baseline run accepts")
+        least = optim.min_budget(schedule.hfa_dimension(max(self.modes)))
         if ("lotus" in self.optimizers and self.lotus_budget is not None
                 and self.lotus_budget < least):
-            raise ValueError(f"lotus_budget {self.lotus_budget} below "
-                             f"3 * max(modes) + 6 = {least}")
+            raise ValueError(f"lotus_budget {self.lotus_budget} below {least}, the least a "
+                             f"{max(self.modes)}-mode lotus run accepts")
 
     def to_json(self) -> str:
         return json.dumps(dataclasses.asdict(self), sort_keys=True)

@@ -20,7 +20,8 @@ from . import engine
 # perfbench/tracer.py patches optim.brute_force_maxcut by name, so it stays importable here.
 from .instance import WeightedGraph, brute_force_maxcut  # noqa: F401
 from .records import RunRecord
-from .schedule import HfaParams, Schedule, hfa_generate, standard_unpack
+from .schedule import (HfaParams, Schedule, hfa_dimension, hfa_generate, standard_dimension,
+                       standard_unpack)
 
 DEFAULT_BUDGET = 2000  # evaluations for one direct (baseline) run
 # The compact hyperparameter search gets a per-restart budget proportional
@@ -174,6 +175,11 @@ def optimizer_ids() -> list[str]:
     return sorted(_OPTIMIZERS)
 
 
+def min_budget(dimension: int) -> int:
+    """Fewest evaluations ``minimize`` accepts for a search of this dimension."""
+    return dimension + 2
+
+
 def minimize(
     method: str,
     obj: ObjectiveSpec,
@@ -193,8 +199,8 @@ def minimize(
     x0 = np.asarray(x0, dtype=np.float64)
     if x0.size != obj.dimension:
         raise ValueError(f"x0 has length {x0.size}, objective expects {obj.dimension}")
-    if budget < obj.dimension + 2:
-        raise ValueError(f"budget {budget} below dimension + 2 = {obj.dimension + 2}")
+    if budget < min_budget(obj.dimension):
+        raise ValueError(f"budget {budget} below dimension + 2 = {min_budget(obj.dimension)}")
     start = obj.eval_counter
     best_x, best_f, trace, reported = None, np.inf, [], 0
 
@@ -350,7 +356,7 @@ def lotus_optimize(
     The default per-restart budget is LOTUS_BUDGET_PER_DIM * (3K + 4).
     """
     init = init or LotusInitConfig()
-    dim = 3 * k_modes + 4
+    dim = hfa_dimension(k_modes)
     bounds: list[tuple[float | None, float | None]] = [(None, None)] * dim
     bounds[2 * k_modes] = (-LAMBDA_CLAMP, LAMBDA_CLAMP)
     bounds[2 * k_modes + 1] = (-LAMBDA_CLAMP, LAMBDA_CLAMP)
@@ -375,7 +381,7 @@ def baseline_optimize(
     The start point is uniform in [0, 2*pi]^(2p); the shot protocol and
     final verification match the HFA loop.
     """
-    starts = [(_seed_rng(seed, 20).uniform(0.0, 2.0 * np.pi, 2 * p), _seed_rng(seed, 21))]
+    starts = [(_seed_rng(seed, 20).uniform(0.0, 2.0 * np.pi, standard_dimension(p)), _seed_rng(seed, 21))]
     outcome, sched, record = _optimize(
         g, p, method, lambda x: standard_unpack(x, p), starts, None, shots, seed, budget, 0)
     return sched, outcome, record

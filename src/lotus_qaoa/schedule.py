@@ -27,6 +27,16 @@ import numpy as np
 TWO_PI = 2.0 * np.pi
 
 
+def hfa_dimension(k_modes: int) -> int:
+    """Length of the HFA hyperparameter vector for K spectral modes."""
+    return 3 * k_modes + 4
+
+
+def standard_dimension(p: int) -> int:
+    """Length of the independent-angle vector at depth p."""
+    return 2 * p
+
+
 def layer_grid(p: int) -> np.ndarray:
     """Normalized temporal coordinates x_l = (l - 1/2)/p for l = 1..p."""
     if p < 1:
@@ -67,7 +77,7 @@ class HfaParams:
 
     @property
     def dimension(self) -> int:
-        return 3 * self.k_modes + 4
+        return hfa_dimension(self.k_modes)
 
     def to_vector(self) -> np.ndarray:
         return np.concatenate([
@@ -191,8 +201,8 @@ def standard_pack(sched: Schedule) -> np.ndarray:
 def standard_unpack(v: np.ndarray, p: int) -> Schedule:
     """Inverse of standard_pack; v has length 2p."""
     v = np.asarray(v, dtype=np.float64)
-    if v.size != 2 * p:
-        raise ValueError(f"expected a 2p = {2 * p} vector, got length {v.size}")
+    if v.size != standard_dimension(p):
+        raise ValueError(f"expected a 2p = {standard_dimension(p)} vector, got length {v.size}")
     return _schedule_from_raw(v[:p].copy(), v[p:].copy(), p)
 
 

@@ -137,7 +137,7 @@ class TestUsageErrors:
                                         "out": str(tmp_path / "r.ndjson")}))
         assert run_cli("run", "--config", str(cfg_path)) == 2
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and "budget 5 below 2 * max(depths) + 2 = 10" in err[0]
+        assert len(err) == 1 and "budget 5 below 10, the least a depth-4 baseline run accepts" in err[0]
         assert list(tmp_path.iterdir()) == [cfg_path]
 
     @pytest.mark.parametrize("field, value, flags, message", [
@@ -151,8 +151,8 @@ class TestUsageErrors:
         ("densities", [1.5], (), "densities must lie in (0, 1]"),
         ("shots", -4, (), "shots must be >= 0"),
         ("shots", 0, ("--shots", "-4"), "shots must be >= 0"),
-        ("budget", 5, (), "budget 5 below 2 * max(depths) + 2 = 6"),
-        ("lotus_budget", 8, (), "lotus_budget 8 below 3 * max(modes) + 6 = 9"),
+        ("budget", 5, (), "budget 5 below 6, the least a depth-2 baseline run accepts"),
+        ("lotus_budget", 8, (), "lotus_budget 8 below 9, the least a 1-mode lotus run accepts"),
     ])
     def test_bad_sweep_grid_exits_two_before_any_run(self, tmp_path, capsys,
                                                       field, value, flags, message):
