@@ -1,6 +1,6 @@
 """Paired benchmark of two commits: parent against change, alternating.
 
-    python3 scripts/bench_pairs.py --parent HEAD~1 --change HEAD --out BENCH_6.json
+    python3 scripts/bench_pairs.py --parent HEAD~1 --change HEAD --out BENCH_7.json
 
 Each commit's files are exported with ``git archive`` into its own fresh
 temporary directory (``TMPDIR`` chooses where; it is removed at the end),
@@ -15,11 +15,14 @@ alike. The holdout seed runs as one more pair after the tuned seeds and is
 reported apart from them.
 
 The output holds, per workload and end-to-end metric: both sides' values
-per seed, their medians and quartiles, how many pairs the change won, and
+per seed, their medians and quartiles, how many pairs the change won,
 whether the change beats the parent in the median by more than the
-parent's interquartile range. It also records the host's core count, the
-numpy and scipy versions and both commits. It is rewritten after every
-pair, with ``"complete": false`` until the last pair is done.
+parent's interquartile range, and whether it ``regressed``: its median is
+worse than the parent's by more than the metric's ``bound`` in
+``BENCHMARK.json``, taken as a fraction of the parent's median. It also
+records the host's core count, the numpy and scipy versions and both
+commits. It is rewritten after every pair, with ``"complete": false``
+until the last pair is done.
 """
 from __future__ import annotations
 
@@ -85,7 +88,7 @@ def _quartiles(values: list[float]) -> tuple[float, float, float]:
 
 
 def _summary(runs: dict, spec: dict, seeds: list[int]) -> dict:
-    """Per workload and metric: both sides, wins and the claim test."""
+    """Per workload and metric: both sides, wins, the claim and regression tests."""
     out = {}
     for wl in spec["workloads"]:
         name = wl["name"]
@@ -111,6 +114,7 @@ def _summary(runs: dict, spec: dict, seeds: list[int]) -> dict:
                 "ties": sum(b == a for a, b in pairs),
                 "median_change_rel": (c_med - p_med) / p_med if p_med else None,
                 "gain_beyond_parent_iqr": sign * (c_med - p_med) > (p_q3 - p_q1),
+                "regressed": sign * (p_med - c_med) > metric["bound"] * abs(p_med),
             }
             holdout = runs[name].get(HOLDOUT_SEED, {})
             if "parent" in holdout and "change" in holdout:

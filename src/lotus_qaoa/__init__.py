@@ -2,7 +2,7 @@
 
 from .engine import (
     CostDiagonal,
-    StateVector,
+    MirroredHalf,
     apply_cost_phase,
     apply_mixer,
     build_cost_diagonal,
@@ -40,7 +40,6 @@ from .optim import (
     finite_difference_gradient,
     lotus_optimize,
     minimize,
-    register_optimizer,
 )
 from .records import RunRecord, load_records, write_csv
 from .schedule import (

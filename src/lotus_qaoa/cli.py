@@ -16,7 +16,7 @@ from typing import TypeVar
 
 import numpy as np
 
-from . import harness, instance, optim
+from . import engine, harness, instance, optim
 from .records import load_records
 
 T = TypeVar("T")
@@ -54,8 +54,16 @@ def _depth_list(text: str) -> tuple[int, ...]:
             f"need comma-separated positive depths, got {text!r}") from None
 
 
+def _gen_graph(args: argparse.Namespace) -> instance.WeightedGraph:
+    """The instance that ``--nodes``, ``--p-graph`` and ``--seed`` describe."""
+    try:
+        return instance.gen_erdos_renyi(args.nodes, args.p_graph, args.seed)
+    except ValueError as exc:
+        raise _UsageError(f"bad graph arguments: {exc}") from exc
+
+
 def _cmd_gen(args: argparse.Namespace) -> int:
-    g = instance.gen_erdos_renyi(args.nodes, args.p_graph, args.seed)
+    g = _gen_graph(args)
     instance.save_graph(g, args.out)
     print(f"wrote {args.out}: n={g.n}, edges={len(g.edges)}, total weight {g.total_weight:.6f}")
     return 0
@@ -127,7 +135,9 @@ def _cmd_transfer(args: argparse.Namespace) -> int:
     if args.instance:
         g = _read_input("instance", instance.load_graph, args.instance)
     else:
-        g = instance.gen_erdos_renyi(args.nodes, args.p_graph, args.seed)
+        g = _gen_graph(args)
+    if g.n > engine.DEFAULT_QUBIT_CAP:
+        raise _UsageError(f"qubit cap {engine.DEFAULT_QUBIT_CAP} exceeded (n={g.n})")
     params, _, record = optim.lotus_optimize(
         g, args.source_depth, k_modes=args.k_modes, shots=0, seed=args.seed)
     print(f"optimized at depth {args.source_depth}: exact expectation "
@@ -179,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="execute a sweep from a JSON config file")
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--out", default=None, help="override the config output path")
-    p_run.add_argument("--workers", type=int, default=None,
+    p_run.add_argument("--workers", type=_positive_int, default=None,
                        help=f"worker processes (default ${harness.WORKERS_ENV_VAR} or 1)")
     p_run.add_argument("--shots", type=int, default=None)
     p_run.add_argument("--exact", action="store_true", help="shortcut for --shots 0")

@@ -9,9 +9,9 @@ Cost phases are computed from the raw (unwrapped) angles handed to
 ``evolve``; the mixer rotation is 2*pi-periodic in beta by construction,
 while the cost phase is periodic only for integer spectra.
 
-``evolve`` works on, and returns, the ``MirroredHalf`` of the state: the
-circuit commutes with a global bit flip, so half the amplitudes determine
-the rest. The readouts accept it as well as a full ``StateVector``.
+States are held as a ``MirroredHalf``: |+>^n, the cut diagonal and the
+mixer all commute with a global bit flip, so half the amplitudes determine
+the rest. Every kernel and readout works on that half.
 """
 from __future__ import annotations
 
@@ -56,32 +56,14 @@ class CostDiagonal:
 
 
 @dataclass
-class StateVector:
-    """2^n complex amplitudes; bit i of the index is node/qubit i."""
-
-    amps: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return int(self.amps.size).bit_length() - 1
-
-    def norm_sq(self) -> float:
-        return float(np.sum(np.abs(self.amps) ** 2))
-
-    def probabilities(self) -> np.ndarray:
-        return np.abs(self.amps) ** 2
-
-
-@dataclass
 class MirroredHalf:
     """Kept half of a state that is invariant under a global bit flip.
 
     ``half`` holds the 2^(n-1) amplitudes whose top bit is clear. The
     amplitude at z ^ mask equals the one at z, and z ^ mask = mask - z, so
-    the dropped half is ``half[::-1]``. ``evolve`` carries and returns this
-    form, since |+>^n, every cut diagonal and the X mixer all commute with
-    the flip; the readouts work on the half. ``amps`` forms the full 2^n
-    vector on each access.
+    the dropped half is ``half[::-1]``. It is the engine's only state form,
+    since |+>^n, every cut diagonal and the X mixer all commute with the
+    flip. ``amps`` forms the full 2^n vector on each access.
     """
 
     half: np.ndarray
@@ -112,10 +94,10 @@ def _dimension(n: int) -> int:
     return 1 << n
 
 
-def plus_state(n: int) -> StateVector:
+def plus_state(n: int) -> MirroredHalf:
     """Uniform superposition |+>^n."""
     dim = _dimension(n)
-    return StateVector(amps=np.full(dim, dim ** -0.5, dtype=np.complex128))
+    return MirroredHalf(half=np.full(dim // 2, dim ** -0.5, dtype=np.complex128))
 
 
 def _phase_table(lower: tuple, gamma: float, size: int) -> np.ndarray:
@@ -130,27 +112,21 @@ def _phase_table(lower: tuple, gamma: float, size: int) -> np.ndarray:
                            np.ones(1 << (len(lower) - 1), dtype=np.complex128), np.multiply)
 
 
-def apply_cost_phase(state: StateVector | MirroredHalf, diag: CostDiagonal,
-                     gamma: float) -> StateVector | MirroredHalf:
+def apply_cost_phase(state: MirroredHalf, diag: CostDiagonal, gamma: float) -> MirroredHalf:
     """In-place amps[z] *= exp(-i*gamma*values[z]); returns the same state.
 
-    A ``MirroredHalf`` reads the first half of the flip-invariant diagonal.
+    The kept half reads the first half of the flip-invariant diagonal.
     Above ``_EXP_PHASE_MAX_SIZE`` amplitudes the phases are built by
     doubling from the diagonal's edge lists, which agrees with the complex
-    exp to round-off; smaller states take the exp, where it is cheaper.
+    exp to round-off; smaller halves take the exp, where it is cheaper.
     """
-    values = diag.values
-    if isinstance(state, MirroredHalf):
-        amps = state.half
-        values = values[:values.size // 2]
-    else:
-        amps = state.amps
-    if amps.size != values.size:
+    amps = state.half
+    if 2 * amps.size != diag.values.size:
         raise ValueError("state and diagonal dimensions differ")
     if amps.size > _EXP_PHASE_MAX_SIZE:
         amps *= _phase_table(diag.lower, gamma, amps.size)
     else:
-        amps *= np.exp((-1j * gamma) * values)
+        amps *= np.exp((-1j * gamma) * diag.values[:amps.size])
     return state
 
 
@@ -182,7 +158,7 @@ def _mixer_block(k: int, c: float, s: float) -> np.ndarray:
     return powers[_hamming_table(k)]
 
 
-def apply_mixer(state: StateVector | MirroredHalf, beta: float) -> StateVector | MirroredHalf:
+def apply_mixer(state: MirroredHalf, beta: float) -> MirroredHalf:
     """In-place exp(-i*beta*X) on every qubit; returns the same state.
 
     Qubits are processed in blocks: the block rotation R^(x)k is one small
@@ -195,7 +171,7 @@ def apply_mixer(state: StateVector | MirroredHalf, beta: float) -> StateVector |
     BLAS reads the transposed view, and since R is symmetric the product
     (A @ R).T comes out already in the rotated layout, with no copy.
 
-    A ``MirroredHalf`` lacks the top qubit, which belongs to the last
+    The kept half lacks the top qubit, which belongs to the last
     block. With A0 the kept half as a (rest, w) matrix (w = 2^(k-1)), the
     inputs with that bit set are A0[::-1, ::-1], and R[~x, ~y] = R[x, y].
     So one product Y = R[:, :w] @ A0.T gives the output rows with the bit
@@ -204,64 +180,48 @@ def apply_mixer(state: StateVector | MirroredHalf, beta: float) -> StateVector |
     sizes = _mixer_block_sizes(state.n)
     c, s = float(np.cos(beta)), float(np.sin(beta))
     blocks = {k: _mixer_block(k, c, s) for k in set(sizes)}
-    half = isinstance(state, MirroredHalf)
-    amps = state.half if half else state.amps
-    for k in sizes[:-1] if half else sizes:
+    amps = state.half
+    for k in sizes[:-1]:
         # apply to the low k bits, which land on top
         amps = (blocks[k] @ amps.reshape(-1, 1 << k).T).ravel()
-    if half:
-        w = 1 << (sizes[-1] - 1)
-        y = blocks[sizes[-1]][:, :w] @ amps.reshape(-1, w).T
-        state.half = (y[:w] + y[w:][::-1, ::-1]).ravel()
-    else:
-        state.amps = amps
+    w = 1 << (sizes[-1] - 1)
+    y = blocks[sizes[-1]][:, :w] @ amps.reshape(-1, w).T
+    state.half = (y[:w] + y[w:][::-1, ::-1]).ravel()
     return state
 
 
 def evolve(g: WeightedGraph, sched: Schedule, diag: CostDiagonal | None = None) -> MirroredHalf:
     """Run the full circuit: |+>^n, then p cost-phase + mixer layers.
 
-    Pass a prebuilt ``diag`` to skip rebuilding it in hot loops. The
-    circuit commutes with a global bit flip, so the layers run on, and
-    ``evolve`` returns, the ``MirroredHalf`` of the state.
+    Pass a prebuilt ``diag`` to skip rebuilding it in hot loops.
     """
     if diag is None:
         diag = build_cost_diagonal(g)
-    dim = _dimension(g.n)
-    state = MirroredHalf(half=np.full(dim // 2, dim ** -0.5, dtype=np.complex128))
+    state = plus_state(g.n)
     for gamma, beta in zip(sched.raw_gammas, sched.raw_betas):
         apply_cost_phase(state, diag, float(gamma))
         apply_mixer(state, float(beta))
     return state
 
 
-def expectation_exact(state: StateVector | MirroredHalf, diag: CostDiagonal) -> float:
-    """Sum_z |amps[z]|^2 * values[z]; twice the sum over a kept half."""
-    if isinstance(state, MirroredHalf):
-        amps, scale = state.half, 2.0
-    else:
-        amps, scale = state.amps, 1.0
-    if scale * amps.size != diag.values.size:
+def expectation_exact(state: MirroredHalf, diag: CostDiagonal) -> float:
+    """Sum_z |amps[z]|^2 * values[z]: twice the sum over the kept half."""
+    amps = state.half
+    if 2 * amps.size != diag.values.size:
         raise ValueError("state and diagonal dimensions differ")
-    return scale * float(np.real(np.vdot(amps, diag.values[:amps.size] * amps)))
+    return 2.0 * float(np.real(np.vdot(amps, diag.values[:amps.size] * amps)))
 
 
-def _sample_indices(state: StateVector | MirroredHalf, shots: int,
-                    rng: np.random.Generator) -> np.ndarray:
+def _sample_indices(state: MirroredHalf, shots: int, rng: np.random.Generator) -> np.ndarray:
     """Full basis indices of ``shots`` draws, one uniform per draw.
 
-    On a kept half with CDF C and total S (one half of the mass), a uniform
-    u < S maps through C, and u >= S through the mirrored half: the full
-    CDF at index 2^n - 1 - j is 2S - C[j - 1], so u lands on index
+    With C the kept half's CDF and S its total (one half of the mass), a
+    uniform u < S maps through C, and u >= S through the mirrored half: the
+    full CDF at index 2^n - 1 - j is 2S - C[j - 1], so u lands on index
     2^n - 1 - k for the first k with C[k] > 2S - u. That is the index the
     full state's CDF gives, up to round-off at bin edges; the two rules
     part only where 2S - u equals an entry of C exactly.
     """
-    if isinstance(state, StateVector):
-        cdf = np.cumsum(state.probabilities())
-        cdf[-1] = 1.0
-        idx = np.searchsorted(cdf, rng.random(shots), side="right")
-        return np.minimum(idx, state.amps.size - 1)
     cdf = np.cumsum(np.abs(state.half) ** 2)
     total = cdf[-1]
     u = rng.random(shots)
@@ -271,7 +231,7 @@ def _sample_indices(state: StateVector | MirroredHalf, shots: int,
 
 
 def expectation_sampled(
-    state: StateVector | MirroredHalf,
+    state: MirroredHalf,
     diag: CostDiagonal,
     shots: int,
     seed: int | np.random.Generator,
@@ -295,7 +255,7 @@ def expectation_sampled(
 
 
 def sample_best_bitstring(
-    state: StateVector | MirroredHalf,
+    state: MirroredHalf,
     diag: CostDiagonal | WeightedGraph,
     shots: int,
     seed: int | np.random.Generator,

@@ -427,6 +427,7 @@ def depth_transfer_experiment(
                     g, diag, lambda x, _p=p: schedule.hfa_generate(
                         schedule.HfaParams.from_vector(x), _p),
                     shots=0, noise_rng=None),
+                bounds=optim.hfa_bounds(params.k_modes),
             )
             warm = optim.minimize(method, obj, params.to_vector(), budget=budget)
             warm_e = -warm.f_best

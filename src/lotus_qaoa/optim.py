@@ -1,6 +1,6 @@
 """Classical optimization layer.
 
-A pluggable minimizer front-end with three reference optimizers
+A minimizer front-end with three reference optimizers
 ("nelder-mead", "powell", "fd-lbfgs", all backed by scipy.optimize behind
 this module's budget and bounds contract), plus the two benchmark loops:
 the multi-start HFA hyperparameter search and the direct layer-wise
@@ -157,18 +157,13 @@ def _fd_lbfgs(fun, x0, bounds, tol, report_iteration):
     return res.nit, bool(res.success)
 
 
-# Plugins take (fun, x0, bounds, tol, report_iteration) and return
+# Each takes (fun, x0, bounds, tol, report_iteration) and returns
 # (iterations or None, converged). fun raises BudgetExhausted when spent.
 _OPTIMIZERS: dict[str, Callable] = {
     "nelder-mead": _nelder_mead,
     "powell": _powell,
     "fd-lbfgs": _fd_lbfgs,
 }
-
-
-def register_optimizer(name: str, fn: Callable) -> None:
-    """Add an external optimizer under a stable method id."""
-    _OPTIMIZERS[name] = fn
 
 
 def optimizer_ids() -> list[str]:
@@ -336,6 +331,13 @@ def _optimize(g: WeightedGraph, p: int, method: str,
     return replace(best, iterations=total_iters, evaluations=total_evals), sched, record
 
 
+def hfa_bounds(k_modes: int) -> list[tuple[float | None, float | None]]:
+    """Search box of an HFA vector: both AR decay rates within +-LAMBDA_CLAMP."""
+    bounds: list[tuple[float | None, float | None]] = [(None, None)] * hfa_dimension(k_modes)
+    bounds[2 * k_modes] = bounds[2 * k_modes + 1] = (-LAMBDA_CLAMP, LAMBDA_CLAMP)
+    return bounds
+
+
 def lotus_optimize(
     g: WeightedGraph,
     p: int,
@@ -356,15 +358,13 @@ def lotus_optimize(
     The default per-restart budget is LOTUS_BUDGET_PER_DIM * (3K + 4).
     """
     init = init or LotusInitConfig()
-    dim = hfa_dimension(k_modes)
-    bounds: list[tuple[float | None, float | None]] = [(None, None)] * dim
-    bounds[2 * k_modes] = (-LAMBDA_CLAMP, LAMBDA_CLAMP)
-    bounds[2 * k_modes + 1] = (-LAMBDA_CLAMP, LAMBDA_CLAMP)
     starts = ((init.draw(k_modes, _seed_rng(seed, 10, r)).to_vector(), _seed_rng(seed, 11, r))
               for r in range(init.n_restarts))
+    if budget is None:
+        budget = LOTUS_BUDGET_PER_DIM * hfa_dimension(k_modes)
     outcome, _, record = _optimize(
-        g, p, method, lambda x: hfa_generate(HfaParams.from_vector(x), p), starts, bounds,
-        shots, seed, LOTUS_BUDGET_PER_DIM * dim if budget is None else budget, k_modes)
+        g, p, method, lambda x: hfa_generate(HfaParams.from_vector(x), p), starts,
+        hfa_bounds(k_modes), shots, seed, budget, k_modes)
     return HfaParams.from_vector(outcome.x_best), outcome, record
 
 

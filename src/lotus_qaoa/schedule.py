@@ -9,8 +9,8 @@ angle family. The generator dimension is 3K + 4 for K spectral modes and
 does not grow with p, so one hyperparameter vector can be resampled at any
 depth.
 
-Schedules carry both raw angles and their mod-2*pi reduction. The raw
-values are the smooth trajectory (the Lipschitz certificate and the
+Schedules store the raw angles and derive their mod-2*pi reduction. The
+raw values are the smooth trajectory (the Lipschitz certificate and the
 circuit consume these); the wrapped values are the canonical angle
 representatives. For beta the two are physically identical (the mixer is
 2*pi-periodic); for gamma they differ on non-integer cost spectra, which
@@ -130,40 +130,40 @@ class HfaParams:
 
 @dataclass(frozen=True)
 class Schedule:
-    """Realized layer angles plus the temporal grid.
+    """Realized layer angles.
 
-    ``gammas``/``betas`` are the mod-2*pi representatives of
-    ``raw_gammas``/``raw_betas``.
+    Only the raw angles are stored; ``gammas``/``betas`` (their mod-2*pi
+    representatives) and the temporal ``grid`` are derived on access.
     """
 
-    gammas: np.ndarray
-    betas: np.ndarray
-    grid: np.ndarray
     raw_gammas: np.ndarray
     raw_betas: np.ndarray
 
     @property
     def depth(self) -> int:
-        return int(self.grid.size)
+        return int(self.raw_gammas.size)
+
+    @property
+    def gammas(self) -> np.ndarray:
+        return np.mod(self.raw_gammas, TWO_PI)
+
+    @property
+    def betas(self) -> np.ndarray:
+        return np.mod(self.raw_betas, TWO_PI)
+
+    @property
+    def grid(self) -> np.ndarray:
+        return layer_grid(self.depth)
 
     def write_csv(self, path: str) -> None:
         """Columns: l, x_l, gamma, beta (wrapped angles)."""
+        grid, gammas, betas = self.grid, self.gammas, self.betas
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["l", "x_l", "gamma", "beta"])
             for l in range(self.depth):
-                writer.writerow([l + 1, repr(float(self.grid[l])),
-                                 repr(float(self.gammas[l])), repr(float(self.betas[l]))])
-
-
-def _schedule_from_raw(raw_gammas: np.ndarray, raw_betas: np.ndarray, p: int) -> Schedule:
-    return Schedule(
-        gammas=np.mod(raw_gammas, TWO_PI),
-        betas=np.mod(raw_betas, TWO_PI),
-        grid=layer_grid(p),
-        raw_gammas=raw_gammas,
-        raw_betas=raw_betas,
-    )
+                writer.writerow([l + 1, repr(float(grid[l])),
+                                 repr(float(gammas[l])), repr(float(betas[l]))])
 
 
 def _ar_residuals(delta0: float, lam: float, p: int) -> np.ndarray:
@@ -190,7 +190,7 @@ def hfa_generate(params: HfaParams, p: int) -> Schedule:
     bw = params.b * params.weights
     raw_gammas = aw @ np.sin(k_pi_x) + _ar_residuals(params.delta_gamma0, params.lambda_gamma, p)
     raw_betas = bw @ np.cos(k_pi_x) + _ar_residuals(params.delta_beta0, params.lambda_beta, p)
-    return _schedule_from_raw(raw_gammas, raw_betas, p)
+    return Schedule(raw_gammas=raw_gammas, raw_betas=raw_betas)
 
 
 def standard_pack(sched: Schedule) -> np.ndarray:
@@ -200,10 +200,12 @@ def standard_pack(sched: Schedule) -> np.ndarray:
 
 def standard_unpack(v: np.ndarray, p: int) -> Schedule:
     """Inverse of standard_pack; v has length 2p."""
+    if p < 1:
+        raise ValueError(f"need depth p >= 1, got {p}")
     v = np.asarray(v, dtype=np.float64)
     if v.size != standard_dimension(p):
         raise ValueError(f"expected a 2p = {standard_dimension(p)} vector, got length {v.size}")
-    return _schedule_from_raw(v[:p].copy(), v[p:].copy(), p)
+    return Schedule(raw_gammas=v[:p].copy(), raw_betas=v[p:].copy())
 
 
 def dimension_ratio(k_modes: int, p: int) -> float:

@@ -121,6 +121,30 @@ class TestUsageErrors:
             run_cli("gen", "-n", "4")
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_non_positive_workers_exits_two(self, capsys, value):
+        with pytest.raises(SystemExit) as err:
+            run_cli("run", "--config", "cfg.json", "--workers", value)
+        assert err.value.code == 2
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if "error:" in line]
+        assert len(errors) == 1 and f"need a positive integer, got {value!r}" in errors[0]
+
+    @pytest.mark.parametrize("argv, message", [
+        (("gen", "-n", "1", "--p-graph", "0.5"), "need n >= 2, got 1"),
+        (("gen", "-n", "4", "--p-graph", "0"), "need 0 < p_graph <= 1, got 0.0"),
+        (("transfer", "-n", "21"), "qubit cap 20 exceeded (n=21)"),
+        (("transfer", "--p-graph", "1.5"), "need 0 < p_graph <= 1, got 1.5"),
+    ])
+    def test_bad_graph_arguments_exit_two(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "inst.json"
+        if argv[0] == "gen":
+            argv = (*argv, "--out", str(out))
+        assert run_cli(*argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and message in err[0]
+        assert not out.exists()
+
     def test_bad_input_files_exit_two(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"qubits": [4], "bogus": 1}))

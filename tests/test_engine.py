@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from lotus_qaoa import engine, instance
 from lotus_qaoa.engine import (
     MirroredHalf,
-    StateVector,
     apply_cost_phase,
     apply_mixer,
     build_cost_diagonal,
@@ -20,7 +19,7 @@ from lotus_qaoa.engine import (
     sample_best_bitstring,
 )
 from lotus_qaoa.harness import dense_mixer_matrix, dense_oracle_state
-from lotus_qaoa.instance import WeightedGraph, gen_erdos_renyi
+from lotus_qaoa.instance import CutResult, WeightedGraph, gen_erdos_renyi, index_to_bitstring
 from lotus_qaoa.schedule import standard_unpack
 
 SINGLE_EDGE = WeightedGraph(n=2, edges=((0, 1, 1.0),))
@@ -30,6 +29,58 @@ TRIANGLE = WeightedGraph(n=3, edges=((0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0)))
 def schedule_of(gammas, betas):
     v = np.concatenate([np.atleast_1d(gammas), np.atleast_1d(betas)])
     return standard_unpack(v, v.size // 2)
+
+
+def paired_basis_state(n, z):
+    """(|z> + |~z>)/sqrt(2), the flip-symmetric form of basis state z."""
+    half = np.zeros(1 << (n - 1), dtype=np.complex128)
+    half[min(z, z ^ ((1 << n) - 1))] = 2 ** -0.5
+    return MirroredHalf(half=half)
+
+
+def random_kept_half(n, rng):
+    """A normalized random flip-symmetric state."""
+    half = rng.normal(size=1 << (n - 1)) + 1j * rng.normal(size=1 << (n - 1))
+    return MirroredHalf(half=half / np.linalg.norm(half) / np.sqrt(2))
+
+
+# A full-vector reference that shares no kernel with the engine: one
+# single-qubit rotation per qubit, a complex exp per phase entry, and
+# sampling through the CDF of all 2^n probabilities.
+
+def reference_mixer(amps, beta):
+    c, s = np.cos(beta), np.sin(beta)
+    n = amps.size.bit_length() - 1
+    for q in range(n):
+        pairs = amps.reshape(-1, 2, 1 << q)  # axis 1 is bit q
+        low, high = pairs[:, 0].copy(), pairs[:, 1].copy()
+        pairs[:, 0] = c * low - 1j * s * high
+        pairs[:, 1] = c * high - 1j * s * low
+    return amps
+
+
+def reference_evolve(diag, sched):
+    dim = diag.values.size
+    amps = np.full(dim, dim ** -0.5, dtype=np.complex128)
+    for gamma, beta in zip(sched.raw_gammas, sched.raw_betas):
+        amps *= np.exp(-1j * gamma * diag.values)
+        reference_mixer(amps, beta)
+    return amps
+
+
+def reference_sample_indices(amps, shots, rng):
+    cdf = np.cumsum(np.abs(amps) ** 2)
+    cdf[-1] = 1.0
+    return np.minimum(np.searchsorted(cdf, rng.random(shots), side="right"), amps.size - 1)
+
+
+def reference_best_bitstring(amps, diag, shots, rng):
+    """Best sampled cut; ties go to the lowest index with bit 0 clear."""
+    idx = reference_sample_indices(amps, shots, rng)
+    canonical = np.where(idx & 1, idx ^ (amps.size - 1), idx)
+    best = diag.values[canonical].max()
+    winner = int(canonical[diag.values[canonical] == best].min())
+    return CutResult(bitstring=index_to_bitstring(winner, diag.n), cut_value=float(best))
 
 
 class TestCostDiagonal:
@@ -103,11 +154,11 @@ class TestCostPhase:
         rng = np.random.default_rng(0)
         g = gen_erdos_renyi(5, 0.8, seed=1)
         diag = build_cost_diagonal(g)
-        state = plus_state(5)
-        probs = state.probabilities().copy()
+        state = random_kept_half(5, rng)
+        probs = np.abs(state.amps) ** 2
         for gamma in rng.uniform(-7, 7, 5):
             apply_cost_phase(state, diag, gamma)
-            assert np.allclose(state.probabilities(), probs, atol=1e-14)
+            assert np.allclose(np.abs(state.amps) ** 2, probs, atol=1e-14)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimensions"):
@@ -131,20 +182,23 @@ class TestMixer:
         assert np.allclose(state.amps, before, atol=1e-15)
 
     def test_half_pi_flips_single_qubit(self):
-        state = StateVector(amps=np.array([1.0, 0.0], dtype=np.complex128))
-        apply_mixer(state, np.pi / 2)
-        assert np.allclose(state.amps, [0.0, -1.0j], atol=1e-15)
+        # exp(-i*pi/2*X) = -iX flips each qubit, so (|z> + |~z>)/sqrt(2)
+        # goes to (-i)^n (|~z> + |z>)/sqrt(2): the pair swaps into itself
+        for n, z in ((1, 0), (2, 1), (3, 1), (5, 6)):
+            state = paired_basis_state(n, z)
+            before = state.amps
+            apply_mixer(state, np.pi / 2)
+            assert np.allclose(state.amps, (-1j) ** n * before[::-1], atol=1e-15)
 
     def test_pi_is_global_phase(self):
         rng = np.random.default_rng(4)
         for n in (1, 2, 5):
-            amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
-            amps /= np.linalg.norm(amps)
-            state = StateVector(amps=amps.copy())
+            state = random_kept_half(n, rng)
+            amps = state.amps
             apply_mixer(state, np.pi)
             # exp(-i*pi*X) = -I per qubit, so only a global sign remains
             assert np.allclose(state.amps, (-1.0) ** n * amps, atol=1e-12)
-            assert np.allclose(state.probabilities(), np.abs(amps) ** 2, atol=1e-12)
+            assert np.allclose(np.abs(state.amps) ** 2, np.abs(amps) ** 2, atol=1e-12)
 
     def test_matches_dense_exponential(self):
         rng = np.random.default_rng(5)
@@ -153,18 +207,10 @@ class TestMixer:
             from scipy.linalg import expm
 
             beta = float(rng.uniform(-3, 3))
-            amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
-            amps /= np.linalg.norm(amps)
-            state = StateVector(amps=amps.copy())
-            apply_mixer(state, beta)
-            expected = expm(-1j * beta * dense_mixer_matrix(n)) @ amps
-            assert np.allclose(state.amps, expected, atol=1e-10)
-            # the kept half of a flip-symmetric state folds the top block
-            half = amps[:amps.size // 2]
-            mirrored = np.concatenate((half, half[::-1])) / np.linalg.norm(half) / np.sqrt(2)
-            full = apply_mixer(StateVector(amps=mirrored.copy()), beta).amps
-            folded = apply_mixer(MirroredHalf(half=mirrored[:half.size].copy()), beta)
-            assert np.max(np.abs(folded.amps - full)) <= 1e-14
+            state = random_kept_half(n, rng)
+            expected = expm(-1j * beta * dense_mixer_matrix(n)) @ state.amps
+            apply_mixer(state, beta)  # the kept half folds the top block
+            assert np.max(np.abs(state.amps - expected)) <= 1e-10
 
     def test_norm_preserved(self):
         rng = np.random.default_rng(6)
@@ -267,9 +313,9 @@ class TestExpectation:
 
     def test_basis_state_exact(self):
         diag = build_cost_diagonal(TRIANGLE)
-        amps = np.zeros(8, dtype=np.complex128)
-        amps[3] = 1.0
-        assert expectation_exact(StateVector(amps=amps), diag) == diag.values[3]
+        # |3> and its flip |4> cut the same edges
+        state = paired_basis_state(3, 3)
+        assert expectation_exact(state, diag) == pytest.approx(diag.values[3], abs=1e-15)
 
 
 class TestSampledExpectation:
@@ -282,9 +328,7 @@ class TestSampledExpectation:
 
     def test_basis_state_zero_stderr(self):
         diag = build_cost_diagonal(TRIANGLE)
-        amps = np.zeros(8, dtype=np.complex128)
-        amps[1] = 1.0
-        est, err = expectation_sampled(StateVector(amps=amps), diag, 64, seed=0)
+        est, err = expectation_sampled(paired_basis_state(3, 1), diag, 64, seed=0)
         assert (est, err) == (2.0, 0.0)
 
     def test_exact_mode_sentinel(self):
@@ -315,9 +359,8 @@ class TestSampledExpectation:
 
 class TestBestBitstring:
     def test_concentrated_state(self):
-        amps = np.zeros(8, dtype=np.complex128)
-        amps[1] = 1.0  # assignment 100, an optimal triangle cut
-        res = sample_best_bitstring(StateVector(amps=amps), build_cost_diagonal(TRIANGLE),
+        # assignments 100 and 011, the same optimal triangle cut
+        res = sample_best_bitstring(paired_basis_state(3, 1), build_cost_diagonal(TRIANGLE),
                                     16, seed=0)
         assert res.cut_value == 2.0
         assert res.bitstring == "011"  # canonical representative (bit 0 = 0)
@@ -392,30 +435,47 @@ class TestKeptHalf:
         for n in (FIRST_DOUBLED_N, 16):
             g = gen_erdos_renyi(n, 0.5, seed=n)
             diag = build_cost_diagonal(g)
-            angles = np.random.default_rng(n).uniform(-np.pi, np.pi, 6)
-            state = evolve(g, standard_unpack(angles, 3), diag=diag)
-            reference = plus_state(n)
-            for gamma, beta in zip(angles[:3], angles[3:]):
-                reference.amps *= np.exp(-1j * gamma * diag.values)
-                apply_mixer(reference, beta)
-            assert np.max(np.abs(state.amps - reference.amps)) <= 1e-10
+            sched = standard_unpack(np.random.default_rng(n).uniform(-np.pi, np.pi, 6), 3)
+            state = evolve(g, sched, diag=diag)
+            assert np.max(np.abs(state.amps - reference_evolve(diag, sched))) <= 1e-10
 
     def test_sample_indices_match_the_full_state(self):
         for n in range(4, 21):
             _, diag, state = kept_half_of(n, seed=n)
-            full = StateVector(amps=state.amps)
+            amps = state.amps
             for seed in (0, 1):
                 from_half = engine._sample_indices(state, 4096, np.random.default_rng(seed))
-                from_full = engine._sample_indices(full, 4096, np.random.default_rng(seed))
+                from_full = reference_sample_indices(amps, 4096, np.random.default_rng(seed))
                 assert np.array_equal(from_half, from_full), (n, seed)
             assert sample_best_bitstring(state, diag, 512, seed=2) == \
-                sample_best_bitstring(full, diag, 512, seed=2)
+                reference_best_bitstring(amps, diag, 512, np.random.default_rng(2))
 
     def test_exact_expectation_matches_the_full_state(self):
         for n in (4, 9, FIRST_DOUBLED_N, 20):
             _, diag, state = kept_half_of(n, seed=n)
-            full = expectation_exact(StateVector(amps=state.amps), diag)
+            amps = state.amps
+            full = float(np.real(np.vdot(amps, diag.values * amps)))
             assert expectation_exact(state, diag) == pytest.approx(full, rel=1e-12)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(n=st.integers(1, 16), seed=st.integers(0, 2 ** 32 - 1),
+           angles=st.lists(st.floats(-2 * np.pi, 2 * np.pi), min_size=2, max_size=6))
+    def test_matches_the_full_vector_reference_property(self, n, seed, angles):
+        # n = 1..16 spans both sides of _EXP_PHASE_MAX_SIZE
+        g = WeightedGraph(n=1, edges=()) if n == 1 else gen_erdos_renyi(n, 0.6, seed=seed)
+        diag = build_cost_diagonal(g)
+        p = len(angles) // 2
+        sched = standard_unpack(np.array(angles[:2 * p]), p)
+        state = evolve(g, sched, diag=diag)
+        amps = reference_evolve(diag, sched)
+        assert np.max(np.abs(state.amps - amps)) <= 1e-10
+        exact = float(np.real(np.vdot(amps, diag.values * amps)))
+        assert expectation_exact(state, diag) == pytest.approx(exact, rel=1e-10, abs=1e-10)
+        from_half = engine._sample_indices(state, 1024, np.random.default_rng(seed))
+        from_full = reference_sample_indices(amps, 1024, np.random.default_rng(seed))
+        assert np.array_equal(from_half, from_full)
+        assert sample_best_bitstring(state, diag, 256, seed=seed) == \
+            reference_best_bitstring(amps, diag, 256, np.random.default_rng(seed))
 
     def test_half_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimensions"):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lotus_qaoa import harness, schedule
+from lotus_qaoa import harness, optim, schedule
 from lotus_qaoa.harness import (
     DepthTransferRow,
     SweepConfig,
@@ -495,6 +495,27 @@ class TestDepthTransfer:
         assert row.warm_evaluations_to_match >= 1
         assert isinstance(row, DepthTransferRow)
         assert rows[0].cold_evaluations is None  # source depth is not re-optimized
+
+    def test_every_evaluation_stays_in_the_lambda_box(self, monkeypatch):
+        # the warm run starts next to the clamp, where an unbounded first
+        # simplex (edge 0.25) would step past it
+        g = gen_erdos_renyi(5, 0.8, seed=8)
+        params = schedule.HfaParams(a=[0.3], b=[-0.2], lambda_gamma=0.95, lambda_beta=-0.9,
+                                    delta_gamma0=0.1, delta_beta0=0.2, weights=[1.0])
+        runs = []
+        minimize = optim.minimize
+
+        def recording(method, obj, x0, **kwargs):
+            evaluate, seen = obj.evaluator, []
+            obj.evaluator = lambda x: seen.append(np.array(x)) or evaluate(x)
+            runs.append(seen)
+            return minimize(method, obj, x0, **kwargs)
+
+        monkeypatch.setattr(optim, "minimize", recording)
+        depth_transfer_experiment(g, params, 2, (2, 4), hot_start=True, seed=9, budget=40)
+        assert len(runs) == 6  # five cold restarts, then the warm run
+        lambdas = np.array([x[2:4] for seen in runs for x in seen])
+        assert lambdas.size > 0 and np.max(np.abs(lambdas)) <= optim.LAMBDA_CLAMP
 
     def test_warm_start_beats_cold_on_most_instances(self):
         wins = 0

@@ -14,8 +14,6 @@ from lotus_qaoa.optim import (
     finite_difference_gradient,
     lotus_optimize,
     minimize,
-    optimizer_ids,
-    register_optimizer,
 )
 from lotus_qaoa.schedule import standard_unpack
 
@@ -61,7 +59,8 @@ class TestMinimize:
         dim = 5
         obj = sphere(dim)
         out = minimize(method, obj, np.full(dim, 2.0), budget=dim + 2)
-        assert out.evaluations <= dim + 2
+        assert out.evaluations == dim + 2  # the guard stopped the method at the budget
+        assert not out.converged
         assert obj.eval_counter == out.evaluations
 
     @pytest.mark.parametrize("method", METHODS)
@@ -121,27 +120,6 @@ class TestMinimize:
         obj = ObjectiveSpec(dimension=2, evaluator=lambda x: float("inf"))
         with pytest.raises(RuntimeError, match="non-finite"):
             minimize("nelder-mead", obj, np.zeros(2), budget=100)
-
-    def test_plugin_registration(self):
-        def random_search(fun, x0, bounds, tol, report_iteration):
-            rng = np.random.default_rng(0)
-            fun(x0)
-            for _ in range(60):
-                fun(x0 + rng.normal(0, 0.5, x0.size))
-                report_iteration()
-            return None, True
-
-        register_optimizer("random-search", random_search)
-        try:
-            assert "random-search" in optimizer_ids()
-            out = minimize("random-search", sphere(2), np.ones(2), budget=50)
-            assert out.evaluations == 50  # guard stopped the plugin at the budget
-            assert not out.converged
-            assert out.f_best <= 2.0
-        finally:
-            from lotus_qaoa.optim import _OPTIMIZERS
-
-            _OPTIMIZERS.pop("random-search")
 
 
 class TestFiniteDifferenceGradient:
