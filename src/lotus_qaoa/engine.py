@@ -87,16 +87,11 @@ def build_cost_diagonal(g: WeightedGraph) -> CostDiagonal:
     return CostDiagonal(values=_cut_values_all(g), lower=lower)
 
 
-def _dimension(n: int) -> int:
-    """2^n, for a qubit count within the cap."""
-    if not (1 <= n <= DEFAULT_QUBIT_CAP):
-        raise ValueError(f"need 1 <= n <= {DEFAULT_QUBIT_CAP}, got {n}")
-    return 1 << n
-
-
 def plus_state(n: int) -> MirroredHalf:
     """Uniform superposition |+>^n."""
-    dim = _dimension(n)
+    if not (1 <= n <= DEFAULT_QUBIT_CAP):
+        raise ValueError(f"need 1 <= n <= {DEFAULT_QUBIT_CAP}, got {n}")
+    dim = 1 << n
     return MirroredHalf(half=np.full(dim // 2, dim ** -0.5, dtype=np.complex128))
 
 
