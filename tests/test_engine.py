@@ -56,7 +56,6 @@ def reference_mixer(amps, beta):
         low, high = pairs[:, 0].copy(), pairs[:, 1].copy()
         pairs[:, 0] = c * low - 1j * s * high
         pairs[:, 1] = c * high - 1j * s * low
-    return amps
 
 
 def reference_evolve(diag, sched):
