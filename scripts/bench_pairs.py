@@ -1,6 +1,6 @@
 """Paired benchmark of two commits: parent against change, alternating.
 
-    python3 scripts/bench_pairs.py --parent HEAD~1 --change HEAD --out BENCH_7.json
+    python3 scripts/bench_pairs.py --parent HEAD~1 --change HEAD --out BENCH_8.json
 
 Each commit's files are exported with ``git archive`` into its own fresh
 temporary directory (``TMPDIR`` chooses where; it is removed at the end),
@@ -15,11 +15,15 @@ alike. The holdout seed runs as one more pair after the tuned seeds and is
 reported apart from them.
 
 The output holds, per workload and end-to-end metric: both sides' values
-per seed, their medians and quartiles, how many pairs the change won,
-whether the change beats the parent in the median by more than the
-parent's interquartile range, and whether it ``regressed``: its median is
-worse than the parent's by more than the metric's ``bound`` in
-``BENCHMARK.json``, taken as a fraction of the parent's median. It also
+per seed, their medians and quartiles, how many pairs the change won, how
+many runs of each side errored, and three verdicts. ``gain``: the change
+won at least nine tenths of the pairs run, ties counting for neither side,
+and beats the parent in the median by more than the parent's
+interquartile range. ``regressed``: its median is worse than the parent's
+by more than the metric's ``bound`` in ``BENCHMARK.json``, taken as a
+fraction of the parent's median. ``unresolved``: the parent's own
+interquartile range is wider than that bound and not every change run
+beats every parent run, so the pairs cannot tell. It also
 records the host's core count, the numpy and scipy versions and both
 commits. It is rewritten after every pair, with ``"complete": false``
 until the last pair is done.
@@ -88,16 +92,29 @@ def _quartiles(values: list[float]) -> tuple[float, float, float]:
 
 
 def _summary(runs: dict, spec: dict, seeds: list[int]) -> dict:
-    """Per workload and metric: both sides, wins, the claim and regression tests."""
+    """Per workload and metric: both sides, wins, and the gain, regression and
+    spread verdicts.
+
+    ``gain``: the change wins at least nine tenths of the pairs run (ties
+    count for neither side, a pair with an errored run is not a win) and
+    beats the parent's median by more than the parent's interquartile range.
+    ``unresolved``: the parent's interquartile range is wider than the
+    metric's bound, so ``regressed`` cannot tell a regression from noise,
+    and not every change run beats every parent run. ``errored`` counts each
+    side's runs that returned no metrics.
+    """
     out = {}
     for wl in spec["workloads"]:
         name = wl["name"]
+        ran = [runs[name][s] for s in seeds
+               if "parent" in runs[name].get(s, {}) and "change" in runs[name][s]]
+        errored = {side: sum("error" in pair[side] for pair in ran)
+                   for side in ("parent", "change")}
         per_metric = {}
         for metric in spec["end_to_end"]:
             key = metric["name"]
             sign = 1.0 if metric["better"] == "higher" else -1.0
-            pairs = [(runs[name][s]["parent"].get(key), runs[name][s]["change"].get(key))
-                     for s in seeds if s in runs[name] and "change" in runs[name][s]]
+            pairs = [(pair["parent"].get(key), pair["change"].get(key)) for pair in ran]
             pairs = [(a, b) for a, b in pairs if a is not None and b is not None]
             if not pairs:
                 continue
@@ -105,16 +122,23 @@ def _summary(runs: dict, spec: dict, seeds: list[int]) -> dict:
             change = [b for _, b in pairs]
             p_q1, p_med, p_q3 = _quartiles(parent)
             c_q1, c_med, c_q3 = _quartiles(change)
+            wins = sum(sign * (b - a) > 0 for a, b in pairs)
+            beyond_iqr = sign * (c_med - p_med) > (p_q3 - p_q1)
             entry = {
                 "unit": metric["unit"], "better": metric["better"],
                 "parent": {"median": p_med, "q1": p_q1, "q3": p_q3, "values": parent},
                 "change": {"median": c_med, "q1": c_q1, "q3": c_q3, "values": change},
                 "pairs": len(pairs),
-                "wins": sum(sign * (b - a) > 0 for a, b in pairs),
+                "pairs_run": len(ran),
+                "errored": errored,
+                "wins": wins,
                 "ties": sum(b == a for a, b in pairs),
                 "median_change_rel": (c_med - p_med) / p_med if p_med else None,
-                "gain_beyond_parent_iqr": sign * (c_med - p_med) > (p_q3 - p_q1),
+                "gain_beyond_parent_iqr": beyond_iqr,
+                "gain": wins >= 0.9 * len(ran) and beyond_iqr,
                 "regressed": sign * (p_med - c_med) > metric["bound"] * abs(p_med),
+                "unresolved": (p_q3 - p_q1 > metric["bound"] * abs(p_med)
+                               and min(sign * b for b in change) <= max(sign * a for a in parent)),
             }
             holdout = runs[name].get(HOLDOUT_SEED, {})
             if "parent" in holdout and "change" in holdout:

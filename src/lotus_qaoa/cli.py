@@ -45,6 +45,22 @@ def _positive_int(text: str) -> int:
     raise argparse.ArgumentTypeError(f"need a positive integer, got {text!r}")
 
 
+def _fraction(closed: bool) -> Callable[[str], float]:
+    """An argument type: a number in [0, 1] if ``closed``, else in (0, 1)."""
+    interval = "[0, 1]" if closed else "(0, 1)"
+
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            value = float("nan")
+        if (0.0 <= value <= 1.0) if closed else (0.0 < value < 1.0):
+            return value
+        raise argparse.ArgumentTypeError(f"need a number in {interval}, got {text!r}")
+
+    return parse
+
+
 def _depth_list(text: str) -> tuple[int, ...]:
     """``--depths``: comma-separated positive circuit depths."""
     try:
@@ -79,7 +95,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
         overrides["shots"] = 0
     cfg = _read_input("config", lambda path: dataclasses.replace(
         harness.SweepConfig.from_json_file(path), **overrides), args.config)
-    records = harness.run_sweep(cfg, workers=args.workers)
+    try:
+        records = harness.run_sweep(cfg, workers=args.workers)
+    except harness.ResumeRefused as exc:
+        raise _UsageError(str(exc)) from exc
     print(f"{len(records)} records in {cfg.out}")
     return 0
 
@@ -197,14 +216,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_score = sub.add_parser("score", help="score a result file")
     p_score.add_argument("--results", required=True)
-    p_score.add_argument("--alpha", type=float, default=harness.DEFAULT_ALPHA)
+    p_score.add_argument("--alpha", type=_fraction(closed=True), default=harness.DEFAULT_ALPHA)
     p_score.add_argument("--out", default=None)
     p_score.set_defaults(fn=_cmd_score)
 
     p_report = sub.add_parser("report", help="improvement and significance tables")
     p_report.add_argument("--results", required=True)
-    p_report.add_argument("--alpha", type=float, default=0.05)
-    p_report.add_argument("--k-modes", type=int, default=None)
+    p_report.add_argument("--alpha", type=_fraction(closed=False), default=0.05)
+    p_report.add_argument("--k-modes", type=_positive_int, default=None)
     p_report.set_defaults(fn=_cmd_report)
 
     p_transfer = sub.add_parser("transfer", help="depth-transfer experiment")

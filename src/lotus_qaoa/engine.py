@@ -12,10 +12,20 @@ while the cost phase is periodic only for integer spectra.
 States are held as a ``MirroredHalf``: |+>^n, the cut diagonal and the
 mixer all commute with a global bit flip, so half the amplitudes determine
 the rest. Every kernel and readout works on that half.
+
+``evolve`` builds the factors of all p layers once per schedule: every
+layer's phase row with one complex exp over a (p, half) outer product (up
+to ``_EXP_PHASE_MAX_SIZE`` amplitudes; larger tables are built by doubling
+one layer at a time), and every layer's mixer blocks with one gather per
+block size. It hands each layer's factor to ``apply_cost_phase`` and
+``apply_mixer``, which build it themselves when called alone, so the layer
+loop only multiplies and runs matmuls. At n = 5..8 the mixer is two
+blocks, applied as one sandwich R_top @ F @ R_lo on the state as a matrix.
 """
 from __future__ import annotations
 
 import cmath
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import cache
 
@@ -32,6 +42,9 @@ from .instance import (
 from .schedule import Schedule
 
 DEFAULT_QUBIT_CAP = 20
+# Written into each sweep's config sidecar; resume refuses another version.
+# Bump it whenever records can move, round-off included.
+ENGINE_VERSION = 1
 _MIXER_BLOCK = 4  # qubits fused per mixer matmul
 # Up to this many amplitudes the cost phase is one complex exp per entry;
 # larger states build it by doubling (at n = 14, half 2^13, the doubling is
@@ -91,8 +104,9 @@ def plus_state(n: int) -> MirroredHalf:
     """Uniform superposition |+>^n."""
     if not (1 <= n <= DEFAULT_QUBIT_CAP):
         raise ValueError(f"need 1 <= n <= {DEFAULT_QUBIT_CAP}, got {n}")
-    dim = 1 << n
-    return MirroredHalf(half=np.full(dim // 2, dim ** -0.5, dtype=np.complex128))
+    half = np.empty(1 << (n - 1), dtype=np.complex128)
+    half.fill((1 << n) ** -0.5)
+    return MirroredHalf(half=half)
 
 
 def _phase_table(lower: tuple, gamma: float, size: int) -> np.ndarray:
@@ -107,21 +121,35 @@ def _phase_table(lower: tuple, gamma: float, size: int) -> np.ndarray:
                            np.ones(1 << (len(lower) - 1), dtype=np.complex128), np.multiply)
 
 
-def apply_cost_phase(state: MirroredHalf, diag: CostDiagonal, gamma: float) -> MirroredHalf:
+def _phase_rows(diag: CostDiagonal, gammas: np.ndarray) -> Iterable[np.ndarray]:
+    """Each layer's phases exp(-i*gamma*values) over the kept half, in order.
+
+    Up to ``_EXP_PHASE_MAX_SIZE`` amplitudes this is one complex exp over
+    the (p, half) outer product. Larger halves build each layer's table by
+    doubling from the diagonal's edge lists as the rows are consumed, so
+    only one table is alive at a time; it agrees with the exp to round-off.
+    """
+    size = diag.values.size // 2
+    if size > _EXP_PHASE_MAX_SIZE:
+        return (_phase_table(diag.lower, gamma, size) for gamma in gammas)
+    return np.exp(np.multiply.outer(-1j * np.asarray(gammas, dtype=np.float64),
+                                    diag.values[:size]))
+
+
+def apply_cost_phase(state: MirroredHalf, diag: CostDiagonal, gamma: float,
+                     phases: np.ndarray | None = None) -> MirroredHalf:
     """In-place amps[z] *= exp(-i*gamma*values[z]); returns the same state.
 
     The kept half reads the first half of the flip-invariant diagonal.
-    Above ``_EXP_PHASE_MAX_SIZE`` amplitudes the phases are built by
-    doubling from the diagonal's edge lists, which agrees with the complex
-    exp to round-off; smaller halves take the exp, where it is cheaper.
+    ``phases`` is the layer's row of ``_phase_rows``, which ``evolve``
+    builds for all layers at once; without it the row is built here.
     """
     amps = state.half
     if 2 * amps.size != diag.values.size:
         raise ValueError("state and diagonal dimensions differ")
-    if amps.size > _EXP_PHASE_MAX_SIZE:
-        amps *= _phase_table(diag.lower, gamma, amps.size)
-    else:
-        amps *= np.exp((-1j * gamma) * diag.values[:amps.size])
+    if phases is None:
+        phases = next(iter(_phase_rows(diag, [gamma])))
+    amps *= phases
     return state
 
 
@@ -142,45 +170,66 @@ def _hamming_table(k: int) -> np.ndarray:
     return table
 
 
-def _mixer_block(k: int, c: float, s: float) -> np.ndarray:
-    """R^(x)k for R = [[c, -i s], [-i s, c]] in closed form.
+def _mixer_blocks(k: int, betas: np.ndarray) -> np.ndarray:
+    """Stack of R^(x)k, one per beta, for R = [[c, -i s], [-i s, c]].
 
     Entry (x, y) of the k-fold tensor power is c^(k-d) * (-i s)^d with
     d = popcount(x ^ y): each qubit contributes c where the bits agree and
-    -i s where they differ. The block is symmetric.
+    -i s where they differ. Each block is symmetric. Shape (p, 2^k, 2^k),
+    built with one gather from the (p, k + 1) table of powers.
     """
-    powers = np.array([c ** (k - d) * (-1j * s) ** d for d in range(k + 1)])
-    return powers[_hamming_table(k)]
+    betas = np.asarray(betas, dtype=np.float64)[:, None]
+    d = np.arange(k + 1.0)  # float exponents: numpy casts integer ones on every call
+    powers = np.cos(betas) ** (k - d) * (-1j * np.sin(betas)) ** d
+    return np.take(powers, _hamming_table(k).ravel(), axis=1).reshape(-1, 1 << k, 1 << k)
 
 
-def apply_mixer(state: MirroredHalf, beta: float) -> MirroredHalf:
+def _mixer_factors(n: int, betas: np.ndarray) -> list[tuple[np.ndarray, ...]]:
+    """Each layer's mixer blocks, low block first; one gather per block size."""
+    sizes = _mixer_block_sizes(n)
+    stacks = {k: _mixer_blocks(k, betas) for k in set(sizes)}
+    return list(zip(*(stacks[k] for k in sizes)))
+
+
+def apply_mixer(state: MirroredHalf, beta: float,
+                blocks: tuple[np.ndarray, ...] | None = None) -> MirroredHalf:
     """In-place exp(-i*beta*X) on every qubit; returns the same state.
 
-    Qubits are processed in blocks: the block rotation R^(x)k is one small
-    matmul against the low k bits, then the index is bit-rotated so the
-    next block lands low. The rotations sum to n bits, restoring the
-    original layout. Equivalent to a per-qubit loop but with far fewer
-    numpy dispatches.
+    Qubits are processed in the blocks of ``_mixer_block_sizes``, each a
+    closed-form R^(x)k. ``blocks`` is the layer's entry of
+    ``_mixer_factors``, which ``evolve`` builds for all layers at once;
+    without it the blocks are built here.
 
-    Each block is ``R @ A.T`` with A the state as a (rest, 2^k) matrix:
-    BLAS reads the transposed view, and since R is symmetric the product
-    (A @ R).T comes out already in the rotated layout, with no copy.
+    The kept half lacks the top qubit, which belongs to the last (top)
+    block: the inputs with that bit set are the kept half reversed, since
+    the flip maps an index to its complement, and R[~x, ~y] = R[x, y].
 
-    The kept half lacks the top qubit, which belongs to the last
-    block. With A0 the kept half as a (rest, w) matrix (w = 2^(k-1)), the
-    inputs with that bit set are A0[::-1, ::-1], and R[~x, ~y] = R[x, y].
-    So one product Y = R[:, :w] @ A0.T gives the output rows with the bit
-    clear as Y[:w] + Y[w:][::-1, ::-1], and the full state is never formed.
+    Two blocks (n = 5..8) are one sandwich: with H the half as a (w, 2^k)
+    matrix (w = 2^(k_top - 1)), F = [X; X[::-1, ::-1]] for X = H @ R_lo is
+    the full state after the low block, and R_top[:w] @ F its kept rows.
+
+    More blocks run as one matmul each against the low k bits: ``R @ A.T``
+    with A the state as a (rest, 2^k) matrix. BLAS reads the transposed
+    view, and since R is symmetric the product comes out with those bits on
+    top (a bit rotation), with no copy. After the low blocks the top block
+    is lowest (one block, n <= 4, starts there); with A0 the half as a (rest, w)
+    matrix, Y = R_top[:, :w] @ A0.T is folded to its kept rows
+    Y[:w] + Y[w:][::-1, ::-1], which restores the layout without ever
+    forming the full state.
     """
-    sizes = _mixer_block_sizes(state.n)
-    c, s = float(np.cos(beta)), float(np.sin(beta))
-    blocks = {k: _mixer_block(k, c, s) for k in set(sizes)}
+    if blocks is None:
+        blocks = _mixer_factors(state.n, np.array([beta]))[0]
+    *low, top = blocks
+    w = top.shape[0] // 2
     amps = state.half
-    for k in sizes[:-1]:
+    if len(low) == 1:
+        x = amps.reshape(w, -1) @ low[0]
+        state.half = (top[:w] @ np.concatenate((x, x[::-1, ::-1]))).ravel()
+        return state
+    for block in low:
         # apply to the low k bits, which land on top
-        amps = (blocks[k] @ amps.reshape(-1, 1 << k).T).ravel()
-    w = 1 << (sizes[-1] - 1)
-    y = blocks[sizes[-1]][:, :w] @ amps.reshape(-1, w).T
+        amps = (block @ amps.reshape(-1, block.shape[0]).T).ravel()
+    y = top[:, :w] @ amps.reshape(-1, w).T
     state.half = (y[:w] + y[w:][::-1, ::-1]).ravel()
     return state
 
@@ -188,14 +237,18 @@ def apply_mixer(state: MirroredHalf, beta: float) -> MirroredHalf:
 def evolve(g: WeightedGraph, sched: Schedule, diag: CostDiagonal | None = None) -> MirroredHalf:
     """Run the full circuit: |+>^n, then p cost-phase + mixer layers.
 
-    Pass a prebuilt ``diag`` to skip rebuilding it in hot loops.
+    Every layer's phases and mixer blocks are built once per schedule and
+    handed to the per-layer kernels. Pass a prebuilt ``diag`` to skip
+    rebuilding it in hot loops.
     """
     if diag is None:
         diag = build_cost_diagonal(g)
     state = plus_state(g.n)
-    for gamma, beta in zip(sched.raw_gammas, sched.raw_betas):
-        apply_cost_phase(state, diag, float(gamma))
-        apply_mixer(state, float(beta))
+    gammas, betas = sched.raw_gammas, sched.raw_betas
+    phase_rows = iter(_phase_rows(diag, gammas))  # a large table lives only in its call
+    for gamma, beta, blocks in zip(gammas.tolist(), betas.tolist(), _mixer_factors(g.n, betas)):
+        apply_cost_phase(state, diag, gamma, next(phase_rows))
+        apply_mixer(state, beta, blocks)
     return state
 
 
@@ -204,7 +257,7 @@ def expectation_exact(state: MirroredHalf, diag: CostDiagonal) -> float:
     amps = state.half
     if 2 * amps.size != diag.values.size:
         raise ValueError("state and diagonal dimensions differ")
-    return 2.0 * float(np.real(np.vdot(amps, diag.values[:amps.size] * amps)))
+    return 2.0 * float(np.vdot(amps, diag.values[:amps.size] * amps).real)
 
 
 def _sample_indices(state: MirroredHalf, shots: int, rng: np.random.Generator) -> np.ndarray:

@@ -173,6 +173,34 @@ def _sweep_tasks(cfg: SweepConfig) -> list[tuple]:
             for k in (cfg.modes if optimizer == "lotus" else (0,))]
 
 
+class ResumeRefused(ValueError):
+    """An existing output file that this sweep may not resume."""
+
+
+def _check_resumable(cfg: SweepConfig, sidecar: str) -> None:
+    """Refuse ``cfg.out`` unless its sidecar names this config and engine.
+
+    The sidecar holds the config's fields plus ``engine_version``. A sidecar
+    without that field predates it and is compared on the config alone.
+    """
+    advice = "remove it or choose another output path"
+    if not os.path.exists(sidecar):
+        raise ResumeRefused(
+            f"{cfg.out} has no config sidecar {sidecar}, so its config is unknown; {advice}")
+    try:
+        with open(sidecar, "r", encoding="utf-8") as fh:
+            marks = dict(json.load(fh))
+    except (ValueError, TypeError):
+        marks = {}  # not a JSON object: it matches no config
+    version = marks.pop("engine_version", engine.ENGINE_VERSION)
+    if version != engine.ENGINE_VERSION:
+        raise ResumeRefused(
+            f"{cfg.out} was produced by engine version {version}, and this is engine version "
+            f"{engine.ENGINE_VERSION}, whose records can differ; {advice}")
+    if marks != json.loads(cfg.to_json()):
+        raise ResumeRefused(f"{cfg.out} was produced by a different config; {advice}")
+
+
 def run_sweep(cfg: SweepConfig, workers: int | None = None) -> list[RunRecord]:
     """Execute every cell of the sweep, appending records to cfg.out.
 
@@ -183,7 +211,8 @@ def run_sweep(cfg: SweepConfig, workers: int | None = None) -> list[RunRecord]:
     config sidecar (cfg.out + ".config.json") marks the sweep; rerunning
     with the same config resumes, running only the runs not on disk (failed
     ones included); an output file without its sidecar, or with another
-    config's, is refused; a torn final line left by a crash mid-append is
+    config's or engine version's, is refused with ``ResumeRefused``; a torn
+    final line left by a crash mid-append is
     cut off and its run redone. Record content is independent of the worker
     count (all randomness is derived from cell-local seeds); only completion
     order may differ.
@@ -193,19 +222,12 @@ def run_sweep(cfg: SweepConfig, workers: int | None = None) -> list[RunRecord]:
     done: set[tuple] = set()
     records: list[RunRecord] = []
     if os.path.exists(cfg.out):
-        if not os.path.exists(sidecar):
-            raise ValueError(
-                f"{cfg.out} has no config sidecar {sidecar}, so its config is unknown; "
-                "remove it or choose another output path")
-        with open(sidecar, "r", encoding="utf-8") as fh:
-            if fh.read().strip() != cfg.to_json():
-                raise ValueError(
-                    f"{cfg.out} was produced by a different config; "
-                    "remove it or choose another output path")
+        _check_resumable(cfg, sidecar)
         records = resume_records(cfg.out)
         done = {r.run_key() for r in records}
     with open(sidecar, "w", encoding="utf-8") as fh:
-        fh.write(cfg.to_json() + "\n")
+        marks = dict(json.loads(cfg.to_json()), engine_version=engine.ENGINE_VERSION)
+        fh.write(json.dumps(marks, sort_keys=True) + "\n")
 
     error: Exception | None = None
     with ProcessPoolExecutor(max_workers=workers) as pool:  # starts workers on first submit

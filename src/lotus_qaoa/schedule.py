@@ -21,6 +21,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -168,11 +169,20 @@ class Schedule:
 
 def _ar_residuals(delta0: float, lam: float, p: int) -> np.ndarray:
     """Iterative AR(1): delta_1 = delta0, delta_l = lam * delta_{l-1}."""
-    out = np.empty(p)
-    out[0] = delta0
-    for l in range(1, p):
-        out[l] = lam * out[l - 1]
-    return out
+    out = [float(delta0)]
+    for _ in range(1, p):
+        out.append(lam * out[-1])
+    return np.array(out)
+
+
+@cache
+def _hfa_basis(k_modes: int, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """sin(k*pi*x_l) and cos(k*pi*x_l) for k = 1..K on the depth-p grid, (K, p) each (read-only)."""
+    k_pi_x = np.pi * np.outer(np.arange(1, k_modes + 1), layer_grid(p))
+    basis = np.sin(k_pi_x), np.cos(k_pi_x)
+    for table in basis:
+        table.flags.writeable = False
+    return basis
 
 
 def hfa_generate(params: HfaParams, p: int) -> Schedule:
@@ -184,12 +194,11 @@ def hfa_generate(params: HfaParams, p: int) -> Schedule:
     vec = params.to_vector()
     if not np.all(np.isfinite(vec)):
         raise ValueError("non-finite HFA parameters")
-    x = layer_grid(p)
-    k_pi_x = np.pi * np.outer(np.arange(1, params.k_modes + 1), x)  # (K, p)
+    sin_basis, cos_basis = _hfa_basis(params.k_modes, p)
     aw = params.a * params.weights
     bw = params.b * params.weights
-    raw_gammas = aw @ np.sin(k_pi_x) + _ar_residuals(params.delta_gamma0, params.lambda_gamma, p)
-    raw_betas = bw @ np.cos(k_pi_x) + _ar_residuals(params.delta_beta0, params.lambda_beta, p)
+    raw_gammas = aw @ sin_basis + _ar_residuals(params.delta_gamma0, params.lambda_gamma, p)
+    raw_betas = bw @ cos_basis + _ar_residuals(params.delta_beta0, params.lambda_beta, p)
     return Schedule(raw_gammas=raw_gammas, raw_betas=raw_betas)
 
 

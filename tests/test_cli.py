@@ -145,6 +145,50 @@ class TestUsageErrors:
         assert len(err) == 1 and message in err[0]
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (("score", "--alpha", "1.5"), "need a number in [0, 1], got '1.5'"),
+        (("score", "--alpha", "-0.1"), "need a number in [0, 1], got '-0.1'"),
+        (("report", "--alpha", "0"), "need a number in (0, 1), got '0'"),
+        (("report", "--alpha", "1"), "need a number in (0, 1), got '1'"),
+        (("report", "--alpha", "nan"), "need a number in (0, 1), got 'nan'"),
+        (("report", "--k-modes", "0"), "need a positive integer, got '0'"),
+    ])
+    def test_out_of_range_arguments_exit_two(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as err:
+            run_cli(*argv, "--results", "results.ndjson")
+        assert err.value.code == 2
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if "error:" in line]
+        assert len(errors) == 1 and message in errors[0]
+
+    @pytest.mark.parametrize("damage, message", [
+        ("no sidecar", "has no config sidecar"),
+        ("other config", "was produced by a different config"),
+        ("other engine", "was produced by engine version"),
+    ])
+    def test_refused_resume_exits_two(self, tmp_path, capsys, damage, message):
+        out = tmp_path / "r.ndjson"
+        cfg = harness.SweepConfig(
+            qubits=(4,), depths=(2,), densities=(0.9,), modes=(1,), seeds=1,
+            optimizers=("nelder-mead",), shots=0, base_seed=1, budget=40, out=str(out))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(cfg.to_json())
+        assert run_cli("run", "--config", str(cfg_path), "--workers", "1") == 0
+        sidecar = tmp_path / "r.ndjson.config.json"
+        marks = json.loads(sidecar.read_text())
+        if damage == "no sidecar":
+            sidecar.unlink()
+        elif damage == "other engine":
+            marks["engine_version"] += 1
+            sidecar.write_text(json.dumps(marks))
+        before = out.read_text()
+        capsys.readouterr()
+        flags = ("--shots", "16") if damage == "other config" else ()
+        assert run_cli("run", "--config", str(cfg_path), "--workers", "1", *flags) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and message in err[0]
+        assert out.read_text() == before
+
     def test_bad_input_files_exit_two(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"qubits": [4], "bogus": 1}))

@@ -168,10 +168,10 @@ class TestMixer:
     def test_closed_form_block_matches_kron(self):
         rng = np.random.default_rng(3)
         for k in range(1, 6):
-            for beta in rng.uniform(-7, 7, 4):
+            betas = rng.uniform(-7, 7, 4)
+            for beta, block in zip(betas, engine._mixer_blocks(k, betas)):
                 c, s = np.cos(beta), np.sin(beta)
                 r1 = np.array([[c, -1j * s], [-1j * s, c]])
-                block = engine._mixer_block(k, c, s)
                 assert np.max(np.abs(block - reduce(np.kron, [r1] * k))) <= 1e-14
 
     def test_zero_angle_is_identity(self):
@@ -264,6 +264,22 @@ class TestEvolve:
         sched = standard_unpack(np.array(angles[:2 * p]), p)
         fast = evolve(g, sched).amps
         assert np.max(np.abs(fast - dense_oracle_state(g, sched))) <= 1e-10
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    @settings(max_examples=4, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           angles=st.lists(st.floats(-2 * np.pi, 2 * np.pi), min_size=2, max_size=8))
+    def test_equals_the_single_angle_kernels_property(self, n, seed, angles):
+        # n = 1..16 spans both sides of _EXP_PHASE_MAX_SIZE and every mixer block
+        # partition: one block, the two-block sandwich and the rotating loop
+        g = WeightedGraph(n=1, edges=()) if n == 1 else gen_erdos_renyi(n, 0.6, seed=seed)
+        diag = build_cost_diagonal(g)
+        p = len(angles) // 2  # depth 1..4
+        sched = standard_unpack(np.array(angles[:2 * p]), p)
+        state = plus_state(n)
+        for gamma, beta in zip(sched.raw_gammas, sched.raw_betas):
+            apply_mixer(apply_cost_phase(state, diag, float(gamma)), float(beta))
+        assert np.array_equal(evolve(g, sched, diag=diag).half, state.half)
 
     def test_norm_preserved_deep_circuit(self):
         g = gen_erdos_renyi(8, 0.7, seed=8)

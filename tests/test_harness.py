@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lotus_qaoa import harness, optim, schedule
+from lotus_qaoa import engine, harness, optim, schedule
 from lotus_qaoa.harness import (
     DepthTransferRow,
     SweepConfig,
@@ -414,6 +414,39 @@ class TestSweep:
             run_sweep(cfg, workers=1)
         assert (tmp_path / "r.ndjson").read_text() == before
         assert not (tmp_path / "r.ndjson.config.json").exists()
+
+    def test_sidecar_records_the_engine_version(self, tmp_path):
+        cfg = SweepConfig(**TINY_CFG, out=str(tmp_path / "r.ndjson"))
+        run_sweep(cfg, workers=1)
+        marks = json.loads((tmp_path / "r.ndjson.config.json").read_text())
+        assert marks.pop("engine_version") == engine.ENGINE_VERSION
+        assert marks == json.loads(cfg.to_json())
+
+    def test_resume_with_another_engine_version_rejected(self, tmp_path):
+        cfg = SweepConfig(**TINY_CFG, out=str(tmp_path / "r.ndjson"))
+        run_sweep(cfg, workers=1)
+        sidecar = tmp_path / "r.ndjson.config.json"
+        marks = json.loads(sidecar.read_text())
+        marks["engine_version"] = engine.ENGINE_VERSION + 1
+        sidecar.write_text(json.dumps(marks))
+        before = (tmp_path / "r.ndjson").read_text()
+        with pytest.raises(harness.ResumeRefused, match="engine version"):
+            run_sweep(cfg, workers=1)
+        assert (tmp_path / "r.ndjson").read_text() == before
+
+    def test_sidecar_without_engine_version_resumes(self, tmp_path):
+        # sidecars written before the engine version was recorded hold the config alone
+        cfg = SweepConfig(**TINY_CFG, out=str(tmp_path / "r.ndjson"))
+        full = run_sweep(cfg, workers=1)
+        lines = (tmp_path / "r.ndjson").read_text().splitlines(keepends=True)
+        (tmp_path / "r.ndjson").write_text("".join(lines[:2]))
+        (tmp_path / "r.ndjson.config.json").write_text(cfg.to_json() + "\n")
+        resumed = run_sweep(cfg, workers=1)
+        strip = lambda r: dataclasses.replace(r, wall_time=0.0)
+        assert ({r.run_key(): strip(r) for r in resumed}
+                == {r.run_key(): strip(r) for r in full})
+        marks = json.loads((tmp_path / "r.ndjson.config.json").read_text())
+        assert marks["engine_version"] == engine.ENGINE_VERSION
 
     def test_reload_and_rescore_identical(self, tmp_path):
         cfg = SweepConfig(**TINY_CFG, out=str(tmp_path / "r.ndjson"))

@@ -3,6 +3,7 @@ import csv
 import numpy as np
 import pytest
 
+from lotus_qaoa import schedule
 from lotus_qaoa.schedule import (
     HfaParams,
     dimension_ratio,
@@ -129,6 +130,28 @@ class TestGenerate:
         a, b = hfa_generate(params, 12), hfa_generate(params, 12)
         assert np.array_equal(a.raw_gammas, b.raw_gammas)
         assert np.array_equal(a.raw_betas, b.raw_betas)
+
+    def test_cached_basis_is_read_only(self):
+        sin_basis, cos_basis = schedule._hfa_basis(3, 7)
+        assert schedule._hfa_basis(3, 7)[0] is sin_basis
+        for table in (sin_basis, cos_basis):
+            assert table.shape == (3, 7)
+            with pytest.raises(ValueError, match="read-only"):
+                table[0, 0] = 1.0
+
+    def test_matches_the_uncached_formula(self):
+        # the cached basis is the one every call used to build, so schedules are bit for bit
+        rng = np.random.default_rng(12)
+        for _ in range(300):
+            params = random_params(rng)
+            p = int(rng.integers(1, 40))
+            k_pi_x = np.pi * np.outer(np.arange(1, params.k_modes + 1), layer_grid(p))
+            aw, bw = params.a * params.weights, params.b * params.weights
+            sched = hfa_generate(params, p)
+            assert np.array_equal(sched.raw_gammas, aw @ np.sin(k_pi_x) + schedule._ar_residuals(
+                params.delta_gamma0, params.lambda_gamma, p))
+            assert np.array_equal(sched.raw_betas, bw @ np.cos(k_pi_x) + schedule._ar_residuals(
+                params.delta_beta0, params.lambda_beta, p))
 
     def test_rejects_non_finite(self):
         params = HfaParams(a=[np.nan], b=[0.0], lambda_gamma=0, lambda_beta=0,
