@@ -19,8 +19,7 @@ to ``_EXP_PHASE_MAX_SIZE`` amplitudes; larger tables are built by doubling
 one layer at a time), and every layer's mixer blocks with one gather per
 block size. It hands each layer's factor to ``apply_cost_phase`` and
 ``apply_mixer``, which build it themselves when called alone, so the layer
-loop only multiplies and runs matmuls. At n = 5..8 the mixer is two
-blocks, applied as one sandwich R_top @ F @ R_lo on the state as a matrix.
+loop only multiplies and runs matmuls.
 """
 from __future__ import annotations
 
@@ -204,28 +203,20 @@ def apply_mixer(state: MirroredHalf, beta: float,
     block: the inputs with that bit set are the kept half reversed, since
     the flip maps an index to its complement, and R[~x, ~y] = R[x, y].
 
-    Two blocks (n = 5..8) are one sandwich: with H the half as a (w, 2^k)
-    matrix (w = 2^(k_top - 1)), F = [X; X[::-1, ::-1]] for X = H @ R_lo is
-    the full state after the low block, and R_top[:w] @ F its kept rows.
-
-    More blocks run as one matmul each against the low k bits: ``R @ A.T``
+    The low blocks run as one matmul each against the low k bits: ``R @ A.T``
     with A the state as a (rest, 2^k) matrix. BLAS reads the transposed
     view, and since R is symmetric the product comes out with those bits on
     top (a bit rotation), with no copy. After the low blocks the top block
-    is lowest (one block, n <= 4, starts there); with A0 the half as a (rest, w)
-    matrix, Y = R_top[:, :w] @ A0.T is folded to its kept rows
-    Y[:w] + Y[w:][::-1, ::-1], which restores the layout without ever
-    forming the full state.
+    is lowest (one block, n <= 4, starts there); with A0 the half as a
+    (rest, w) matrix, w = 2^(k_top - 1), Y = R_top[:, :w] @ A0.T is folded
+    to its kept rows Y[:w] + Y[w:][::-1, ::-1], which restores the layout
+    without ever forming the full state.
     """
     if blocks is None:
         blocks = _mixer_factors(state.n, np.array([beta]))[0]
     *low, top = blocks
     w = top.shape[0] // 2
     amps = state.half
-    if len(low) == 1:
-        x = amps.reshape(w, -1) @ low[0]
-        state.half = (top[:w] @ np.concatenate((x, x[::-1, ::-1]))).ravel()
-        return state
     for block in low:
         # apply to the low k bits, which land on top
         amps = (block @ amps.reshape(-1, block.shape[0]).T).ravel()

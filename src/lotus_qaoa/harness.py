@@ -181,7 +181,8 @@ def _check_resumable(cfg: SweepConfig, sidecar: str) -> None:
     """Refuse ``cfg.out`` unless its sidecar names this config and engine.
 
     The sidecar holds the config's fields plus ``engine_version``. A sidecar
-    without that field predates it and is compared on the config alone.
+    without that field predates it: it is compared on the config alone, and
+    a warning says the resumed file may mix engine versions.
     """
     advice = "remove it or choose another output path"
     if not os.path.exists(sidecar):
@@ -192,8 +193,12 @@ def _check_resumable(cfg: SweepConfig, sidecar: str) -> None:
             marks = dict(json.load(fh))
     except (ValueError, TypeError):
         marks = {}  # not a JSON object: it matches no config
-    version = marks.pop("engine_version", engine.ENGINE_VERSION)
-    if version != engine.ENGINE_VERSION:
+    version = marks.pop("engine_version", None)
+    if version is None:
+        warnings.warn(f"{cfg.out} has no engine version in {sidecar}; its records may come "
+                      f"from an older engine than version {engine.ENGINE_VERSION}",
+                      RuntimeWarning)
+    elif version != engine.ENGINE_VERSION:
         raise ResumeRefused(
             f"{cfg.out} was produced by engine version {version}, and this is engine version "
             f"{engine.ENGINE_VERSION}, whose records can differ; {advice}")
@@ -208,12 +213,12 @@ def run_sweep(cfg: SweepConfig, workers: int | None = None) -> list[RunRecord]:
     is appended as its run finishes. A run that raises costs only itself:
     the others are still appended, each failure is warned about with its
     run key, and the first error is raised once the pool is drained. A
-    config sidecar (cfg.out + ".config.json") marks the sweep; rerunning
-    with the same config resumes, running only the runs not on disk (failed
-    ones included); an output file without its sidecar, or with another
-    config's or engine version's, is refused with ``ResumeRefused``; a torn
-    final line left by a crash mid-append is
-    cut off and its run redone. Record content is independent of the worker
+    config sidecar (cfg.out + ".config.json"), written with a new output,
+    marks the sweep; rerunning with the same config resumes, running only
+    the runs not on disk (failed ones included); an output file without its
+    sidecar, or with another config's or engine version's, is refused with
+    ``ResumeRefused``; a torn final line left by a crash mid-append is cut
+    off and its run redone. Record content is independent of the worker
     count (all randomness is derived from cell-local seeds); only completion
     order may differ.
     """
@@ -221,13 +226,14 @@ def run_sweep(cfg: SweepConfig, workers: int | None = None) -> list[RunRecord]:
     sidecar = cfg.out + ".config.json"
     done: set[tuple] = set()
     records: list[RunRecord] = []
-    if os.path.exists(cfg.out):
+    if os.path.exists(cfg.out):  # a resumed sidecar stays as it is, with or without a version
         _check_resumable(cfg, sidecar)
         records = resume_records(cfg.out)
         done = {r.run_key() for r in records}
-    with open(sidecar, "w", encoding="utf-8") as fh:
-        marks = dict(json.loads(cfg.to_json()), engine_version=engine.ENGINE_VERSION)
-        fh.write(json.dumps(marks, sort_keys=True) + "\n")
+    else:
+        with open(sidecar, "w", encoding="utf-8") as fh:
+            marks = dict(json.loads(cfg.to_json()), engine_version=engine.ENGINE_VERSION)
+            fh.write(json.dumps(marks, sort_keys=True) + "\n")
 
     error: Exception | None = None
     with ProcessPoolExecutor(max_workers=workers) as pool:  # starts workers on first submit

@@ -271,7 +271,7 @@ class TestEvolve:
            angles=st.lists(st.floats(-2 * np.pi, 2 * np.pi), min_size=2, max_size=8))
     def test_equals_the_single_angle_kernels_property(self, n, seed, angles):
         # n = 1..16 spans both sides of _EXP_PHASE_MAX_SIZE and every mixer block
-        # partition: one block, the two-block sandwich and the rotating loop
+        # partition: one block (the fold alone) and two to four blocks (the rotating loop)
         g = WeightedGraph(n=1, edges=()) if n == 1 else gen_erdos_renyi(n, 0.6, seed=seed)
         diag = build_cost_diagonal(g)
         p = len(angles) // 2  # depth 1..4

@@ -441,12 +441,24 @@ class TestSweep:
         lines = (tmp_path / "r.ndjson").read_text().splitlines(keepends=True)
         (tmp_path / "r.ndjson").write_text("".join(lines[:2]))
         (tmp_path / "r.ndjson.config.json").write_text(cfg.to_json() + "\n")
-        resumed = run_sweep(cfg, workers=1)
+        with pytest.warns(RuntimeWarning, match="may come from an older engine"):
+            resumed = run_sweep(cfg, workers=1)
         strip = lambda r: dataclasses.replace(r, wall_time=0.0)
         assert ({r.run_key(): strip(r) for r in resumed}
                 == {r.run_key(): strip(r) for r in full})
-        marks = json.loads((tmp_path / "r.ndjson.config.json").read_text())
-        assert marks["engine_version"] == engine.ENGINE_VERSION
+
+    def test_resumed_legacy_sidecar_keeps_no_engine_version(self, tmp_path):
+        # its first records may predate this engine, so it is not labelled as this version
+        cfg = SweepConfig(**TINY_CFG, out=str(tmp_path / "r.ndjson"))
+        run_sweep(cfg, workers=1)
+        lines = (tmp_path / "r.ndjson").read_text().splitlines(keepends=True)
+        (tmp_path / "r.ndjson").write_text("".join(lines[:2]))
+        sidecar = tmp_path / "r.ndjson.config.json"
+        sidecar.write_text(cfg.to_json() + "\n")
+        with pytest.warns(RuntimeWarning):
+            run_sweep(cfg, workers=1)
+        assert sidecar.read_text() == cfg.to_json() + "\n"
+        assert "engine_version" not in json.loads(sidecar.read_text())
 
     def test_reload_and_rescore_identical(self, tmp_path):
         cfg = SweepConfig(**TINY_CFG, out=str(tmp_path / "r.ndjson"))
