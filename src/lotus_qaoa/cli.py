@@ -34,15 +34,22 @@ def _read_input(what: str, load: Callable[[str], T], path: str) -> T:
         raise _UsageError(f"cannot read {what} {path}: {type(exc).__name__}: {exc}") from exc
 
 
-def _positive_int(text: str) -> int:
-    """An argument that must be an integer >= 1."""
-    try:
-        value = int(text)
-        if value >= 1:
-            return value
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"need a positive integer, got {text!r}")
+def _int_at_least(low: int, kind: str) -> Callable[[str], int]:
+    """An argument type: an integer >= ``low``, named ``kind`` in the error."""
+
+    def parse(text: str) -> int:
+        try:
+            if int(text) >= low:
+                return int(text)
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"need {kind}, got {text!r}")
+
+    return parse
+
+
+_positive_int = _int_at_least(1, "a positive integer")
+_non_negative_int = _int_at_least(0, "a non-negative integer")
 
 
 def _fraction(closed: bool) -> Callable[[str], float]:
@@ -210,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--out", default=None, help="override the config output path")
     p_run.add_argument("--workers", type=_positive_int, default=None,
                        help=f"worker processes (default ${harness.WORKERS_ENV_VAR} or 1)")
-    p_run.add_argument("--shots", type=int, default=None)
+    p_run.add_argument("--shots", type=_non_negative_int, default=None)
     p_run.add_argument("--exact", action="store_true", help="shortcut for --shots 0")
     p_run.set_defaults(fn=_cmd_run)
 

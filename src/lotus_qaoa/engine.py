@@ -14,53 +14,43 @@ mixer all commute with a global bit flip, so half the amplitudes determine
 the rest. Every kernel and readout works on that half.
 
 ``evolve`` builds the factors of all p layers once per schedule: every
-layer's phase row with one complex exp over a (p, half) outer product (up
-to ``_EXP_PHASE_MAX_SIZE`` amplitudes; larger tables are built by doubling
-one layer at a time), and every layer's mixer blocks with one gather per
-block size. It hands each layer's factor to ``apply_cost_phase`` and
-``apply_mixer``, which build it themselves when called alone, so the layer
-loop only multiplies and runs matmuls.
+layer's phase row from the split of the cut table in ``CostDiagonal``
+(a + 3 numpy calls for all p layers), and every layer's mixer blocks with
+one gather per block size. It hands each layer's factor to
+``apply_cost_phase`` and ``apply_mixer``, which build it themselves when
+called alone, so the layer loop only multiplies and runs matmuls.
 """
 from __future__ import annotations
 
-import cmath
-from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import cache
 
 import numpy as np
 
-from .instance import (
-    CutResult,
-    WeightedGraph,
-    _cut_values_all,
-    _double_by_node,
-    _lower_neighbours,
-    index_to_bitstring,
-)
+from .instance import CutResult, WeightedGraph, _cut_values_all, index_to_bitstring
 from .schedule import Schedule
 
 DEFAULT_QUBIT_CAP = 20
 # Written into each sweep's config sidecar; resume refuses another version.
 # Bump it whenever records can move, round-off included.
-ENGINE_VERSION = 1
+ENGINE_VERSION = 2
 _MIXER_BLOCK = 4  # qubits fused per mixer matmul
-# Up to this many amplitudes the cost phase is one complex exp per entry;
-# larger states build it by doubling (at n = 14, half 2^13, the doubling is
-# the faster one; at n = 13 the exp is)
-_EXP_PHASE_MAX_SIZE = 1 << 12
 
 
 @dataclass(frozen=True)
 class CostDiagonal:
     """Cut value of every basis state: entry z equals cut_value(g, z).
 
-    ``lower`` holds the graph's edges per node to lower nodes, the recipe
-    from which ``apply_cost_phase`` builds large phase tables.
+    ``levels`` (read-only) splits the kept half, with its index as (hi, lo)
+    of a + b = n - 1 bits. Every edge adds at most a bilinear term in its
+    two bits, so c[hi, lo] = c[hi, 0] + c[0, lo] + the sum over set bits i
+    of hi of C_i[lo], with C_i = c[1 << i, :] - c[0, :] - c[1 << i, 0]. It
+    holds c[0, lo], then C_0 .. C_(a-1), then c[hi, 0]: 2^b + a*2^b + 2^a
+    levels, from which ``_phase_rows`` builds the phases.
     """
 
     values: np.ndarray
-    lower: tuple[tuple[tuple[int, float], ...], ...] = field(repr=False, compare=False)
+    levels: np.ndarray = field(repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -92,11 +82,22 @@ class MirroredHalf:
         return 2.0 * float(np.sum(np.abs(self.half) ** 2))
 
 
+def _split_bits(n: int) -> tuple[int, int]:
+    """(a, b): the kept half's high and low bit counts."""
+    a = (n - 1) // 2
+    return a, n - 1 - a
+
+
 def build_cost_diagonal(g: WeightedGraph) -> CostDiagonal:
     if g.n > DEFAULT_QUBIT_CAP:
         raise ValueError(f"qubit cap {DEFAULT_QUBIT_CAP} exceeded (n={g.n})")
-    lower = tuple(tuple(nbrs) for nbrs in _lower_neighbours(g))
-    return CostDiagonal(values=_cut_values_all(g), lower=lower)
+    values = _cut_values_all(g)
+    a, b = _split_bits(g.n)
+    table = values[:values.size // 2].reshape(1 << a, 1 << b)
+    rows = table[1 << np.arange(a)]  # c[1 << i, :]
+    levels = np.concatenate((table[0], (rows - table[0] - rows[:, :1]).ravel(), table[:, 0]))
+    levels.flags.writeable = False
+    return CostDiagonal(values=values, levels=levels)
 
 
 def plus_state(n: int) -> MirroredHalf:
@@ -108,31 +109,26 @@ def plus_state(n: int) -> MirroredHalf:
     return MirroredHalf(half=half)
 
 
-def _phase_table(lower: tuple, gamma: float, size: int) -> np.ndarray:
-    """exp(-i*gamma*values) for the first ``size`` entries, by doubling.
+def _phase_rows(diag: CostDiagonal, gammas: np.ndarray) -> np.ndarray:
+    """Each layer's phases exp(-i*gamma*values) over the kept half, (p, half).
 
-    The cut table's node-by-node build with per-edge phases e^(-i*gamma*w)
-    multiplied where the table adds weights w: a few complex multiplies per
-    entry instead of one complex exp.
+    One exp over the (p, levels) outer product; for each high bit i, the
+    rows with it set are the rows below times exp(-i*gamma*C_i); last, each
+    row times its high column entry. An element's operations do not depend
+    on p; it agrees with the exp per entry to round-off.
     """
-    phases = [[(i, cmath.exp(-1j * gamma * w)) for i, w in nbrs] for nbrs in lower]
-    return _double_by_node(phases, np.ones(size, dtype=np.complex128),
-                           np.ones(1 << (len(lower) - 1), dtype=np.complex128), np.multiply)
-
-
-def _phase_rows(diag: CostDiagonal, gammas: np.ndarray) -> Iterable[np.ndarray]:
-    """Each layer's phases exp(-i*gamma*values) over the kept half, in order.
-
-    Up to ``_EXP_PHASE_MAX_SIZE`` amplitudes this is one complex exp over
-    the (p, half) outer product. Larger halves build each layer's table by
-    doubling from the diagonal's edge lists as the rows are consumed, so
-    only one table is alive at a time; it agrees with the exp to round-off.
-    """
-    size = diag.values.size // 2
-    if size > _EXP_PHASE_MAX_SIZE:
-        return (_phase_table(diag.lower, gamma, size) for gamma in gammas)
-    return np.exp(np.multiply.outer(-1j * np.asarray(gammas, dtype=np.float64),
-                                    diag.values[:size]))
+    a, b = _split_bits(diag.n)
+    width = 1 << b
+    gammas = np.asarray(gammas, dtype=np.float64)
+    e = np.exp(np.multiply.outer(-1j * gammas, diag.levels))
+    cross = e[:, :(a + 1) * width].reshape(gammas.size, a + 1, width)
+    rows = np.empty((gammas.size, 1 << a, width), dtype=np.complex128)
+    rows[:, 0] = cross[:, 0]
+    for i in range(a):
+        h = 1 << i
+        np.multiply(rows[:, :h], cross[:, i + 1, None], out=rows[:, h:2 * h])
+    rows *= e[:, (a + 1) * width:, None]
+    return rows.reshape(gammas.size, -1)
 
 
 def apply_cost_phase(state: MirroredHalf, diag: CostDiagonal, gamma: float,
@@ -147,7 +143,7 @@ def apply_cost_phase(state: MirroredHalf, diag: CostDiagonal, gamma: float,
     if 2 * amps.size != diag.values.size:
         raise ValueError("state and diagonal dimensions differ")
     if phases is None:
-        phases = next(iter(_phase_rows(diag, [gamma])))
+        phases = _phase_rows(diag, [gamma])[0]
     amps *= phases
     return state
 
@@ -236,9 +232,9 @@ def evolve(g: WeightedGraph, sched: Schedule, diag: CostDiagonal | None = None) 
         diag = build_cost_diagonal(g)
     state = plus_state(g.n)
     gammas, betas = sched.raw_gammas, sched.raw_betas
-    phase_rows = iter(_phase_rows(diag, gammas))  # a large table lives only in its call
-    for gamma, beta, blocks in zip(gammas.tolist(), betas.tolist(), _mixer_factors(g.n, betas)):
-        apply_cost_phase(state, diag, gamma, next(phase_rows))
+    for gamma, beta, row, blocks in zip(gammas.tolist(), betas.tolist(),
+                                        _phase_rows(diag, gammas), _mixer_factors(g.n, betas)):
+        apply_cost_phase(state, diag, gamma, row)
         apply_mixer(state, beta, blocks)
     return state
 
@@ -259,13 +255,18 @@ def _sample_indices(state: MirroredHalf, shots: int, rng: np.random.Generator) -
     full CDF at index 2^n - 1 - j is 2S - C[j - 1], so u lands on index
     2^n - 1 - k for the first k with C[k] > 2S - u. That is the index the
     full state's CDF gives, up to round-off at bin edges; the two rules
-    part only where 2S - u equals an entry of C exactly.
+    part only where 2S - u equals an entry of C exactly. The keys are
+    searched in sorted order, which keeps the search's branches predictable,
+    and each result goes back to its draw's position.
     """
     cdf = np.cumsum(np.abs(state.half) ** 2)
     total = cdf[-1]
     u = rng.random(shots)
     upper = u >= total
-    idx = np.searchsorted(cdf, np.where(upper, 2 * total - u, u), side="right")
+    keys = np.where(upper, 2 * total - u, u)
+    order = np.argsort(keys)
+    idx = np.empty(shots, dtype=np.intp)
+    idx[order] = np.searchsorted(cdf, keys[order], side="right")
     return np.where(upper, 2 * cdf.size - 1 - idx, idx)
 
 

@@ -150,41 +150,30 @@ def gen_erdos_renyi(n: int, p_graph: float, seed: int) -> WeightedGraph:
     )
 
 
-def _double_by_node(lower: list[list[tuple[int, float | complex]]], table: np.ndarray,
-                    t: np.ndarray, combine) -> np.ndarray:
-    """Fill ``table`` node by node; ``combine`` is ``np.add`` or ``np.multiply``.
+def _cut_values_all(g: WeightedGraph) -> np.ndarray:
+    """Cut value for every basis index 0 .. 2^n - 1, built node by node.
 
-    ``lower[m]`` lists node m's edges (i, f) to lower nodes, where f is what
-    a cut edge contributes: its weight for sums, e^(-i*gamma*w) for
-    products. Both arrays arrive filled with the identity of ``combine``.
-    After node m the first 2^(m+1) entries of ``table`` combine the
-    contributions of every assignment of nodes 0..m. Node m's edges give
-    t[x] = combine of f over lower neighbours i with bit i of x set when
-    node m sits at 0, and the mirror t[~x] = t[::-1][x] when it sits at 1.
-    Using the exact mirror keeps a full table exactly invariant under a
-    global bit flip. A table of 2^(n-1) entries is the kept half: the last
-    node then only sits at 0. Both arrays are filled in place.
+    After node m the first 2^(m+1) entries hold the cut weight of every
+    assignment of nodes 0..m. Node m's edges (i, w) to lower nodes give
+    t[x] = sum of w over lower neighbours i with bit i of x set when node m
+    sits at 0, and the mirror t[~x] = t[::-1][x] when it sits at 1. Using
+    the exact mirror keeps the table exactly invariant under a global bit
+    flip.
     """
-    for m, nbrs in enumerate(lower):
+    table, t = np.zeros(1 << g.n), np.zeros(1 << (g.n - 1))
+    for m, nbrs in enumerate(_lower_neighbours(g)):
         size = 1 << m
-        factor = dict(nbrs)
-        for i in range(m):  # t[0] stays the identity; each step doubles the filled range
+        weight = dict(nbrs)
+        for i in range(m):  # t[0] stays 0; each step doubles the filled range
             h = 1 << i
-            f = factor.get(i)
-            if f is None:
+            w = weight.get(i)
+            if w is None:
                 t[h:2 * h] = t[:h]
             else:
-                combine(t[:h], f, out=t[h:2 * h])
-        if 2 * size <= table.size:
-            combine(table[:size], t[:size][::-1], out=table[size:2 * size])
-        combine(table[:size], t[:size], out=table[:size])
+                np.add(t[:h], w, out=t[h:2 * h])
+        np.add(table[:size], t[:size][::-1], out=table[size:2 * size])
+        np.add(table[:size], t[:size], out=table[:size])
     return table
-
-
-def _cut_values_all(g: WeightedGraph) -> np.ndarray:
-    """Cut value for every basis index 0 .. 2^n - 1, built node by node."""
-    return _double_by_node(_lower_neighbours(g), np.zeros(1 << g.n),
-                           np.zeros(1 << (g.n - 1)), np.add)
 
 
 def brute_force_maxcut(g: WeightedGraph) -> CutResult:

@@ -73,7 +73,7 @@ class ObjectiveSpec:
         """Copy of ``x`` with every coordinate clipped into its bounds."""
         if self._lo is None:
             return np.array(x, dtype=np.float64)
-        return np.clip(np.asarray(x, dtype=np.float64), self._lo, self._hi)
+        return np.minimum(np.maximum(x, self._lo), self._hi)  # np.clip costs twice as much
 
     def __call__(self, x: np.ndarray) -> float:
         value = float(self.evaluator(x))

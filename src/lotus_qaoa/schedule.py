@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 from functools import cache
 
@@ -90,18 +91,19 @@ class HfaParams:
 
     @classmethod
     def from_vector(cls, v: np.ndarray) -> "HfaParams":
-        v = np.asarray(v, dtype=np.float64)
+        v = np.array(v, dtype=np.float64)  # a private copy: the array fields are views of it
         if v.ndim != 1 or v.size < 7 or (v.size - 4) % 3 != 0:
             raise ValueError(f"HFA vector length must be 3K + 4 with K >= 1, got {v.size}")
         k = (v.size - 4) // 3
+        lambda_gamma, lambda_beta, delta_gamma0, delta_beta0 = v[2 * k:2 * k + 4].tolist()
         return cls(
-            a=v[:k].copy(),
-            b=v[k:2 * k].copy(),
-            lambda_gamma=float(v[2 * k]),
-            lambda_beta=float(v[2 * k + 1]),
-            delta_gamma0=float(v[2 * k + 2]),
-            delta_beta0=float(v[2 * k + 3]),
-            weights=v[2 * k + 4:].copy(),
+            a=v[:k],
+            b=v[k:2 * k],
+            lambda_gamma=lambda_gamma,
+            lambda_beta=lambda_beta,
+            delta_gamma0=delta_gamma0,
+            delta_beta0=delta_beta0,
+            weights=v[2 * k + 4:],
         )
 
     def to_json(self) -> str:
@@ -191,8 +193,9 @@ def hfa_generate(params: HfaParams, p: int) -> Schedule:
     raw_gamma_l = sum_k a_k w_k sin(k*pi*x_l) + lambda_gamma^(l-1) * dg0,
     raw_beta_l  = sum_k b_k w_k cos(k*pi*x_l) + lambda_beta^(l-1) * db0.
     """
-    vec = params.to_vector()
-    if not np.all(np.isfinite(vec)):
+    scalars = (params.lambda_gamma, params.lambda_beta, params.delta_gamma0, params.delta_beta0)
+    if not all(map(math.isfinite, (*params.a.tolist(), *params.b.tolist(),
+                                   *params.weights.tolist(), *scalars))):
         raise ValueError("non-finite HFA parameters")
     sin_basis, cos_basis = _hfa_basis(params.k_modes, p)
     aw = params.a * params.weights

@@ -152,10 +152,12 @@ class TestUsageErrors:
         (("report", "--alpha", "1"), "need a number in (0, 1), got '1'"),
         (("report", "--alpha", "nan"), "need a number in (0, 1), got 'nan'"),
         (("report", "--k-modes", "0"), "need a positive integer, got '0'"),
+        (("run", "--config", "c.json", "--shots", "-5"), "need a non-negative integer, got '-5'"),
     ])
     def test_out_of_range_arguments_exit_two(self, capsys, argv, message):
+        results = ("--results", "results.ndjson") if argv[0] in ("score", "report") else ()
         with pytest.raises(SystemExit) as err:
-            run_cli(*argv, "--results", "results.ndjson")
+            run_cli(*argv, *results)
         assert err.value.code == 2
         errors = [line for line in capsys.readouterr().err.splitlines()
                   if "error:" in line]
@@ -218,7 +220,6 @@ class TestUsageErrors:
         ("densities", [0.0], (), "densities must lie in (0, 1]"),
         ("densities", [1.5], (), "densities must lie in (0, 1]"),
         ("shots", -4, (), "shots must be >= 0"),
-        ("shots", 0, ("--shots", "-4"), "shots must be >= 0"),
         ("budget", 5, (), "budget 5 below 6, the least a depth-2 baseline run accepts"),
         ("lotus_budget", 8, (), "lotus_budget 8 below 9, the least a 1-mode lotus run accepts"),
     ])

@@ -270,8 +270,8 @@ class TestEvolve:
     @given(seed=st.integers(0, 2 ** 32 - 1),
            angles=st.lists(st.floats(-2 * np.pi, 2 * np.pi), min_size=2, max_size=8))
     def test_equals_the_single_angle_kernels_property(self, n, seed, angles):
-        # n = 1..16 spans both sides of _EXP_PHASE_MAX_SIZE and every mixer block
-        # partition: one block (the fold alone) and two to four blocks (the rotating loop)
+        # n = 1..16 spans every mixer block partition: one block (the fold
+        # alone) and two to four blocks (the rotating loop)
         g = WeightedGraph(n=1, edges=()) if n == 1 else gen_erdos_renyi(n, 0.6, seed=seed)
         diag = build_cost_diagonal(g)
         p = len(angles) // 2  # depth 1..4
@@ -400,10 +400,6 @@ class TestBestBitstring:
             sample_best_bitstring(plus_state(2), build_cost_diagonal(SINGLE_EDGE), 0, seed=0)
 
 
-# the smallest n whose kept half builds its phases by doubling
-FIRST_DOUBLED_N = engine._EXP_PHASE_MAX_SIZE.bit_length() + 1
-
-
 def kept_half_of(n, seed):
     """An evolved kept half at n qubits (p = 2) and its cut table."""
     g = gen_erdos_renyi(n, 0.5, seed=seed)
@@ -422,32 +418,50 @@ class TestKeptHalf:
 
     @pytest.mark.parametrize("gamma", [0.37, -2.1, 25.0])
     def test_doubled_phase_table_matches_exp(self, gamma):
-        # np.exp's own argument gamma*c is good only to about eps*|gamma|*sum(w),
-        # which is what the two tables differ by (measured 0.8-1.3 times it)
+        # The rows double over the high bits, so an entry multiplies a + 2 factors
+        # exp(-i*gamma*level): the high column, the low row and at most a C_i. A level is at most three table
+        # entries, each summed with round-off, so its argument is good to about
+        # eps*|gamma|*W; each exp and each product adds at most about 2 eps.
         eps = np.finfo(float).eps
-        for n in [*range(FIRST_DOUBLED_N, 17), 20]:
-            g = gen_erdos_renyi(n, 0.5, seed=100 * n)
+        for n in range(1, 21):
+            g = WeightedGraph(n=1, edges=()) if n == 1 else gen_erdos_renyi(n, 0.5, seed=100 * n)
             diag = build_cost_diagonal(g)
             size = 1 << (n - 1)
-            table = engine._phase_table(diag.lower, gamma, size)
+            row = engine._phase_rows(diag, [gamma])[0]
             reference = np.exp(-1j * gamma * diag.values[:size])
-            tol = 4 * eps * abs(gamma) * g.total_weight
-            assert np.max(np.abs(table - reference)) <= tol, (n, gamma)
+            a, _ = engine._split_bits(n)
+            tol = (a + 2) * eps * (abs(gamma) * g.total_weight + 2)
+            assert np.max(np.abs(row - reference)) <= tol, (n, gamma)
 
-    def test_phase_path_switches_at_the_crossover(self):
-        for n in (FIRST_DOUBLED_N - 1, FIRST_DOUBLED_N):
-            g = gen_erdos_renyi(n, 0.5, seed=n)
+    def test_standalone_phase_equals_its_batched_row(self):
+        # apply_cost_phase alone builds its one row as evolve builds p of them
+        gammas = np.array([0.3, -1.7, 25.0])
+        for n in (1, 2, 3, 8, 13, 14, 20):
+            g = WeightedGraph(n=1, edges=()) if n == 1 else gen_erdos_renyi(n, 0.5, seed=n)
             diag = build_cost_diagonal(g)
-            size = 1 << (n - 1)
-            state = apply_cost_phase(MirroredHalf(half=np.ones(size, dtype=complex)), diag, 0.7)
-            if n < FIRST_DOUBLED_N:  # the exp over the kept half, bit for bit
-                expected = np.exp((-1j * 0.7) * diag.values[:size])
-            else:
-                expected = engine._phase_table(diag.lower, 0.7, size)
-            assert np.array_equal(state.half, expected)
+            rows = engine._phase_rows(diag, gammas)
+            for gamma, row in zip(gammas.tolist(), rows):
+                state = MirroredHalf(half=np.ones(1 << (n - 1), dtype=complex))
+                assert np.array_equal(apply_cost_phase(state, diag, gamma).half, row), (n, gamma)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(n=st.integers(1, 12), quarters=st.lists(st.integers(0, 12), min_size=66, max_size=66))
+    def test_levels_rebuild_values_property(self, n, quarters):
+        # weights in quarters keep every sum exact, so the split must rebuild
+        # the kept half bit for bit; pairs (i, n - 1) are edges to the top node
+        pairs = [(i, j) for j in range(n) for i in range(j)]
+        g = WeightedGraph(n=n, edges=tuple((i, j, q / 4) for (i, j), q in zip(pairs, quarters) if q))
+        diag = build_cost_diagonal(g)
+        a, b = engine._split_bits(n)
+        lo, cross, hi = np.split(diag.levels, [1 << b, (a + 1) << b])
+        bits = (np.arange(1 << a)[:, None] >> np.arange(a)) & 1
+        rebuilt = hi[:, None] + lo + bits @ cross.reshape(a, 1 << b)
+        assert diag.levels.size == (1 << a) + (1 << b) + (a << b)
+        assert not diag.levels.flags.writeable
+        assert np.array_equal(rebuilt.ravel(), diag.values[:1 << (n - 1)])
 
     def test_evolve_above_crossover_matches_full_state(self):
-        for n in (FIRST_DOUBLED_N, 16):
+        for n in (14, 16):
             g = gen_erdos_renyi(n, 0.5, seed=n)
             diag = build_cost_diagonal(g)
             sched = standard_unpack(np.random.default_rng(n).uniform(-np.pi, np.pi, 6), 3)
@@ -466,7 +480,7 @@ class TestKeptHalf:
                 reference_best_bitstring(amps, diag, 512, np.random.default_rng(2))
 
     def test_exact_expectation_matches_the_full_state(self):
-        for n in (4, 9, FIRST_DOUBLED_N, 20):
+        for n in (4, 9, 14, 20):
             _, diag, state = kept_half_of(n, seed=n)
             amps = state.amps
             full = float(np.real(np.vdot(amps, diag.values * amps)))
@@ -476,7 +490,6 @@ class TestKeptHalf:
     @given(n=st.integers(1, 16), seed=st.integers(0, 2 ** 32 - 1),
            angles=st.lists(st.floats(-2 * np.pi, 2 * np.pi), min_size=2, max_size=6))
     def test_matches_the_full_vector_reference_property(self, n, seed, angles):
-        # n = 1..16 spans both sides of _EXP_PHASE_MAX_SIZE
         g = WeightedGraph(n=1, edges=()) if n == 1 else gen_erdos_renyi(n, 0.6, seed=seed)
         diag = build_cost_diagonal(g)
         p = len(angles) // 2
