@@ -12,6 +12,7 @@ import csv
 import dataclasses
 import sys
 from collections.abc import Callable
+from functools import partial
 from typing import TypeVar
 
 import numpy as np
@@ -34,22 +35,19 @@ def _read_input(what: str, load: Callable[[str], T], path: str) -> T:
         raise _UsageError(f"cannot read {what} {path}: {type(exc).__name__}: {exc}") from exc
 
 
-def _int_at_least(low: int, kind: str) -> Callable[[str], int]:
-    """An argument type: an integer >= ``low``, named ``kind`` in the error."""
-
-    def parse(text: str) -> int:
-        try:
-            if int(text) >= low:
-                return int(text)
-        except ValueError:
-            pass
-        raise argparse.ArgumentTypeError(f"need {kind}, got {text!r}")
-
-    return parse
+def _int_at_least(low: int, text: str) -> int:
+    """An argument that must be an integer >= ``low``, which is 0 or 1."""
+    try:
+        if int(text) >= low:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(
+        f"need a {'positive' if low else 'non-negative'} integer, got {text!r}")
 
 
-_positive_int = _int_at_least(1, "a positive integer")
-_non_negative_int = _int_at_least(0, "a non-negative integer")
+_positive_int = partial(_int_at_least, 1)
+_non_negative_int = partial(_int_at_least, 0)
 
 
 def _fraction(closed: bool) -> Callable[[str], float]:

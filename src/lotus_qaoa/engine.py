@@ -13,12 +13,11 @@ States are held as a ``MirroredHalf``: |+>^n, the cut diagonal and the
 mixer all commute with a global bit flip, so half the amplitudes determine
 the rest. Every kernel and readout works on that half.
 
-``evolve`` builds the factors of all p layers once per schedule: every
-layer's phase row from the split of the cut table in ``CostDiagonal``
-(a + 3 numpy calls for all p layers), and every layer's mixer blocks with
-one gather per block size. It hands each layer's factor to
-``apply_cost_phase`` and ``apply_mixer``, which build it themselves when
-called alone, so the layer loop only multiplies and runs matmuls.
+``evolve`` builds the factors of all p layers once per schedule (phase rows
+from the split of the cut table in ``CostDiagonal``, mixer blocks with one
+gather per block size) and hands each layer's to ``apply_cost_phase`` and
+``apply_mixer``, which build it themselves when called alone, so the layer
+loop only multiplies and runs matmuls.
 """
 from __future__ import annotations
 
@@ -35,6 +34,7 @@ DEFAULT_QUBIT_CAP = 20
 # Bump it whenever records can move, round-off included.
 ENGINE_VERSION = 2
 _MIXER_BLOCK = 4  # qubits fused per mixer matmul
+_SPLIT_MIN_N = 9  # below it one exp per entry beats the split's extra calls
 
 
 @dataclass(frozen=True)
@@ -84,7 +84,7 @@ class MirroredHalf:
 
 def _split_bits(n: int) -> tuple[int, int]:
     """(a, b): the kept half's high and low bit counts."""
-    a = (n - 1) // 2
+    a = (n - 1) // 2 if n >= _SPLIT_MIN_N else 0
     return a, n - 1 - a
 
 
@@ -114,13 +114,15 @@ def _phase_rows(diag: CostDiagonal, gammas: np.ndarray) -> np.ndarray:
 
     One exp over the (p, levels) outer product; for each high bit i, the
     rows with it set are the rows below times exp(-i*gamma*C_i); last, each
-    row times its high column entry. An element's operations do not depend
-    on p; it agrees with the exp per entry to round-off.
+    row times its high column entry: a + 3 numpy calls for all p layers.
+    An element's operations do not depend on p.
     """
     a, b = _split_bits(diag.n)
     width = 1 << b
     gammas = np.asarray(gammas, dtype=np.float64)
     e = np.exp(np.multiply.outer(-1j * gammas, diag.levels))
+    if a == 0:  # the low row is the whole half
+        return e[:, :width]
     cross = e[:, :(a + 1) * width].reshape(gammas.size, a + 1, width)
     rows = np.empty((gammas.size, 1 << a, width), dtype=np.complex128)
     rows[:, 0] = cross[:, 0]

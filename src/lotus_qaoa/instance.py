@@ -156,9 +156,8 @@ def _cut_values_all(g: WeightedGraph) -> np.ndarray:
     After node m the first 2^(m+1) entries hold the cut weight of every
     assignment of nodes 0..m. Node m's edges (i, w) to lower nodes give
     t[x] = sum of w over lower neighbours i with bit i of x set when node m
-    sits at 0, and the mirror t[~x] = t[::-1][x] when it sits at 1. Using
-    the exact mirror keeps the table exactly invariant under a global bit
-    flip.
+    sits at 0, and the mirror t[~x] = t[::-1][x] when it sits at 1, which
+    keeps the table exactly invariant under a global bit flip.
     """
     table, t = np.zeros(1 << g.n), np.zeros(1 << (g.n - 1))
     for m, nbrs in enumerate(_lower_neighbours(g)):
