@@ -3,7 +3,7 @@ from functools import reduce
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lotus_qaoa import engine, instance
@@ -418,10 +418,11 @@ class TestKeptHalf:
 
     @pytest.mark.parametrize("gamma", [0.37, -2.1, 25.0])
     def test_doubled_phase_table_matches_exp(self, gamma):
-        # The rows double over the high bits, so an entry multiplies a + 2 factors
-        # exp(-i*gamma*level): the high column, the low row and at most a C_i. A level is at most three table
-        # entries, each summed with round-off, so its argument is good to about
-        # eps*|gamma|*W; each exp and each product adds at most about 2 eps.
+        # The rows double over the high bits, so an entry multiplies a + 2
+        # factors exp(-i*gamma*level): the high column, the low row and at most
+        # a C_i. A level is at most three table entries, each summed with
+        # round-off, so its argument is good to about eps*|gamma|*W; each exp
+        # and each product adds at most about 2 eps.
         eps = np.finfo(float).eps
         for n in range(1, 21):
             g = WeightedGraph(n=1, edges=()) if n == 1 else gen_erdos_renyi(n, 0.5, seed=100 * n)
@@ -446,6 +447,9 @@ class TestKeptHalf:
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(n=st.integers(1, 12), quarters=st.lists(st.integers(0, 12), min_size=66, max_size=66))
+    @example(n=1, quarters=[0] * 66)
+    @example(n=2, quarters=[3] + [0] * 65)  # the one edge ends at the top node
+    @example(n=12, quarters=list(range(66)))  # the split, with every pair but (0, 1)
     def test_levels_rebuild_values_property(self, n, quarters):
         # weights in quarters keep every sum exact, so the split must rebuild
         # the kept half bit for bit; pairs (i, n - 1) are edges to the top node
