@@ -110,7 +110,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_score(args: argparse.Namespace) -> int:
     records = _read_input("results", load_records, args.results)
-    scores = harness.score_records(records, alpha=args.alpha)
+    try:
+        scores = harness.score_records(records, alpha=args.alpha)
+    except ValueError as exc:  # no records
+        raise _UsageError(f"cannot score {args.results}: {exc}") from exc
     out = args.out or (args.results + ".scores.csv")
     with open(out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -132,7 +135,10 @@ def _cmd_score(args: argparse.Namespace) -> int:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     records = _read_input("results", load_records, args.results)
-    summary = harness.improvement_summary(records, k_modes=args.k_modes)
+    try:
+        summary = harness.improvement_summary(records, k_modes=args.k_modes)
+    except ValueError as exc:  # no HFA records, no K chosen among several, or no such K
+        raise _UsageError(f"cannot report on {args.results}: {exc}") from exc
     print("improvement of the HFA multi-start runs over each baseline (medians per cell):")
     print(f"  {'baseline':16s} {'expectation':>12s} {'evaluations':>12s} {'cells':>6s}")
     for name, row in summary.items():

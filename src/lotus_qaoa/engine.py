@@ -281,14 +281,12 @@ def expectation_sampled(
     """Shot-based estimate of the cost expectation.
 
     Draws ``shots`` bitstrings from |amps|^2 and returns the sample mean of
-    the diagonal values together with its standard error. ``shots=0`` is the
-    exact-mode sentinel: returns (expectation_exact, 0.0) without sampling.
-    Deterministic for a fixed seed.
+    the diagonal values together with its standard error. Needs
+    ``shots >= 1``; exact mode is ``expectation_exact``. Deterministic for a
+    fixed seed.
     """
-    if shots == 0:
-        return expectation_exact(state, diag), 0.0
-    if shots < 0:
-        raise ValueError(f"need shots >= 0, got {shots}")
+    if shots < 1:
+        raise ValueError(f"need shots >= 1, got {shots}")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     vals = diag.values[_sample_indices(state, shots, rng)]
     if shots == 1:

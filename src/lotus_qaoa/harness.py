@@ -64,6 +64,13 @@ class SweepConfig:
     lotus_method: str = "nelder-mead"
 
     def __post_init__(self) -> None:
+        for name in ("qubits", "depths", "modes", "seeds", "shots", "budget", "lotus_budget",
+                     "base_seed"):
+            values = getattr(self, name)
+            for value in values if isinstance(values, (tuple, list)) else (values,):
+                # JSON true and 4.0 are no counts; only lotus_budget may be None
+                if type(value) is not int and not (value is None and name == "lotus_budget"):
+                    raise ValueError(f"{name} needs integers, got {value!r}")
         for name, values in [("qubits", self.qubits), ("depths", self.depths),
                              ("densities", self.densities), ("modes", self.modes),
                              ("optimizers", self.optimizers)]:
@@ -316,6 +323,8 @@ def _lotus_by_cell(records: list[RunRecord], k_modes: int | None) -> dict[tuple,
         if len(ks) > 1:
             raise ValueError(f"several mode counts present {ks}; pick one via k_modes")
         k_modes = ks[0]
+    if k_modes not in ks:
+        raise ValueError(f"no multi-start HFA records with K={k_modes}; present: {ks}")
     return {r.cell_key(): r for r in lotus if r.k_modes == k_modes}
 
 
@@ -352,11 +361,17 @@ def improvement_summary(records: list[RunRecord],
     return summary
 
 
+# Fewest shared cells a pair needs for a p-value. With n nonzero paired
+# differences the exact two-sided signed-rank p-value is at least 2 / 2**n:
+# 0.125 at 4 pairs, so fewer than 5 could never reach even alpha = 0.1.
+MIN_PAIRS = 5
+
+
 @dataclass(frozen=True)
 class SignificanceMatrix:
     """Pairwise Wilcoxon signed-rank p-values on per-cell expectations.
 
-    Entries are NaN (and not significant) when fewer than ``min_pairs``
+    Entries are NaN (and not significant) when fewer than ``MIN_PAIRS``
     shared cells exist for a pair.
     """
 
@@ -364,11 +379,9 @@ class SignificanceMatrix:
     p_values: np.ndarray
     significant: np.ndarray
     alpha: float
-    min_pairs: int = 5
 
 
-def significance_matrix(records: list[RunRecord], alpha: float = 0.05,
-                        min_pairs: int = 5) -> SignificanceMatrix:
+def significance_matrix(records: list[RunRecord], alpha: float = 0.05) -> SignificanceMatrix:
     by_label: dict[str, dict[tuple, float]] = {}
     for r in records:
         by_label.setdefault(optimizer_label(r), {})[r.cell_key()] = r.expectation
@@ -379,7 +392,7 @@ def significance_matrix(records: list[RunRecord], alpha: float = 0.05,
     for i in range(k):
         for j in range(k):
             shared = sorted(set(by_label[labels[i]]) & set(by_label[labels[j]]))
-            if len(shared) < min_pairs:
+            if len(shared) < MIN_PAIRS:
                 continue
             diffs = np.array([by_label[labels[i]][c] - by_label[labels[j]][c] for c in shared])
             if i == j or np.all(diffs == 0.0):
@@ -389,7 +402,7 @@ def significance_matrix(records: list[RunRecord], alpha: float = 0.05,
             p_values[i, j] = p
             significant[i, j] = p < alpha
     return SignificanceMatrix(labels=labels, p_values=p_values,
-                              significant=significant, alpha=alpha, min_pairs=min_pairs)
+                              significant=significant, alpha=alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -411,9 +424,7 @@ class DepthTransferRow:
 def transfer_expectation(g: instance.WeightedGraph, params: schedule.HfaParams,
                          p: int) -> float:
     """Exact expectation of the resampled schedule at depth p."""
-    diag = engine.build_cost_diagonal(g)
-    state = engine.evolve(g, schedule.resample(params, p), diag=diag)
-    return engine.expectation_exact(state, diag)
+    return depth_transfer_experiment(g, params, p, (p,))[0].expectation
 
 
 def depth_transfer_experiment(
@@ -423,16 +434,16 @@ def depth_transfer_experiment(
     depths: tuple[int, ...],
     hot_start: bool = False,
     seed: int = 0,
-    method: str = "nelder-mead",
     budget: int | None = None,
 ) -> list[DepthTransferRow]:
     """Gap table for a schedule resampled across depths (exact mode).
 
-    With ``hot_start`` each depth also runs a from-scratch multi-start
-    search (cold) and a single warm run initialized at the resampled
-    hyperparameters, reporting how many evaluations the warm run needed to
-    reach the cold run's final quality. ``budget`` is per restart for the
-    cold run and total for the warm run; None picks the scaled default.
+    With ``hot_start`` each depth but ``p_source`` also runs a from-scratch
+    multi-start search (cold) and a single warm run from ``params``; both are
+    exact Nelder-Mead runs of ``optim.optimize`` in the HFA search box. The
+    row reports how many evaluations the warm run needed to reach the cold
+    run's final quality. ``budget`` is per restart for the cold run and
+    total for the warm run; None picks the scaled default.
     """
     if budget is None:
         budget = optim.LOTUS_BUDGET_PER_DIM * params.dimension
@@ -446,21 +457,12 @@ def depth_transfer_experiment(
         cold_e = cold_evals = warm_e = warm_to_match = matched = None
         if hot_start and p != p_source:
             _, cold_out, cold_rec = optim.lotus_optimize(
-                g, p, k_modes=params.k_modes, shots=0, seed=seed,
-                method=method, budget=budget)
+                g, p, k_modes=params.k_modes, shots=0, seed=seed, budget=budget)
             cold_e, cold_evals = cold_rec.expectation_exact, cold_out.evaluations
-            obj = optim.ObjectiveSpec(
-                dimension=params.dimension,
-                evaluator=optim._negative_expectation_objective(
-                    g, diag, lambda x, _p=p: schedule.hfa_generate(
-                        schedule.HfaParams.from_vector(x), _p),
-                    shots=0, noise_rng=None),
-                bounds=optim.hfa_bounds(params.k_modes),
-            )
-            warm = optim.minimize(method, obj, params.to_vector(), budget=budget)
+            warm, _, _ = optim.optimize(g, p, "nelder-mead", [(params.to_vector(), None)],
+                                        0, seed, budget, params.k_modes)
             warm_e = -warm.f_best
-            target = -cold_e
-            reached = np.nonzero(warm.trace <= target)[0]
+            reached = np.nonzero(warm.trace <= -cold_e)[0]
             matched = reached.size > 0
             warm_to_match = int(reached[0]) + 1 if matched else warm.evaluations
         rows.append(DepthTransferRow(

@@ -95,7 +95,12 @@ class OptimizerOutcome:
     trace: np.ndarray | None = None
 
 
-def _central_diff(fun: Callable[[np.ndarray], float], x: np.ndarray, h: float) -> np.ndarray:
+def finite_difference_gradient(fun: Callable[[np.ndarray], float], x: np.ndarray,
+                               h: float = FD_STEP) -> np.ndarray:
+    """Central-difference gradient; costs exactly 2*dimension evaluations."""
+    if h <= 0:
+        raise ValueError(f"need h > 0, got {h}")
+    x = np.asarray(x, dtype=np.float64)
     grad = np.empty(x.size)
     for i in range(x.size):
         step = np.zeros_like(x)
@@ -104,13 +109,6 @@ def _central_diff(fun: Callable[[np.ndarray], float], x: np.ndarray, h: float) -
     if not np.all(np.isfinite(grad)):
         raise RuntimeError(f"non-finite finite-difference gradient at x={x!r}")
     return grad
-
-
-def finite_difference_gradient(obj: ObjectiveSpec, x: np.ndarray, h: float = FD_STEP) -> np.ndarray:
-    """Central-difference gradient; costs exactly 2*dimension evaluations."""
-    if h <= 0:
-        raise ValueError(f"need h > 0, got {h}")
-    return _central_diff(obj, np.asarray(x, dtype=np.float64), h)
 
 
 def _simplex_edges(bounds, dim: int) -> np.ndarray:
@@ -149,7 +147,7 @@ def _powell(fun, x0, bounds, tol, report_iteration):
 
 def _fd_lbfgs(fun, x0, bounds, tol, report_iteration):
     res = _scipy_minimize(
-        fun, x0, method="L-BFGS-B", jac=lambda x: _central_diff(fun, x, FD_STEP),
+        fun, x0, method="L-BFGS-B", jac=lambda x: finite_difference_gradient(fun, x),
         bounds=bounds,
         callback=lambda xk: report_iteration(),
         options=dict(ftol=tol, gtol=1e-8, maxiter=_BIG, maxfun=_BIG),
@@ -258,46 +256,44 @@ def _seed_rng(seed: int, *tags: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed & 0xFFFFFFFFFFFFFFFF, *tags]))
 
 
-def _negative_expectation_objective(
-    g: WeightedGraph,
-    diag: engine.CostDiagonal,
-    to_schedule: Callable[[np.ndarray], Schedule],
-    shots: int,
-    noise_rng: np.random.Generator | None,
-) -> Callable[[np.ndarray], float]:
-    """Objective x -> -expectation of the circuit ``to_schedule(x)``.
+def hfa_bounds(k_modes: int) -> list[tuple[float | None, float | None]]:
+    """Search box of an HFA vector: both AR decay rates within +-LAMBDA_CLAMP."""
+    bounds: list[tuple[float | None, float | None]] = [(None, None)] * hfa_dimension(k_modes)
+    bounds[2 * k_modes] = bounds[2 * k_modes + 1] = (-LAMBDA_CLAMP, LAMBDA_CLAMP)
+    return bounds
 
-    ``shots=0`` is exact and draws nothing, so ``noise_rng`` may be None.
+
+def optimize(g: WeightedGraph, p: int, method: str,
+             starts: Iterable[tuple[np.ndarray, np.random.Generator | None]],
+             shots: int, seed: int, budget: int,
+             k_modes: int) -> tuple[OptimizerOutcome, Schedule, RunRecord]:
+    """The run driver of every optimization: one cut table, one ``minimize``
+    per ``(x0, noise_rng)`` start, one verified record.
+
+    ``k_modes > 0`` searches the K-mode HFA vector in ``hfa_bounds``; 0 the
+    unbounded 2p layer angles. An evaluation is minus one circuit's
+    expectation: exact for ``shots=0`` (``noise_rng`` may then be None),
+    else a ``shots``-sample estimate.
     """
-    def evaluate(x: np.ndarray) -> float:
-        state = engine.evolve(g, to_schedule(x), diag=diag)
-        if shots == 0:
-            return -engine.expectation_exact(state, diag)
-        est, _ = engine.expectation_sampled(state, diag, shots, noise_rng)
-        return -est
-
-    return evaluate
-
-
-def _optimize(g: WeightedGraph, p: int, method: str,
-              to_schedule: Callable[[np.ndarray], Schedule],
-              starts: Iterable[tuple[np.ndarray, np.random.Generator]],
-              bounds: list[tuple[float | None, float | None]] | None,
-              shots: int, seed: int, budget: int,
-              k_modes: int) -> tuple[OptimizerOutcome, Schedule, RunRecord]:
-    """The run protocol of ``lotus_optimize`` and ``baseline_optimize``: one
-    cut table, one ``minimize`` per ``(x0, noise_rng)`` start, one record."""
     started = time.perf_counter()
     tol = DEFAULT_TOL_EXACT if shots == 0 else DEFAULT_TOL_SAMPLED
+    bounds = hfa_bounds(k_modes) if k_modes else None
+
+    def to_schedule(x: np.ndarray) -> Schedule:
+        return hfa_generate(HfaParams.from_vector(x), p) if k_modes else standard_unpack(x, p)
+
     diag = engine.build_cost_diagonal(g)
     best: OptimizerOutcome | None = None
     total_evals = total_iters = 0
     for x0, noise_rng in starts:
-        obj = ObjectiveSpec(
-            dimension=x0.size,
-            evaluator=_negative_expectation_objective(g, diag, to_schedule, shots, noise_rng),
-            bounds=bounds,
-        )
+        def evaluate(x: np.ndarray, noise_rng=noise_rng) -> float:
+            state = engine.evolve(g, to_schedule(x), diag=diag)
+            if shots == 0:
+                return -engine.expectation_exact(state, diag)
+            est, _ = engine.expectation_sampled(state, diag, shots, noise_rng)
+            return -est
+
+        obj = ObjectiveSpec(dimension=x0.size, evaluator=evaluate, bounds=bounds)
         outcome = minimize(method, obj, x0, budget=budget, tol=tol)
         total_evals += outcome.evaluations
         total_iters += outcome.iterations
@@ -331,13 +327,6 @@ def _optimize(g: WeightedGraph, p: int, method: str,
     return replace(best, iterations=total_iters, evaluations=total_evals), sched, record
 
 
-def hfa_bounds(k_modes: int) -> list[tuple[float | None, float | None]]:
-    """Search box of an HFA vector: both AR decay rates within +-LAMBDA_CLAMP."""
-    bounds: list[tuple[float | None, float | None]] = [(None, None)] * hfa_dimension(k_modes)
-    bounds[2 * k_modes] = bounds[2 * k_modes + 1] = (-LAMBDA_CLAMP, LAMBDA_CLAMP)
-    return bounds
-
-
 def lotus_optimize(
     g: WeightedGraph,
     p: int,
@@ -362,9 +351,7 @@ def lotus_optimize(
               for r in range(init.n_restarts))
     if budget is None:
         budget = LOTUS_BUDGET_PER_DIM * hfa_dimension(k_modes)
-    outcome, _, record = _optimize(
-        g, p, method, lambda x: hfa_generate(HfaParams.from_vector(x), p), starts,
-        hfa_bounds(k_modes), shots, seed, budget, k_modes)
+    outcome, _, record = optimize(g, p, method, starts, shots, seed, budget, k_modes)
     return HfaParams.from_vector(outcome.x_best), outcome, record
 
 
@@ -382,6 +369,5 @@ def baseline_optimize(
     final verification match the HFA loop.
     """
     starts = [(_seed_rng(seed, 20).uniform(0.0, 2.0 * np.pi, standard_dimension(p)), _seed_rng(seed, 21))]
-    outcome, sched, record = _optimize(
-        g, p, method, lambda x: standard_unpack(x, p), starts, None, shots, seed, budget, 0)
+    outcome, sched, record = optimize(g, p, method, starts, shots, seed, budget, 0)
     return sched, outcome, record

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 
@@ -222,6 +223,15 @@ class TestUsageErrors:
         ("shots", -4, (), "shots must be >= 0"),
         ("budget", 5, (), "budget 5 below 6, the least a depth-2 baseline run accepts"),
         ("lotus_budget", 8, (), "lotus_budget 8 below 9, the least a 1-mode lotus run accepts"),
+        ("seeds", 1.5, (), "seeds needs integers, got 1.5"),
+        ("seeds", True, (), "seeds needs integers, got True"),
+        ("qubits", [4.0], (), "qubits needs integers, got 4.0"),
+        ("depths", [True], (), "depths needs integers, got True"),
+        ("modes", [1.0], (), "modes needs integers, got 1.0"),
+        ("shots", 16.0, (), "shots needs integers, got 16.0"),
+        ("budget", 40.5, (), "budget needs integers, got 40.5"),
+        ("lotus_budget", 20.0, (), "lotus_budget needs integers, got 20.0"),
+        ("base_seed", 1.5, (), "base_seed needs integers, got 1.5"),
     ])
     def test_bad_sweep_grid_exits_two_before_any_run(self, tmp_path, capsys,
                                                       field, value, flags, message):
@@ -233,3 +243,24 @@ class TestUsageErrors:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and message in err[0]
         assert list(tmp_path.iterdir()) == [cfg_path]  # no sidecar, no records
+
+    @pytest.mark.parametrize("command, keep, flags, message", [
+        ("score", "none", (), "no records to score"),
+        ("report", "two mode counts", (), "several mode counts present [1, 2]"),
+        ("report", "baselines", (), "no multi-start HFA records in the dataset"),
+        ("report", "all", ("--k-modes", "3"), "no multi-start HFA records with K=3; present: [1]"),
+    ])
+    def test_unusable_records_exit_two(self, result_file, tmp_path, capsys,
+                                       command, keep, flags, message):
+        records = load_records(result_file)
+        if keep == "none":
+            records = []
+        elif keep == "baselines":
+            records = [r for r in records if r.k_modes == 0]
+        elif keep == "two mode counts":
+            records += [dataclasses.replace(r, k_modes=2) for r in records if r.k_modes]
+        path = tmp_path / "r.ndjson"
+        path.write_text("".join(r.to_json() + "\n" for r in records))
+        assert run_cli(command, "--results", str(path), *flags) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and message in err[0]

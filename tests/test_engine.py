@@ -346,11 +346,6 @@ class TestSampledExpectation:
         est, err = expectation_sampled(paired_basis_state(3, 1), diag, 64, seed=0)
         assert (est, err) == (2.0, 0.0)
 
-    def test_exact_mode_sentinel(self):
-        diag = build_cost_diagonal(TRIANGLE)
-        state = plus_state(3)
-        assert expectation_sampled(state, diag, 0, seed=0) == (expectation_exact(state, diag), 0.0)
-
     def test_converges_to_exact(self):
         g = gen_erdos_renyi(6, 0.8, seed=11)
         diag = build_cost_diagonal(g)
@@ -368,8 +363,10 @@ class TestSampledExpectation:
         assert 2.0 <= err_small / err_big <= 4.0  # ideal ratio sqrt(8) ~ 2.83
 
     def test_shot_count_validation(self):
-        with pytest.raises(ValueError):
-            expectation_sampled(plus_state(2), build_cost_diagonal(SINGLE_EDGE), -1, seed=0)
+        for shots in (0, -1):  # exact mode is expectation_exact, not a shot count
+            with pytest.raises(ValueError, match=f"need shots >= 1, got {shots}"):
+                expectation_sampled(plus_state(2), build_cost_diagonal(SINGLE_EDGE), shots,
+                                    seed=0)
 
 
 class TestBestBitstring:
