@@ -20,6 +20,7 @@ from lotus_qaoa.engine import (
 )
 from lotus_qaoa.harness import dense_mixer_matrix, dense_oracle_state
 from lotus_qaoa.instance import CutResult, WeightedGraph, gen_erdos_renyi, index_to_bitstring
+from lotus_qaoa.optim import optimize
 from lotus_qaoa.schedule import standard_unpack
 
 SINGLE_EDGE = WeightedGraph(n=2, edges=((0, 1, 1.0),))
@@ -345,6 +346,16 @@ class TestSampledExpectation:
         diag = build_cost_diagonal(TRIANGLE)
         est, err = expectation_sampled(paired_basis_state(3, 1), diag, 64, seed=0)
         assert (est, err) == (2.0, 0.0)
+
+    def test_exact_mode_sentinel(self):
+        # shots=0 is the run driver's exact mode: no noise stream, no sampling,
+        # every readout is expectation_exact (expectation_sampled takes >= 1 shot).
+        outcome, sched, record = optimize(TRIANGLE, 1, "nelder-mead", [(np.array([0.4, 0.3]), None)],
+                                          0, 0, 40, 0)
+        diag = build_cost_diagonal(TRIANGLE)
+        exact = expectation_exact(evolve(TRIANGLE, sched, diag=diag), diag)
+        assert record.expectation == record.expectation_exact == exact
+        assert outcome.f_best == -exact
 
     def test_converges_to_exact(self):
         g = gen_erdos_renyi(6, 0.8, seed=11)
