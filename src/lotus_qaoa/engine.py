@@ -16,8 +16,9 @@ the rest. Every kernel and readout works on that half.
 ``evolve`` builds the factors of all p layers once per schedule (phase rows
 from the split of the cut table in ``CostDiagonal``, mixer blocks with one
 gather per block size) and hands each layer's to ``apply_cost_phase`` and
-``apply_mixer``, which build it themselves when called alone, so the layer
-loop only multiplies and runs matmuls.
+``apply_mixer``, which build it themselves when called alone. The layer loop
+only multiplies and runs matmuls: the mixer's blocks alternate between the
+state's array and one spare, and its dropped top qubit is one pair step.
 """
 from __future__ import annotations
 
@@ -32,7 +33,7 @@ from .schedule import Schedule
 DEFAULT_QUBIT_CAP = 20
 # Written into each sweep's config sidecar; resume refuses another version.
 # Bump it whenever records can move, round-off included.
-ENGINE_VERSION = 2
+ENGINE_VERSION = 3
 _MIXER_BLOCK = 4  # qubits fused per mixer matmul
 _SPLIT_MIN_N = 9  # below it one exp per entry beats the split's extra calls
 
@@ -182,10 +183,13 @@ def _mixer_blocks(k: int, betas: np.ndarray) -> np.ndarray:
 
 
 def _mixer_factors(n: int, betas: np.ndarray) -> list[tuple[np.ndarray, ...]]:
-    """Each layer's mixer blocks, low block first; one gather per block size."""
+    """Each layer's mixer blocks, low block first, the top one as its kept
+    quadrant R_top[:w, :w] = cos(beta) * R^(x)(k-1); one gather per block size."""
     sizes = _mixer_block_sizes(n)
     stacks = {k: _mixer_blocks(k, betas) for k in set(sizes)}
-    return list(zip(*(stacks[k] for k in sizes)))
+    *low, top = (stacks[k] for k in sizes)
+    w = top.shape[1] // 2
+    return list(zip(*low, top[:, :w, :w]))
 
 
 def apply_mixer(state: MirroredHalf, beta: float,
@@ -197,29 +201,33 @@ def apply_mixer(state: MirroredHalf, beta: float,
     ``_mixer_factors``, which ``evolve`` builds for all layers at once;
     without it the blocks are built here.
 
-    The kept half lacks the top qubit, which belongs to the last (top)
-    block: the inputs with that bit set are the kept half reversed, since
-    the flip maps an index to its complement, and R[~x, ~y] = R[x, y].
+    Each block runs as one matmul against the low k bits: ``R @ A.T`` with
+    A the state as a (rest, 2^k) matrix. BLAS reads the transposed view,
+    and since R is symmetric the product comes out with those bits on top
+    (a bit rotation), with no copy.
 
-    The low blocks run as one matmul each against the low k bits: ``R @ A.T``
-    with A the state as a (rest, 2^k) matrix. BLAS reads the transposed
-    view, and since R is symmetric the product comes out with those bits on
-    top (a bit rotation), with no copy. After the low blocks the top block
-    is lowest (one block, n <= 4, starts there); with A0 the half as a
-    (rest, w) matrix, w = 2^(k_top - 1), Y = R_top[:, :w] @ A0.T is folded
-    to its kept rows Y[:w] + Y[w:][::-1, ::-1], which restores the layout
-    without ever forming the full state.
+    The kept half lacks the top qubit, which belongs to the last (top)
+    block; after the low blocks that block's kept bits are lowest (one
+    block, n <= 4, starts there). It applies only its kept quadrant
+    cos(beta) * R^(x)(k-1), which restores the layout and leaves u =
+    cos(beta) * R^(x)(n-1) @ half. The top qubit adds -i sin(beta) times
+    R^(x)(n-1) applied to the mirrored half, half[::-1]; R[~x, ~y] = R[x, y],
+    so that is u[::-1] times -i tan(beta), one pair step (cos(beta) of a
+    finite double is never 0, so tan(beta) is finite). Each step writes
+    into one spare array, which then swaps with the state's.
     """
     if blocks is None:
         blocks = _mixer_factors(state.n, np.array([beta]))[0]
-    *low, top = blocks
-    w = top.shape[0] // 2
-    amps = state.half
-    for block in low:
+    amps = np.ascontiguousarray(state.half, dtype=np.complex128)
+    spare = np.empty_like(amps)
+    for block in blocks:
         # apply to the low k bits, which land on top
-        amps = (block @ amps.reshape(-1, block.shape[0]).T).ravel()
-    y = top[:, :w] @ amps.reshape(-1, w).T
-    state.half = (y[:w] + y[w:][::-1, ::-1]).ravel()
+        dim = block.shape[0]
+        np.matmul(block, amps.reshape(-1, dim).T, out=spare.reshape(dim, -1))
+        amps, spare = spare, amps
+    np.multiply(amps[::-1], -1j * np.tan(beta), out=spare)
+    spare += amps
+    state.half = spare
     return state
 
 

@@ -321,7 +321,7 @@ def _lotus_by_cell(records: list[RunRecord], k_modes: int | None) -> dict[tuple,
     ks = sorted({r.k_modes for r in lotus})
     if k_modes is None:
         if len(ks) > 1:
-            raise ValueError(f"several mode counts present {ks}; pick one via k_modes")
+            raise ValueError(f"several mode counts present {ks}; pick one with --k-modes (the k_modes argument)")
         k_modes = ks[0]
     if k_modes not in ks:
         raise ValueError(f"no multi-start HFA records with K={k_modes}; present: {ks}")
@@ -538,11 +538,12 @@ class SuiteReport:
 
 
 def _check_engine_oracle_equivalence() -> CheckResult:
+    # n = 8, 9 run the multi-block mixer and (n = 9) the split phase rows
     rng = np.random.default_rng(11)
     worst_fid_err = 0.0
     worst_exp_err = 0.0
-    for trial in range(50):
-        n = int(rng.integers(2, 4))
+    for trial in range(54):
+        n = int(rng.integers(2, 4)) if trial < 50 else 8 + trial % 2
         p = int(rng.integers(1, 3))
         g = instance.gen_erdos_renyi(n, 1.0, int(rng.integers(0, 2 ** 32)))
         sched = schedule.standard_unpack(rng.uniform(-2 * np.pi, 2 * np.pi, 2 * p), p)
@@ -556,6 +557,7 @@ def _check_engine_oracle_equivalence() -> CheckResult:
         worst_exp_err = max(worst_exp_err, abs(exact - dense_exp))
     ok = worst_fid_err < 1e-10 and worst_exp_err < 1e-10
     return CheckResult("engine-oracle-equivalence", ok,
+                       f"50 instances at n = 2, 3 and 4 at n = 8, 9; "
                        f"max fidelity defect {worst_fid_err:.2e}, "
                        f"max expectation error {worst_exp_err:.2e}")
 

@@ -209,8 +209,23 @@ class TestMixer:
             beta = float(rng.uniform(-3, 3))
             state = random_kept_half(n, rng)
             expected = expm(-1j * beta * dense_mixer_matrix(n)) @ state.amps
-            apply_mixer(state, beta)  # the kept half folds the top block
+            apply_mixer(state, beta)  # the top qubit runs as the pair step
             assert np.max(np.abs(state.amps - expected)) <= 1e-10
+
+    @pytest.mark.parametrize("beta", [
+        0.0, 1e-300, np.pi / 2, np.nextafter(np.pi / 2, 0), -np.pi / 2, 3 * np.pi / 2, np.pi,
+        710.0, np.pi / 2 + 2 * np.pi * 1e6, np.pi / 2 + 2 * np.pi * 1e12, 1e300])
+    def test_pair_step_at_extreme_angles(self, beta):
+        # cos(beta) near 0 makes the pair step's tan(beta) huge, but finite
+        # for every double; the reference rotates one qubit at a time with
+        # cos and sin alone (expm itself is off by ~1e-9 at beta ~ 6e6)
+        rng = np.random.default_rng(10)
+        for n in range(1, 15):
+            state = random_kept_half(n, rng)
+            expected = state.amps
+            reference_mixer(expected, beta)
+            apply_mixer(state, beta)
+            assert np.max(np.abs(state.amps - expected)) <= 1e-12
 
     def test_norm_preserved(self):
         rng = np.random.default_rng(6)
@@ -246,7 +261,7 @@ class TestEvolve:
     def test_matches_dense_oracle(self):
         rng = np.random.default_rng(7)
         # a single qubit (its top block is the whole mixer) and n=7, whose
-        # folded top block has 3 qubits
+        # top block has 3 qubits, 2 of them in its kept quadrant
         graphs = [gen_erdos_renyi(int(rng.integers(2, 4)), 1.0, seed=trial) for trial in range(12)]
         graphs += [WeightedGraph(n=1, edges=()), gen_erdos_renyi(7, 0.6, seed=12)]
         for g in graphs:
@@ -271,8 +286,9 @@ class TestEvolve:
     @given(seed=st.integers(0, 2 ** 32 - 1),
            angles=st.lists(st.floats(-2 * np.pi, 2 * np.pi), min_size=2, max_size=8))
     def test_equals_the_single_angle_kernels_property(self, n, seed, angles):
-        # n = 1..16 spans every mixer block partition: one block (the fold
-        # alone) and two to four blocks (the rotating loop)
+        # n = 1..16 spans every mixer block partition: one block (the
+        # quadrant and pair step alone) and two to four blocks (the
+        # rotating loop)
         g = WeightedGraph(n=1, edges=()) if n == 1 else gen_erdos_renyi(n, 0.6, seed=seed)
         diag = build_cost_diagonal(g)
         p = len(angles) // 2  # depth 1..4
