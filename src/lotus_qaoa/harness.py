@@ -321,7 +321,8 @@ def _lotus_by_cell(records: list[RunRecord], k_modes: int | None) -> dict[tuple,
     ks = sorted({r.k_modes for r in lotus})
     if k_modes is None:
         if len(ks) > 1:
-            raise ValueError(f"several mode counts present {ks}; pick one with --k-modes (the k_modes argument)")
+            raise ValueError(f"several mode counts present {ks}; "
+                             "pick one with --k-modes (the k_modes argument)")
         k_modes = ks[0]
     if k_modes not in ks:
         raise ValueError(f"no multi-start HFA records with K={k_modes}; present: {ks}")

@@ -246,7 +246,8 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize("command, keep, flags, message", [
         ("score", "none", (), "no records to score"),
-        ("report", "two mode counts", (), "several mode counts present [1, 2]; pick one with --k-modes"),
+        ("report", "two mode counts", (),
+         "several mode counts present [1, 2]; pick one with --k-modes"),
         ("report", "baselines", (), "no multi-start HFA records in the dataset"),
         ("report", "all", ("--k-modes", "3"), "no multi-start HFA records with K=3; present: [1]"),
     ])
