@@ -49,7 +49,6 @@ from .schedule import (
     hfa_generate,
     lipschitz_certificate,
     resample,
-    standard_pack,
     standard_unpack,
 )
 

@@ -11,17 +11,24 @@ while the cost phase is periodic only for integer spectra.
 
 States are held as a ``MirroredHalf``: |+>^n, the cut diagonal and the
 mixer all commute with a global bit flip, so half the amplitudes determine
-the rest. Every kernel and readout works on that half.
+the rest. Every kernel and readout works on that half, which is stored
+twisted, half[z] = i^popcount(z) * amps[z]. In that frame exp(-i*beta*X)
+on a kept qubit is the real rotation [[c, -s], [s, c]], so the mixer runs
+real matmuls on the half's float64 view. The twist is a unit diagonal: it
+commutes with every cost phase and leaves every |amplitude|^2 unchanged,
+so the phase, the expectations and sampling are the same code as without
+it. Only ``MirroredHalf.amps`` untwists.
 
 ``evolve`` builds the factors of all p layers once per schedule (phase rows
-from the split of the cut table in ``CostDiagonal``, mixer blocks with one
-gather per block size) and hands each layer's to ``apply_cost_phase`` and
+from the split of the cut table in ``CostDiagonal``, real mixer blocks with
+one gather) and hands each layer's to ``apply_cost_phase`` and
 ``apply_mixer``, which build it themselves when called alone. The layer loop
 only multiplies and runs matmuls: the mixer's blocks alternate between the
 state's array and one spare, and its dropped top qubit is one pair step.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cache
 
@@ -33,8 +40,10 @@ from .schedule import Schedule
 DEFAULT_QUBIT_CAP = 20
 # Written into each sweep's config sidecar; resume refuses another version.
 # Bump it whenever records can move, round-off included.
-ENGINE_VERSION = 3
-_MIXER_BLOCK = 4  # qubits fused per mixer matmul
+ENGINE_VERSION = 4
+_MIXER_BLOCK = 4  # index bits fused per mixer matmul
+_POPCOUNT = np.array([bin(v).count("1") for v in range(1 << _MIXER_BLOCK)])
+_POWER_SIGNS = np.array([[1.0], [1.0], [-1.0]])  # rows c^i, s^i, -s^i
 _SPLIT_MIN_N = 9  # below it one exp per entry beats the split's extra calls
 
 
@@ -62,11 +71,16 @@ class CostDiagonal:
 class MirroredHalf:
     """Kept half of a state that is invariant under a global bit flip.
 
-    ``half`` holds the 2^(n-1) amplitudes whose top bit is clear. The
-    amplitude at z ^ mask equals the one at z, and z ^ mask = mask - z, so
-    the dropped half is ``half[::-1]``. It is the engine's only state form,
-    since |+>^n, every cut diagonal and the X mixer all commute with the
-    flip. ``amps`` forms the full 2^n vector on each access.
+    The 2^(n-1) amplitudes whose top bit is clear determine the state: the
+    one at z ^ mask equals the one at z, and z ^ mask = mask - z, so the
+    dropped half is the kept half reversed. It is the engine's only state
+    form, since |+>^n, every cut diagonal and the X mixer all commute with
+    the flip. ``half`` holds the kept amplitudes twisted,
+    half[z] = i^popcount(z) * amps[z], the frame in which the mixer is a
+    real rotation. The twist is a unit diagonal, so it commutes with the
+    cost phases and leaves every |amplitude|^2 as it is: the phase, the
+    expectations and sampling read ``half`` directly. ``amps`` untwists
+    and forms the full 2^n vector on each access.
     """
 
     half: np.ndarray
@@ -77,10 +91,29 @@ class MirroredHalf:
 
     @property
     def amps(self) -> np.ndarray:
-        return np.concatenate((self.half, self.half[::-1]))
+        kept = self.half * _twist(self.n).conj()
+        return np.concatenate((kept, kept[::-1]))
 
     def norm_sq(self) -> float:
         return 2.0 * float(np.sum(np.abs(self.half) ** 2))
+
+
+@cache
+def _twist_bits(bits: int, scale: float = 1.0) -> np.ndarray:
+    """scale * i^popcount(z) for z < 2^bits (read-only)."""
+    twist = np.full(1, scale, dtype=np.complex128)
+    for _ in range(bits):  # a set top bit adds one factor of i
+        twist = np.concatenate((twist, 1j * twist))
+    twist.flags.writeable = False
+    return twist
+
+
+def _twist(n: int, scale: float = 1.0) -> np.ndarray:
+    """scale * i^popcount(z) over the kept half: the outer product of the
+    twists of its high (n - 1) // 2 bits and of its other bits, exact since
+    the parts of every factor are 0 or +-1 (+-scale)."""
+    hi = (n - 1) // 2
+    return (_twist_bits(hi)[:, None] * _twist_bits(n - 1 - hi, scale)).ravel()
 
 
 def _split_bits(n: int) -> tuple[int, int]:
@@ -102,12 +135,10 @@ def build_cost_diagonal(g: WeightedGraph) -> CostDiagonal:
 
 
 def plus_state(n: int) -> MirroredHalf:
-    """Uniform superposition |+>^n."""
+    """Uniform superposition |+>^n, twisted: half[z] = i^popcount(z) 2^(-n/2)."""
     if not (1 <= n <= DEFAULT_QUBIT_CAP):
         raise ValueError(f"need 1 <= n <= {DEFAULT_QUBIT_CAP}, got {n}")
-    half = np.empty(1 << (n - 1), dtype=np.complex128)
-    half.fill((1 << n) ** -0.5)
-    return MirroredHalf(half=half)
+    return MirroredHalf(half=_twist(n, (1 << n) ** -0.5))
 
 
 def _phase_rows(diag: CostDiagonal, gammas: np.ndarray) -> np.ndarray:
@@ -153,81 +184,119 @@ def apply_cost_phase(state: MirroredHalf, diag: CostDiagonal, gamma: float,
 
 @cache
 def _mixer_block_sizes(n: int) -> tuple[int, ...]:
+    """Blocks of the n bits of the kept half's float64 index, lowest first.
+
+    Bit 0 of that index picks the real or imaginary part and bits 1..n-1
+    are the n - 1 kept qubits.
+    """
     n_blocks = -(-n // _MIXER_BLOCK)
     base, extra = divmod(n, n_blocks)
     return tuple(base + (b < extra) for b in range(n_blocks))
 
 
 @cache
-def _hamming_table(k: int) -> np.ndarray:
-    """hamming[x, y] = popcount(x ^ y) over k-bit indices (read-only)."""
-    idx = np.arange(1 << k)
-    popcount = np.array([bin(v).count("1") for v in range(1 << k)])
-    table = popcount[idx[:, None] ^ idx[None, :]]
-    table.flags.writeable = False
-    return table
+def _mixer_plan(n: int) -> tuple[np.ndarray, tuple[tuple[int, int, int], ...], int]:
+    """Gather index of all real mixer blocks at n (read-only), each block's
+    (start, end, 2^k) in it, and the power table's width K + 2.
 
-
-def _mixer_blocks(k: int, betas: np.ndarray) -> np.ndarray:
-    """Stack of R^(x)k, one per beta, for R = [[c, -i s], [-i s, c]].
-
-    Entry (x, y) of the k-fold tensor power is c^(k-d) * (-i s)^d with
-    d = popcount(x ^ y): each qubit contributes c where the bits agree and
-    -i s where they differ. Each block is symmetric. Shape (p, 2^k, 2^k),
-    built with one gather from the (p, k + 1) table of powers.
+    Entry (x, y) of Q^(x)k, Q = [[c, -s], [s, c]], is
+    c^(k-d) * s^d * (-1)^popcount(~x & y) with d = popcount(x ^ y): a bit
+    gives c where x and y agree, -s where only y has it and s where only x
+    has it. The lowest block is cos(beta) * Q^(x)(k-1) (x) I_2, which has
+    the same entries where bit 0 agrees and 0 where it differs. The index
+    points into the (K + 1, 2, K + 2) table of c^i times +-s^j, whose
+    column j = K + 1 is 0, K the largest block size.
     """
-    betas = np.asarray(betas, dtype=np.float64)[:, None]
-    d = np.arange(k + 1.0)  # float exponents: numpy casts integer ones on every call
-    powers = np.cos(betas) ** (k - d) * (-1j * np.sin(betas)) ** d
-    return np.take(powers, _hamming_table(k).ravel(), axis=1).reshape(-1, 1 << k, 1 << k)
+    sizes = _mixer_block_sizes(n)
+    width = max(sizes) + 2
+    index, spans, start = [], [], 0
+    for j, k in enumerate(sizes):
+        x, y = np.ogrid[:1 << k, :1 << k]
+        d = _POPCOUNT[x ^ y]
+        col = ((k - d) * 2 + (_POPCOUNT[~x & y & ((1 << k) - 1)] & 1)) * width + d
+        if j == 0:
+            col = np.where((x ^ y) & 1, width - 1, col)
+        index.append(col.ravel())
+        spans.append((start, start + col.size, 1 << k))
+        start += col.size
+    index = np.concatenate(index)
+    index.flags.writeable = False
+    return index, tuple(spans), width
 
 
 def _mixer_factors(n: int, betas: np.ndarray) -> list[tuple[np.ndarray, ...]]:
-    """Each layer's mixer blocks, low block first, the top one as its kept
-    quadrant R_top[:w, :w] = cos(beta) * R^(x)(k-1); one gather per block size."""
-    sizes = _mixer_block_sizes(n)
-    stacks = {k: _mixer_blocks(k, betas) for k in set(sizes)}
-    *low, top = (stacks[k] for k in sizes)
-    w = top.shape[1] // 2
-    return list(zip(*low, top[:, :w, :w]))
+    """Each layer's real mixer blocks, lowest first (float64, (2^k, 2^k)).
+
+    The powers c^i and s^i are running products; one gather from their
+    signed table builds the blocks of all p layers.
+    """
+    index, spans, width = _mixer_plan(n)
+    b = np.asarray(betas, dtype=np.float64)[:, None, None]
+    powers = np.empty((b.size, 3, width))  # c^i; s^i, then 0; -s^i, then -0
+    powers[:, :, :1] = _POWER_SIGNS
+    powers[:, :1, 1:] = np.cos(b)
+    powers[:, 1:, 1:] = np.sin(b)
+    powers[:, 1:, -1] = 0.0
+    np.multiply.accumulate(powers, axis=2, out=powers)
+    table = np.multiply(powers[:, 0, :-1, None, None], powers[:, None, 1:])
+    flat = table.reshape(b.size, -1).take(index, axis=1)
+    return list(zip(*[flat[:, start:end].reshape(-1, dim, dim) for start, end, dim in spans]))
+
+
+@cache
+def _parity_signs(n: int) -> np.ndarray:
+    """(-1)^popcount(z) over the kept half's indices (read-only), complex so
+    that multiplying the half by it needs no cast."""
+    signs = np.ones(1 << (n - 1), dtype=np.complex128)
+    for q in range(n - 1):  # in place: the table is its own peak memory
+        signs.reshape(-1, 2, 1 << q)[:, 1] *= -1.0
+    signs.flags.writeable = False
+    return signs
 
 
 def apply_mixer(state: MirroredHalf, beta: float,
                 blocks: tuple[np.ndarray, ...] | None = None) -> MirroredHalf:
     """In-place exp(-i*beta*X) on every qubit; returns the same state.
 
-    Qubits are processed in the blocks of ``_mixer_block_sizes``, each a
-    closed-form R^(x)k. ``blocks`` is the layer's entry of
-    ``_mixer_factors``, which ``evolve`` builds for all layers at once;
-    without it the blocks are built here.
+    In the state's frame h[z] = i^popcount(z) amps[z], exp(-i*beta*X) on
+    a kept qubit is the real rotation Q = [[c, -s], [s, c]], so the blocks
+    of ``_mixer_factors`` act on the half's float64 view, whose index has
+    the real/imaginary bit lowest and the kept qubits above it.
+    ``blocks`` is the layer's entry of ``_mixer_factors``, which
+    ``evolve`` builds for all layers at once; without it the blocks are
+    built here.
 
-    Each block runs as one matmul against the low k bits: ``R @ A.T`` with
-    A the state as a (rest, 2^k) matrix. BLAS reads the transposed view,
-    and since R is symmetric the product comes out with those bits on top
-    (a bit rotation), with no copy.
+    Each block runs as one matmul against the low k bits: ``B @ A.T`` with
+    A the view as a (rest, 2^k) matrix, so A.T is the view reshaped in
+    Fortran order. BLAS reads it as is and the product comes out with
+    those bits on top (a bit rotation), with no copy; after all blocks the
+    layout is back. Since the lowest block carries cos(beta), that leaves
+    u = cos(beta) Q^(x)(n-1) h.
 
-    The kept half lacks the top qubit, which belongs to the last (top)
-    block; after the low blocks that block's kept bits are lowest (one
-    block, n <= 4, starts there). It applies only its kept quadrant
-    cos(beta) * R^(x)(k-1), which restores the layout and leaves u =
-    cos(beta) * R^(x)(n-1) @ half. The top qubit adds -i sin(beta) times
-    R^(x)(n-1) applied to the mirrored half, half[::-1]; R[~x, ~y] = R[x, y],
-    so that is u[::-1] times -i tan(beta), one pair step (cos(beta) of a
-    finite double is never 0, so tan(beta) is finite). Each step writes
-    into one spare array, which then swaps with the state's.
+    The dropped top qubit adds -i sin(beta) times the rotation of the
+    mirrored half. Untwisted that is u[::-1] times -i tan(beta) (the
+    rotation commutes with the global flip); in the frame, i^popcount(z)
+    times i^-popcount(~z) leaves (-1)^popcount(z) i^-(n-1), so
+    half = u + kappa * sigma * u[::-1] with sigma = (-1)^popcount and
+    kappa = tan(beta) (-i)^n, one pair step (cos(beta) of a finite double
+    is never 0, so tan(beta) is finite). Every step writes into one spare
+    array, which then swaps with the state's.
     """
+    u = np.ascontiguousarray(state.half, dtype=np.complex128)
+    n = u.size.bit_length()
     if blocks is None:
-        blocks = _mixer_factors(state.n, np.array([beta]))[0]
-    amps = np.ascontiguousarray(state.half, dtype=np.complex128)
-    spare = np.empty_like(amps)
+        blocks = _mixer_factors(n, np.array([beta]))[0]
+    mirrored = np.empty_like(u)
+    amps, spare = u.view(np.float64), mirrored.view(np.float64)
     for block in blocks:
         # apply to the low k bits, which land on top
         dim = block.shape[0]
-        np.matmul(block, amps.reshape(-1, dim).T, out=spare.reshape(dim, -1))
-        amps, spare = spare, amps
-    np.multiply(amps[::-1], -1j * np.tan(beta), out=spare)
-    spare += amps
-    state.half = spare
+        np.matmul(block, amps.reshape(dim, -1, order="F"), out=spare.reshape(dim, -1))
+        amps, spare, u, mirrored = spare, amps, mirrored, u
+    np.multiply(u[::-1], _parity_signs(n), out=mirrored)
+    mirrored *= math.tan(beta) * (-1j) ** n
+    u += mirrored
+    state.half = u
     return state
 
 

@@ -613,6 +613,25 @@ def _check_sampling_unbiasedness() -> CheckResult:
                        f"deviation {deviation:.3e} vs 4*pooled {4 * pooled:.3e}")
 
 
+def _check_kept_half_sampling() -> CheckResult:
+    # the half's twist leaves |amps|^2 as it is, so its draws must equal
+    # the ones the untwisted full state's CDF gives, index for index
+    mismatches = 0
+    for n in (8, 9, 12):
+        g = instance.gen_erdos_renyi(n, 0.5, 20 + n)
+        sched = schedule.standard_unpack(np.random.default_rng(n).uniform(-np.pi, np.pi, 4), 2)
+        state = engine.evolve(g, sched)
+        cdf = np.cumsum(np.abs(state.amps) ** 2)
+        cdf[-1] = 1.0
+        for seed in (0, 1, 2):
+            from_half = engine._sample_indices(state, 4096, np.random.default_rng(seed))
+            u = np.random.default_rng(seed).random(4096)
+            from_full = np.minimum(np.searchsorted(cdf, u, side="right"), cdf.size - 1)
+            mismatches += int(np.sum(from_half != from_full))
+    return CheckResult("kept-half-sampling", mismatches == 0,
+                       f"{mismatches} of 36864 draws at n = 8, 9, 12 differ from the full CDF")
+
+
 def _check_lipschitz_certificate() -> CheckResult:
     rng = np.random.default_rng(14)
     worst = -np.inf
@@ -736,6 +755,7 @@ def invariant_suite() -> SuiteReport:
         _check_norm_preservation(),
         _check_beta_periodicity(),
         _check_sampling_unbiasedness(),
+        _check_kept_half_sampling(),
         _check_lipschitz_certificate(),
         _check_layer_gap_decay(),
         _check_symmetry_breaking(),

@@ -18,8 +18,6 @@ is why the circuit path sticks to raw values.
 """
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
 from functools import cache
@@ -106,30 +104,6 @@ class HfaParams:
             weights=v[2 * k + 4:],
         )
 
-    def to_json(self) -> str:
-        return json.dumps({
-            "a": self.a.tolist(),
-            "b": self.b.tolist(),
-            "lambda_gamma": self.lambda_gamma,
-            "lambda_beta": self.lambda_beta,
-            "delta_gamma0": self.delta_gamma0,
-            "delta_beta0": self.delta_beta0,
-            "weights": self.weights.tolist(),
-        })
-
-    @classmethod
-    def from_json(cls, text: str) -> "HfaParams":
-        d = json.loads(text)
-        return cls(
-            a=np.array(d["a"]),
-            b=np.array(d["b"]),
-            lambda_gamma=float(d["lambda_gamma"]),
-            lambda_beta=float(d["lambda_beta"]),
-            delta_gamma0=float(d["delta_gamma0"]),
-            delta_beta0=float(d["delta_beta0"]),
-            weights=np.array(d["weights"]),
-        )
-
 
 @dataclass(frozen=True)
 class Schedule:
@@ -157,16 +131,6 @@ class Schedule:
     @property
     def grid(self) -> np.ndarray:
         return layer_grid(self.depth)
-
-    def write_csv(self, path: str) -> None:
-        """Columns: l, x_l, gamma, beta (wrapped angles)."""
-        grid, gammas, betas = self.grid, self.gammas, self.betas
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["l", "x_l", "gamma", "beta"])
-            for l in range(self.depth):
-                writer.writerow([l + 1, repr(float(grid[l])),
-                                 repr(float(gammas[l])), repr(float(betas[l]))])
 
 
 def _ar_residuals(delta0: float, lam: float, p: int) -> np.ndarray:
@@ -205,13 +169,8 @@ def hfa_generate(params: HfaParams, p: int) -> Schedule:
     return Schedule(raw_gammas=raw_gammas, raw_betas=raw_betas)
 
 
-def standard_pack(sched: Schedule) -> np.ndarray:
-    """Flatten to the independent-angle vector (gamma block, then beta block)."""
-    return np.concatenate([sched.raw_gammas, sched.raw_betas])
-
-
 def standard_unpack(v: np.ndarray, p: int) -> Schedule:
-    """Inverse of standard_pack; v has length 2p."""
+    """Schedule of the independent-angle vector v (gamma block, then beta block), length 2p."""
     if p < 1:
         raise ValueError(f"need depth p >= 1, got {p}")
     v = np.asarray(v, dtype=np.float64)
@@ -221,7 +180,13 @@ def standard_unpack(v: np.ndarray, p: int) -> Schedule:
 
 
 def dimension_ratio(k_modes: int, p: int) -> float:
-    """Spectral-generator to standard dimension ratio (2K + 4) / 2p."""
+    """(2K + 4) / 2p: the HFA generator's spectral and AR coefficients
+    (2K + 4) over the standard parameter count 2p.
+
+    This is not the ratio of search dimensions: the HFA vector also holds
+    the K frequency weights, so the search runs in 3K + 4 dimensions,
+    (3K + 4) / 2p (1/3 at K = 4 and p = 24, where this ratio is 1/4).
+    """
     return (2 * k_modes + 4) / (2 * p)
 
 

@@ -126,6 +126,10 @@ class TestPlusState:
         assert np.allclose(plus_state(1).amps, [2 ** -0.5] * 2)
         assert np.allclose(plus_state(2).amps, [0.5] * 4)
 
+    def test_untwisted_amplitudes_are_uniform(self):
+        for n in range(1, 21):
+            assert np.max(np.abs(plus_state(n).amps - 2 ** (-n / 2))) <= 1e-15, n
+
     def test_normalized(self):
         for n in (1, 3, 6, 10):
             assert plus_state(n).norm_sq() == pytest.approx(1.0, abs=1e-12)
@@ -167,13 +171,20 @@ class TestCostPhase:
 
 class TestMixer:
     def test_closed_form_block_matches_kron(self):
+        # in the twisted frame each qubit turns by the real Q; the lowest
+        # block also spans the real/imaginary bit and carries cos(beta)
         rng = np.random.default_rng(3)
-        for k in range(1, 6):
-            betas = rng.uniform(-7, 7, 4)
-            for beta, block in zip(betas, engine._mixer_blocks(k, betas)):
+        for n in range(1, 21):
+            betas = rng.uniform(-7, 7, 3)
+            sizes = engine._mixer_block_sizes(n)
+            for beta, blocks in zip(betas, engine._mixer_factors(n, betas)):
                 c, s = np.cos(beta), np.sin(beta)
-                r1 = np.array([[c, -1j * s], [-1j * s, c]])
-                assert np.max(np.abs(block - reduce(np.kron, [r1] * k))) <= 1e-14
+                q = np.array([[c, -s], [s, c]])
+                assert [block.shape[0] for block in blocks] == [1 << k for k in sizes]
+                for j, (k, block) in enumerate(zip(sizes, blocks)):
+                    kron = reduce(np.kron, [q] * (k - 1) + [c * np.eye(2) if j == 0 else q])
+                    assert block.dtype == np.float64
+                    assert np.max(np.abs(block - kron)) <= 1e-14, (n, j)
 
     def test_zero_angle_is_identity(self):
         state = plus_state(4)
@@ -260,8 +271,8 @@ class TestEvolve:
 
     def test_matches_dense_oracle(self):
         rng = np.random.default_rng(7)
-        # a single qubit (its top block is the whole mixer) and n=7, whose
-        # top block has 3 qubits, 2 of them in its kept quadrant
+        # a single qubit (one block on the real/imaginary bit, then the pair
+        # step) and n=7, whose lowest block holds that bit and 3 qubits
         graphs = [gen_erdos_renyi(int(rng.integers(2, 4)), 1.0, seed=trial) for trial in range(12)]
         graphs += [WeightedGraph(n=1, edges=()), gen_erdos_renyi(7, 0.6, seed=12)]
         for g in graphs:
@@ -286,9 +297,8 @@ class TestEvolve:
     @given(seed=st.integers(0, 2 ** 32 - 1),
            angles=st.lists(st.floats(-2 * np.pi, 2 * np.pi), min_size=2, max_size=8))
     def test_equals_the_single_angle_kernels_property(self, n, seed, angles):
-        # n = 1..16 spans every mixer block partition: one block (the
-        # quadrant and pair step alone) and two to four blocks (the
-        # rotating loop)
+        # n = 1..16 spans every mixer block partition: one block (n <= 4)
+        # and two to four blocks (the rotating loop)
         g = WeightedGraph(n=1, edges=()) if n == 1 else gen_erdos_renyi(n, 0.6, seed=seed)
         diag = build_cost_diagonal(g)
         p = len(angles) // 2  # depth 1..4
@@ -434,10 +444,12 @@ def kept_half_of(n, seed):
 
 class TestKeptHalf:
     def test_amps_form_the_full_state(self):
+        # half holds i^popcount(z) amps[z]; amps untwists it and mirrors it
         half = np.arange(4) + 1j
         state = MirroredHalf(half=half)
+        kept = half * (-1j) ** np.array([0, 1, 1, 2])
         assert state.n == 3
-        assert np.array_equal(state.amps, np.concatenate((half, half[::-1])))
+        assert np.array_equal(state.amps, np.concatenate((kept, kept[::-1])))
         assert state.norm_sq() == pytest.approx(np.sum(np.abs(state.amps) ** 2), rel=1e-15)
 
     @pytest.mark.parametrize("gamma", [0.37, -2.1, 25.0])

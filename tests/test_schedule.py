@@ -1,5 +1,3 @@
-import csv
-
 import numpy as np
 import pytest
 
@@ -11,7 +9,6 @@ from lotus_qaoa.schedule import (
     layer_grid,
     lipschitz_certificate,
     resample,
-    standard_pack,
     standard_unpack,
 )
 
@@ -71,11 +68,6 @@ class TestHfaParams:
         for size in (0, 6, 8, 9):
             with pytest.raises(ValueError):
                 HfaParams.from_vector(np.zeros(size))
-
-    def test_json_round_trip(self):
-        params = random_params(np.random.default_rng(2))
-        again = HfaParams.from_json(params.to_json())
-        assert np.array_equal(again.to_vector(), params.to_vector())
 
     def test_mode_count_must_match(self):
         with pytest.raises(ValueError):
@@ -186,7 +178,7 @@ class TestPackUnpack:
         for p in (1, 2, 7):
             v = rng.uniform(-10, 10, 2 * p)
             sched = standard_unpack(v, p)
-            assert np.array_equal(standard_pack(sched), v)
+            assert np.array_equal(np.concatenate([sched.raw_gammas, sched.raw_betas]), v)
 
     def test_single_layer(self):
         sched = standard_unpack(np.array([1.5, 0.25]), 1)
@@ -291,16 +283,3 @@ class TestLipschitzCertificate:
                         np.abs(np.diff(sched64.raw_betas)).max())
             bound16 = max(report16.c_spec_gamma, report16.c_spec_beta) / 16.0
             assert gap64 <= 0.25 * bound16 + 1e-12
-
-
-def test_schedule_csv_export(tmp_path):
-    params = random_params(np.random.default_rng(11))
-    sched = hfa_generate(params, 5)
-    path = tmp_path / "sched.csv"
-    sched.write_csv(str(path))
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["l", "x_l", "gamma", "beta"]
-    assert len(rows) == 6
-    assert float(rows[1][1]) == sched.grid[0]
-    assert float(rows[3][2]) == sched.gammas[2]
