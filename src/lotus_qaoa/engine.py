@@ -279,8 +279,11 @@ def apply_mixer(state: MirroredHalf, beta: float,
     times i^-popcount(~z) leaves (-1)^popcount(z) i^-(n-1), so
     half = u + kappa * sigma * u[::-1] with sigma = (-1)^popcount and
     kappa = tan(beta) (-i)^n, one pair step (cos(beta) of a finite double
-    is never 0, so tan(beta) is finite). Every step writes into one spare
-    array, which then swaps with the state's.
+    is never 0, so tan(beta) is finite). Each block writes into one spare
+    array, which then swaps with the state's; the pair step builds
+    kappa * sigma * u[::-1] in the spare and adds it to u. It uses numpy,
+    not a BLAS axpy: with OpenBLAS's default threads a threaded axpy per
+    layer made sweeps at n = 16 several times slower.
     """
     u = np.ascontiguousarray(state.half, dtype=np.complex128)
     n = u.size.bit_length()
