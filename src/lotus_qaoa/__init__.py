@@ -48,7 +48,6 @@ from .schedule import (
     Schedule,
     hfa_generate,
     lipschitz_certificate,
-    resample,
     standard_unpack,
 )
 

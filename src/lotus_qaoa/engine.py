@@ -24,7 +24,8 @@ from the split of the cut table in ``CostDiagonal``, real mixer blocks with
 one gather) and hands each layer's to ``apply_cost_phase`` and
 ``apply_mixer``, which build it themselves when called alone. The layer loop
 only multiplies and runs matmuls: the mixer's blocks alternate between the
-state's array and one spare, and its dropped top qubit is one pair step.
+state's array and one spare (from n = 17 the low blocks chunk by chunk, in
+cache), and its dropped top qubit is one pair step.
 """
 from __future__ import annotations
 
@@ -42,6 +43,7 @@ DEFAULT_QUBIT_CAP = 20
 # Bump it whenever records can move, round-off included.
 ENGINE_VERSION = 4
 _MIXER_BLOCK = 4  # index bits fused per mixer matmul
+_MIXER_CHUNK = 1 << 16  # floats (512 KiB) of the half that the low mixer blocks run on at once
 _POPCOUNT = np.array([bin(v).count("1") for v in range(1 << _MIXER_BLOCK)])
 _POWER_SIGNS = np.array([[1.0], [1.0], [-1.0]])  # rows c^i, s^i, -s^i
 _SPLIT_MIN_N = 9  # below it one exp per entry beats the split's extra calls
@@ -273,6 +275,14 @@ def apply_mixer(state: MirroredHalf, beta: float,
     layout is back. Since the lowest block carries cos(beta), that leaves
     u = cos(beta) Q^(x)(n-1) h.
 
+    A half of more than ``_MIXER_CHUNK`` floats (n >= 17) would stream
+    through memory once per block. There all blocks but the top one span
+    the low ``lo`` bits, lo <= 2^16 floats, so they run chunk by chunk: a
+    chunk and its slice of the spare stay in cache through their rotating
+    matmuls, batched over each lo-float piece of the chunk. The rotation
+    leaves every piece in its layout, and the top block then runs once as
+    a plain matmul over the view as a (2^k, lo) matrix.
+
     The dropped top qubit adds -i sin(beta) times the rotation of the
     mirrored half. Untwisted that is u[::-1] times -i tan(beta) (the
     rotation commutes with the global flip); in the frame, i^popcount(z)
@@ -291,11 +301,28 @@ def apply_mixer(state: MirroredHalf, beta: float,
         blocks = _mixer_factors(n, np.array([beta]))[0]
     mirrored = np.empty_like(u)
     amps, spare = u.view(np.float64), mirrored.view(np.float64)
-    for block in blocks:
-        # apply to the low k bits, which land on top
-        dim = block.shape[0]
-        np.matmul(block, amps.reshape(dim, -1, order="F"), out=spare.reshape(dim, -1))
-        amps, spare, u, mirrored = spare, amps, mirrored, u
+    if amps.size <= _MIXER_CHUNK:
+        for block in blocks:
+            # apply to the low k bits, which land on top
+            dim = block.shape[0]
+            np.matmul(block, amps.reshape(dim, -1, order="F"), out=spare.reshape(dim, -1))
+            amps, spare, u, mirrored = spare, amps, mirrored, u
+    else:
+        *low, top = blocks
+        dim = top.shape[0]
+        lo = amps.size // dim
+        step = max(lo, _MIXER_CHUNK)
+        for start in range(0, amps.size, step):
+            a, s = amps[start:start + step], spare[start:start + step]
+            for block in low:
+                k = block.shape[0]
+                np.matmul(block, a.reshape(-1, lo // k, k).transpose(0, 2, 1),
+                          out=s.reshape(-1, k, lo // k))
+                a, s = s, a
+        if len(low) % 2:
+            amps, spare, u, mirrored = spare, amps, mirrored, u
+        np.matmul(top, amps.reshape(dim, lo), out=spare.reshape(dim, lo))
+        u, mirrored = mirrored, u
     np.multiply(u[::-1], _parity_signs(n), out=mirrored)
     mirrored *= math.tan(beta) * (-1j) ** n
     u += mirrored

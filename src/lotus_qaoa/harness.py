@@ -422,12 +422,6 @@ class DepthTransferRow:
     warm_matched: bool | None = None
 
 
-def transfer_expectation(g: instance.WeightedGraph, params: schedule.HfaParams,
-                         p: int) -> float:
-    """Exact expectation of the resampled schedule at depth p."""
-    return depth_transfer_experiment(g, params, p, (p,))[0].expectation
-
-
 def depth_transfer_experiment(
     g: instance.WeightedGraph,
     params: schedule.HfaParams,
@@ -452,7 +446,7 @@ def depth_transfer_experiment(
     rows: list[DepthTransferRow] = []
     prev: float | None = None
     for p in depths:
-        state = engine.evolve(g, schedule.resample(params, p), diag=diag)
+        state = engine.evolve(g, schedule.hfa_generate(params, p), diag=diag)
         expectation = engine.expectation_exact(state, diag)
         gap = None if prev is None else abs(expectation - prev)
         cold_e = cold_evals = warm_e = warm_to_match = matched = None
@@ -632,6 +626,29 @@ def _check_kept_half_sampling() -> CheckResult:
                        f"{mismatches} of 36864 draws at n = 8, 9, 12 differ from the full CDF")
 
 
+def _check_mixer_chunks() -> CheckResult:
+    # above 2^16 floats apply_mixer runs its low blocks chunk by chunk and
+    # its top block on its own, 3 bits wide at n = 17 and 4 at n = 20; the
+    # reference turns one qubit at a time on the full vector
+    rng = np.random.default_rng(19)
+    worst = 0.0
+    for n in (17, 20):
+        state = engine.MirroredHalf(half=rng.normal(size=1 << (n - 1))
+                                    + 1j * rng.normal(size=1 << (n - 1)))
+        beta = float(rng.uniform(-np.pi, np.pi))
+        c, s = math.cos(beta), math.sin(beta)
+        full = state.amps
+        for q in range(n):
+            pairs = full.reshape(-1, 2, 1 << q)  # axis 1 is bit q
+            low, high = pairs[:, 0].copy(), pairs[:, 1].copy()
+            pairs[:, 0] = c * low - 1j * s * high
+            pairs[:, 1] = c * high - 1j * s * low
+        worst = max(worst, float(np.max(np.abs(engine.apply_mixer(state, beta).amps - full))))
+    return CheckResult("mixer-chunks", worst <= 1e-12,
+                       f"max deviation {worst:.2e} from one-qubit rotations at n = 17 "
+                       f"(3-bit top block) and n = 20 (4-bit top block)")
+
+
 def _check_lipschitz_certificate() -> CheckResult:
     rng = np.random.default_rng(14)
     worst = -np.inf
@@ -702,8 +719,15 @@ def _check_hfa_layout() -> CheckResult:
             return CheckResult("hfa-vector-layout", False, f"round trip failed at K={k}")
     ratio = schedule.dimension_ratio(4, 24)
     if ratio != 0.25:
-        return CheckResult("hfa-vector-layout", False, f"dimension ratio {ratio} != 0.25")
-    return CheckResult("hfa-vector-layout", True, "3K+4 layout round-trips; ratio checks pass")
+        return CheckResult("hfa-vector-layout", False,
+                           f"coefficient ratio (2K+4)/2p = {ratio} != 1/4 at K=4, p=24")
+    search = schedule.hfa_dimension(4) / (2 * 24)
+    if search != 1 / 3:
+        return CheckResult("hfa-vector-layout", False,
+                           f"search-dimension ratio (3K+4)/2p = {search} != 1/3 at K=4, p=24")
+    return CheckResult("hfa-vector-layout", True,
+                       "3K+4 layout round-trips at K = 1..4; at K=4, p=24 the coefficient "
+                       "ratio (2K+4)/2p is 1/4 and the search-dimension ratio (3K+4)/2p is 1/3")
 
 
 def _check_score_properties() -> CheckResult:
@@ -756,6 +780,7 @@ def invariant_suite() -> SuiteReport:
         _check_beta_periodicity(),
         _check_sampling_unbiasedness(),
         _check_kept_half_sampling(),
+        _check_mixer_chunks(),
         _check_lipschitz_certificate(),
         _check_layer_gap_decay(),
         _check_symmetry_breaking(),

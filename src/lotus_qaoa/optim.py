@@ -273,7 +273,9 @@ def optimize(g: WeightedGraph, p: int, method: str,
     ``k_modes > 0`` searches the K-mode HFA vector in ``hfa_bounds``; 0 the
     unbounded 2p layer angles. An evaluation is minus one circuit's
     expectation: exact for ``shots=0`` (``noise_rng`` may then be None),
-    else a ``shots``-sample estimate.
+    else a ``shots``-sample estimate. The record's readout (exact and
+    8192-shot expectation, best bitstring) reads the state of the
+    evaluation that set the best objective; it is not simulated again.
     """
     started = time.perf_counter()
     tol = DEFAULT_TOL_EXACT if shots == 0 else DEFAULT_TOL_SAMPLED
@@ -284,14 +286,19 @@ def optimize(g: WeightedGraph, p: int, method: str,
 
     diag = engine.build_cost_diagonal(g)
     best: OptimizerOutcome | None = None
+    best_f, state = np.inf, None  # the state of the evaluation that set the best objective
     total_evals = total_iters = 0
     for x0, noise_rng in starts:
         def evaluate(x: np.ndarray, noise_rng=noise_rng) -> float:
-            state = engine.evolve(g, to_schedule(x), diag=diag)
+            nonlocal best_f, state
+            evolved = engine.evolve(g, to_schedule(x), diag=diag)
             if shots == 0:
-                return -engine.expectation_exact(state, diag)
-            est, _ = engine.expectation_sampled(state, diag, shots, noise_rng)
-            return -est
+                f = -engine.expectation_exact(evolved, diag)
+            else:
+                f = -engine.expectation_sampled(evolved, diag, shots, noise_rng)[0]
+            if f < best_f:
+                best_f, state = f, evolved
+            return f
 
         obj = ObjectiveSpec(dimension=x0.size, evaluator=evaluate, bounds=bounds)
         outcome = minimize(method, obj, x0, budget=budget, tol=tol)
@@ -301,8 +308,9 @@ def optimize(g: WeightedGraph, p: int, method: str,
             best = outcome
     assert best is not None
 
+    # minimize and the restart loop keep the first strict minimum too, so
+    # state is the evolved best.x_best
     sched = to_schedule(best.x_best)
-    state = engine.evolve(g, sched, diag=diag)
     exact = engine.expectation_exact(state, diag)
     if shots == 0:
         expectation = exact
@@ -343,7 +351,8 @@ def lotus_optimize(
     sub-seeded stream and minimizes the negative (shot-estimated)
     expectation; the restart with the lowest final objective wins.
     Evaluations and iterations are summed across all restarts, and the
-    winning point is re-verified at 8192 shots (exact when shots=0).
+    winning point is re-verified at 8192 shots (exact when shots=0) on the
+    state its evaluation already computed.
     The default per-restart budget is LOTUS_BUDGET_PER_DIM * (3K + 4).
     """
     init = init or LotusInitConfig()

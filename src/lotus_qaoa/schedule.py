@@ -190,35 +190,6 @@ def dimension_ratio(k_modes: int, p: int) -> float:
     return (2 * k_modes + 4) / (2 * p)
 
 
-def resample(params: HfaParams, p_new: int, ar_rescale_from: int | None = None) -> Schedule:
-    """Evaluate the continuous schedule on a new depth grid.
-
-    Default mode keeps the AR decay per layer index (identical to
-    hfa_generate at p_new). With ``ar_rescale_from=p_old`` the decay rates
-    are raised to the power p_old/p_new so the AR envelope is invariant in
-    normalized time instead; negative rates keep their sign with the
-    magnitude rescaled (the alternation period stays tied to the layer
-    index, which has no continuum analogue).
-    """
-    if ar_rescale_from is None:
-        return hfa_generate(params, p_new)
-    ratio = ar_rescale_from / p_new
-
-    def rescale(lam: float) -> float:
-        return float(np.sign(lam) * abs(lam) ** ratio) if lam != 0.0 else 0.0
-
-    adjusted = HfaParams(
-        a=params.a,
-        b=params.b,
-        lambda_gamma=rescale(params.lambda_gamma),
-        lambda_beta=rescale(params.lambda_beta),
-        delta_gamma0=params.delta_gamma0,
-        delta_beta0=params.delta_beta0,
-        weights=params.weights,
-    )
-    return hfa_generate(adjusted, p_new)
-
-
 @dataclass(frozen=True)
 class LipschitzReport:
     """Certificate constants per angle family and the worst bound violation.

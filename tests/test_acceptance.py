@@ -24,10 +24,10 @@ from lotus_qaoa.engine import (
 )
 from lotus_qaoa.harness import (
     SweepConfig,
+    depth_transfer_experiment,
     run_sweep,
     score_records,
     significance_matrix,
-    transfer_expectation,
 )
 from lotus_qaoa.instance import WeightedGraph, gen_erdos_renyi
 from lotus_qaoa.optim import lotus_optimize
@@ -187,7 +187,8 @@ def test_criterion_06_depth_transfer_gaps_as_stated(transfer_pairs):
     t0 = time.perf_counter()
     ratios, monotone = [], []
     for g, params in transfer_pairs:
-        c8, c16, c32 = (transfer_expectation(g, params, p) for p in (8, 16, 32))
+        c8, c16, c32 = (depth_transfer_experiment(g, params, p, (p,))[0].expectation
+                        for p in (8, 16, 32))
         gap1, gap2 = abs(c8 - c16), abs(c16 - c32)
         ratios.append(gap1 / gap2 if gap2 > 0 else np.inf)
         monotone.append(gap1 > gap2)
@@ -250,7 +251,7 @@ def test_criterion_06_depth_transfer_ar_dominated():
                            delta_gamma0=float(rng.normal(0, 0.5)),
                            delta_beta0=float(rng.normal(0, 0.5)),
                            weights=[1.0, 1.0])
-        cs = [transfer_expectation(g, params, p) for p in (8, 16, 32)]
+        cs = [depth_transfer_experiment(g, params, p, (p,))[0].expectation for p in (8, 16, 32)]
         gap1, gap2 = abs(cs[0] - cs[1]), abs(cs[1] - cs[2])
         ratios.append(gap1 / gap2 if gap2 > 0 else np.inf)
     med = statistics.median(ratios)

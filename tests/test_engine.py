@@ -169,6 +169,13 @@ class TestCostPhase:
             apply_cost_phase(plus_state(3), build_cost_diagonal(SINGLE_EDGE), 1.0)
 
 
+# cos(beta) near 0, huge and tiny angles: the pair step's tan(beta) is
+# huge there, but finite for every double
+EXTREME_BETAS = [
+    0.0, 1e-300, np.pi / 2, np.nextafter(np.pi / 2, 0), -np.pi / 2, 3 * np.pi / 2, np.pi,
+    710.0, np.pi / 2 + 2 * np.pi * 1e6, np.pi / 2 + 2 * np.pi * 1e12, 1e300]
+
+
 class TestMixer:
     def test_closed_form_block_matches_kron(self):
         # in the twisted frame each qubit turns by the real Q; the lowest
@@ -223,9 +230,7 @@ class TestMixer:
             apply_mixer(state, beta)  # the top qubit runs as the pair step
             assert np.max(np.abs(state.amps - expected)) <= 1e-10
 
-    @pytest.mark.parametrize("beta", [
-        0.0, 1e-300, np.pi / 2, np.nextafter(np.pi / 2, 0), -np.pi / 2, 3 * np.pi / 2, np.pi,
-        710.0, np.pi / 2 + 2 * np.pi * 1e6, np.pi / 2 + 2 * np.pi * 1e12, 1e300])
+    @pytest.mark.parametrize("beta", EXTREME_BETAS)
     def test_pair_step_at_extreme_angles(self, beta):
         # cos(beta) near 0 makes the pair step's tan(beta) huge, but finite
         # for every double; the reference rotates one qubit at a time with
@@ -237,6 +242,26 @@ class TestMixer:
             reference_mixer(expected, beta)
             apply_mixer(state, beta)
             assert np.max(np.abs(state.amps - expected)) <= 1e-12
+
+    @pytest.mark.parametrize("n", [17, 18, 19, 20])
+    def test_chunked_blocks_match_the_reference(self, n):
+        # above 2^16 floats the low blocks run chunk by chunk and the top
+        # block (3 bits at n = 17..19, 4 at n = 20) runs on its own
+        rng = np.random.default_rng(n)
+        for beta in rng.uniform(-7, 7, 2):
+            state = random_kept_half(n, rng)
+            expected = state.amps
+            reference_mixer(expected, beta)
+            apply_mixer(state, beta)
+            assert np.max(np.abs(state.amps - expected)) <= 1e-12
+
+    @pytest.mark.parametrize("beta", EXTREME_BETAS)
+    def test_chunked_pair_step_at_extreme_angles(self, beta):
+        state = random_kept_half(17, np.random.default_rng(11))
+        expected = state.amps
+        reference_mixer(expected, beta)
+        apply_mixer(state, beta)
+        assert np.max(np.abs(state.amps - expected)) <= 1e-12
 
     def test_norm_preserved(self):
         rng = np.random.default_rng(6)

@@ -20,7 +20,6 @@ from lotus_qaoa.harness import (
     run_sweep,
     score_records,
     significance_matrix,
-    transfer_expectation,
 )
 from lotus_qaoa.instance import CutResult, WeightedGraph, gen_erdos_renyi
 from lotus_qaoa.optim import baseline_optimize, lotus_optimize
@@ -523,12 +522,6 @@ class TestDepthTransfer:
         rows = depth_transfer_experiment(g, params, 4, (4, 4))
         assert rows[0].gap_from_prev is None
         assert rows[1].gap_from_prev == 0.0
-
-    def test_matches_transfer_expectation(self):
-        g = gen_erdos_renyi(5, 0.8, seed=3)
-        params, _, _ = lotus_optimize(g, 4, k_modes=1, shots=0, seed=4, budget=40)
-        rows = depth_transfer_experiment(g, params, 4, (4, 8))
-        assert rows[1].expectation == transfer_expectation(g, params, 8)
 
     def test_hot_start_reports(self):
         g = gen_erdos_renyi(5, 0.8, seed=5)

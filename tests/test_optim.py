@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from lotus_qaoa import engine, instance
+from lotus_qaoa import engine, instance, optim
 from lotus_qaoa.instance import WeightedGraph, brute_force_maxcut, gen_erdos_renyi
 from lotus_qaoa.optim import (
     DEFAULT_BUDGET,
@@ -15,7 +15,7 @@ from lotus_qaoa.optim import (
     lotus_optimize,
     minimize,
 )
-from lotus_qaoa.schedule import standard_unpack
+from lotus_qaoa.schedule import hfa_generate, standard_unpack
 
 METHODS = ("nelder-mead", "powell", "fd-lbfgs")
 SINGLE_EDGE = WeightedGraph(n=2, edges=((0, 1, 1.0),))
@@ -184,6 +184,39 @@ def test_one_cut_table_per_run(monkeypatch, run):
     assert record.approx_ratio == record.expectation_exact / original(g).max()
 
 
+def _lotus_run(g, shots):
+    params, _, record = lotus_optimize(g, 3, k_modes=1, init=LotusInitConfig(n_restarts=2),
+                                       shots=shots, seed=3, budget=25)
+    return hfa_generate(params, 3), record
+
+
+def _baseline_run(g, shots):
+    sched, _, record = baseline_optimize(g, 3, method="powell", shots=shots, seed=3,
+                                         budget=25)
+    return sched, record
+
+
+@pytest.mark.parametrize("shots", [0, 256])
+@pytest.mark.parametrize("run", [_lotus_run, _baseline_run], ids=["lotus", "baseline"])
+def test_readout_equals_a_fresh_evolve(run, shots):
+    """The record reads the winning evaluation's state: its exact and
+    8192-shot expectation and best cut equal a fresh ``evolve`` of the
+    returned schedule's, bit for bit."""
+    g = gen_erdos_renyi(6, 0.7, seed=4)
+    sched, record = run(g, shots)
+    diag = engine.build_cost_diagonal(g)
+    state = engine.evolve(g, sched, diag=diag)
+    exact = engine.expectation_exact(state, diag)
+    assert record.expectation_exact == exact
+    if shots == 0:
+        assert record.expectation == exact
+    else:
+        assert record.expectation == engine.expectation_sampled(
+            state, diag, optim.VERIFY_SHOTS, optim._seed_rng(3, 90))[0]
+    assert record.best_cut == engine.sample_best_bitstring(
+        state, diag, optim.VERIFY_SHOTS, optim._seed_rng(3, 91))
+
+
 class TestLotusOptimize:
     def test_single_edge_reaches_optimum(self):
         params, out, record = lotus_optimize(SINGLE_EDGE, 1, k_modes=1, shots=0, seed=0)
@@ -223,8 +256,8 @@ class TestLotusOptimize:
         monkeypatch.setattr(engine, "evolve", counting_evolve)
         _, out, _ = lotus_optimize(g, 3, k_modes=2, shots=0, seed=8, budget=60)
         # every objective evaluation runs exactly one circuit; the final
-        # verification adds one more
-        assert len(calls) == out.evaluations + 1
+        # verification reads the winning evaluation's state
+        assert len(calls) == out.evaluations
 
     def test_default_budget_scales_with_dimension(self):
         g = gen_erdos_renyi(4, 0.9, seed=9)

@@ -8,7 +8,6 @@ from lotus_qaoa.schedule import (
     hfa_generate,
     layer_grid,
     lipschitz_certificate,
-    resample,
     standard_unpack,
 )
 
@@ -201,27 +200,6 @@ class TestPackUnpack:
 
 
 class TestResample:
-    def test_default_matches_generate(self):
-        params = random_params(np.random.default_rng(7))
-        for p in (1, 4, 13):
-            a, b = resample(params, p), hfa_generate(params, p)
-            assert np.array_equal(a.raw_gammas, b.raw_gammas)
-            assert np.array_equal(a.raw_betas, b.raw_betas)
-
-    def test_ar_rescale_halves_exponent(self):
-        params = HfaParams(a=[0.0], b=[0.0], lambda_gamma=0.8, lambda_beta=0.8,
-                           delta_gamma0=1.0, delta_beta0=0.0, weights=[1.0])
-        sched = resample(params, 8, ar_rescale_from=4)
-        lam_eff = 0.8 ** 0.5
-        assert lam_eff == pytest.approx(0.894427, abs=1e-6)
-        assert np.allclose(sched.raw_gammas, lam_eff ** np.arange(8), atol=1e-12)
-
-    def test_ar_rescale_keeps_sign(self):
-        params = HfaParams(a=[0.0], b=[0.0], lambda_gamma=-0.5, lambda_beta=0.0,
-                           delta_gamma0=1.0, delta_beta0=0.0, weights=[1.0])
-        sched = resample(params, 4, ar_rescale_from=2)
-        assert sched.raw_gammas[1] == pytest.approx(-(0.5 ** 0.5))
-
     def test_fourier_part_converges_to_continuum(self):
         # distance between the p-schedule and the 2p-schedule interpolated
         # onto the same grid shrinks like 1/p
