@@ -276,12 +276,13 @@ def apply_mixer(state: MirroredHalf, beta: float,
     u = cos(beta) Q^(x)(n-1) h.
 
     A half of more than ``_MIXER_CHUNK`` floats (n >= 17) would stream
-    through memory once per block. There all blocks but the top one span
-    the low ``lo`` bits, lo <= 2^16 floats, so they run chunk by chunk: a
-    chunk and its slice of the spare stay in cache through their rotating
-    matmuls, batched over each lo-float piece of the chunk. The rotation
-    leaves every piece in its layout, and the top block then runs once as
-    a plain matmul over the view as a (2^k, lo) matrix.
+    through memory once per block. There every block but the top one (k
+    bits) acts within pieces of lo = 2^(n-k) floats, and lo <= 2^16 up to
+    the qubit cap, so they run chunk by chunk: each chunk and its slice of
+    the spare stay in cache through their rotating matmuls, batched over
+    the chunk's pieces. The rotation leaves every piece in its layout, and
+    the top block then runs once as a plain matmul over the view as a
+    (2^k, lo) matrix.
 
     The dropped top qubit adds -i sin(beta) times the rotation of the
     mirrored half. Untwisted that is u[::-1] times -i tan(beta) (the
@@ -311,9 +312,8 @@ def apply_mixer(state: MirroredHalf, beta: float,
         *low, top = blocks
         dim = top.shape[0]
         lo = amps.size // dim
-        step = max(lo, _MIXER_CHUNK)
-        for start in range(0, amps.size, step):
-            a, s = amps[start:start + step], spare[start:start + step]
+        for start in range(0, amps.size, _MIXER_CHUNK):
+            a, s = amps[start:start + _MIXER_CHUNK], spare[start:start + _MIXER_CHUNK]
             for block in low:
                 k = block.shape[0]
                 np.matmul(block, a.reshape(-1, lo // k, k).transpose(0, 2, 1),

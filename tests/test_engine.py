@@ -169,8 +169,7 @@ class TestCostPhase:
             apply_cost_phase(plus_state(3), build_cost_diagonal(SINGLE_EDGE), 1.0)
 
 
-# cos(beta) near 0, huge and tiny angles: the pair step's tan(beta) is
-# huge there, but finite for every double
+# angles that stress the pair step (see test_pair_step_at_extreme_angles)
 EXTREME_BETAS = [
     0.0, 1e-300, np.pi / 2, np.nextafter(np.pi / 2, 0), -np.pi / 2, 3 * np.pi / 2, np.pi,
     710.0, np.pi / 2 + 2 * np.pi * 1e6, np.pi / 2 + 2 * np.pi * 1e12, 1e300]
