@@ -23,9 +23,13 @@ it. Only ``MirroredHalf.amps`` untwists.
 from the split of the cut table in ``CostDiagonal``, real mixer blocks with
 one gather) and hands each layer's to ``apply_cost_phase`` and
 ``apply_mixer``, which build it themselves when called alone. The layer loop
-only multiplies and runs matmuls: the mixer's blocks alternate between the
-state's array and one spare (from n = 17 the low blocks chunk by chunk, in
-cache), and its dropped top qubit is one pair step.
+only multiplies and runs matmuls. Each mixer block is one matmul where its
+bits already lie, with nothing rotated: the lowest block right-multiplies
+the (rest, 2^k) view and every other block left-multiplies the
+(pieces, 2^k, 2^offset) view at its bit offset, alternating between the
+state's array and one spare. From n = 17 the blocks within a 2^16-float
+chunk run chunk by chunk, in cache, and the top block over the whole half;
+the dropped top qubit is one pair step.
 """
 from __future__ import annotations
 
@@ -41,7 +45,7 @@ from .schedule import Schedule
 DEFAULT_QUBIT_CAP = 20
 # Written into each sweep's config sidecar; resume refuses another version.
 # Bump it whenever records can move, round-off included.
-ENGINE_VERSION = 4
+ENGINE_VERSION = 5
 _MIXER_BLOCK = 4  # index bits fused per mixer matmul
 _MIXER_CHUNK = 1 << 16  # floats (512 KiB) of the half that the low mixer blocks run on at once
 _POPCOUNT = np.array([bin(v).count("1") for v in range(1 << _MIXER_BLOCK)])
@@ -205,9 +209,10 @@ def _mixer_plan(n: int) -> tuple[np.ndarray, tuple[tuple[int, int, int], ...], i
     c^(k-d) * s^d * (-1)^popcount(~x & y) with d = popcount(x ^ y): a bit
     gives c where x and y agree, -s where only y has it and s where only x
     has it. The lowest block is cos(beta) * Q^(x)(k-1) (x) I_2, which has
-    the same entries where bit 0 agrees and 0 where it differs. The index
-    points into the (K + 1, 2, K + 2) table of c^i times +-s^j, whose
-    column j = K + 1 is 0, K the largest block size.
+    the same entries where bit 0 agrees and 0 where it differs; it is
+    gathered transposed, since ``apply_mixer`` right-multiplies by it. The
+    index points into the (K + 1, 2, K + 2) table of c^i times +-s^j,
+    whose column j = K + 1 is 0, K the largest block size.
     """
     sizes = _mixer_block_sizes(n)
     width = max(sizes) + 2
@@ -217,7 +222,7 @@ def _mixer_plan(n: int) -> tuple[np.ndarray, tuple[tuple[int, int, int], ...], i
         d = _POPCOUNT[x ^ y]
         col = ((k - d) * 2 + (_POPCOUNT[~x & y & ((1 << k) - 1)] & 1)) * width + d
         if j == 0:
-            col = np.where((x ^ y) & 1, width - 1, col)
+            col = np.where((x ^ y) & 1, width - 1, col).T
         index.append(col.ravel())
         spans.append((start, start + col.size, 1 << k))
         start += col.size
@@ -227,7 +232,8 @@ def _mixer_plan(n: int) -> tuple[np.ndarray, tuple[tuple[int, int, int], ...], i
 
 
 def _mixer_factors(n: int, betas: np.ndarray) -> list[tuple[np.ndarray, ...]]:
-    """Each layer's real mixer blocks, lowest first (float64, (2^k, 2^k)).
+    """Each layer's real mixer blocks, lowest first (float64, (2^k, 2^k)),
+    the lowest one transposed.
 
     The powers c^i and s^i are running products; one gather from their
     signed table builds the blocks of all p layers.
@@ -256,6 +262,23 @@ def _parity_signs(n: int) -> np.ndarray:
     return signs
 
 
+@cache
+def _mixer_views(n: int) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """Shape of the float64 view each real mixer block runs on at n, lowest
+    first, and how many blocks act within a chunk of ``_MIXER_CHUNK``.
+
+    The lowest block's view is (rest, 2^k), with its bits as columns; a
+    block at bit offset o has the (pieces, 2^k, 2^o) view, its bits as the
+    middle axis.
+    """
+    shapes, offset, inner = [], 0, 0
+    for k in _mixer_block_sizes(n):
+        shapes.append((-1, 1 << k, 1 << offset) if offset else (-1, 1 << k))
+        offset += k
+        inner += 1 << offset <= _MIXER_CHUNK
+    return tuple(shapes), inner
+
+
 def apply_mixer(state: MirroredHalf, beta: float,
                 blocks: tuple[np.ndarray, ...] | None = None) -> MirroredHalf:
     """In-place exp(-i*beta*X) on every qubit; returns the same state.
@@ -268,21 +291,17 @@ def apply_mixer(state: MirroredHalf, beta: float,
     ``evolve`` builds for all layers at once; without it the blocks are
     built here.
 
-    Each block runs as one matmul against the low k bits: ``B @ A.T`` with
-    A the view as a (rest, 2^k) matrix, so A.T is the view reshaped in
-    Fortran order. BLAS reads it as is and the product comes out with
-    those bits on top (a bit rotation), with no copy; after all blocks the
-    layout is back. Since the lowest block carries cos(beta), that leaves
-    u = cos(beta) Q^(x)(n-1) h.
-
-    A half of more than ``_MIXER_CHUNK`` floats (n >= 17) would stream
-    through memory once per block. There every block but the top one (k
-    bits) acts within pieces of lo = 2^(n-k) floats, and lo <= 2^16 up to
-    the qubit cap, so they run chunk by chunk: each chunk and its slice of
-    the spare stay in cache through their rotating matmuls, batched over
-    the chunk's pieces. The rotation leaves every piece in its layout, and
-    the top block then runs once as a plain matmul over the view as a
-    (2^k, lo) matrix.
+    Each block runs as one matmul where its k bits already lie, so no bits
+    move: the lowest block right-multiplies the view as a (rest, 2^k)
+    matrix (``_mixer_factors`` holds it transposed), and the block at bit
+    offset o left-multiplies every piece of the (pieces, 2^k, 2^o) view.
+    Since the lowest block carries cos(beta), that leaves
+    u = cos(beta) Q^(x)(n-1) h. A block whose bits lie within the low
+    ``_MIXER_CHUNK`` floats acts within each chunk of that size, so a half
+    of more than one chunk (n >= 17) runs those blocks chunk by chunk,
+    each chunk and its slice of the spare staying in cache; the blocks
+    above it (the top one) then run once over the whole half, in the same
+    form. A half of one chunk runs every block once over the whole half.
 
     The dropped top qubit adds -i sin(beta) times the rotation of the
     mirrored half. Untwisted that is u[::-1] times -i tan(beta) (the
@@ -300,29 +319,23 @@ def apply_mixer(state: MirroredHalf, beta: float,
     n = u.size.bit_length()
     if blocks is None:
         blocks = _mixer_factors(n, np.array([beta]))[0]
+    shapes, inner = _mixer_views(n)
     mirrored = np.empty_like(u)
     amps, spare = u.view(np.float64), mirrored.view(np.float64)
     if amps.size <= _MIXER_CHUNK:
-        for block in blocks:
-            # apply to the low k bits, which land on top
-            dim = block.shape[0]
-            np.matmul(block, amps.reshape(dim, -1, order="F"), out=spare.reshape(dim, -1))
-            amps, spare, u, mirrored = spare, amps, mirrored, u
+        chunks = ((amps, spare),)
     else:
-        *low, top = blocks
-        dim = top.shape[0]
-        lo = amps.size // dim
-        for start in range(0, amps.size, _MIXER_CHUNK):
-            a, s = amps[start:start + _MIXER_CHUNK], spare[start:start + _MIXER_CHUNK]
-            for block in low:
-                k = block.shape[0]
-                np.matmul(block, a.reshape(-1, lo // k, k).transpose(0, 2, 1),
-                          out=s.reshape(-1, k, lo // k))
-                a, s = s, a
-        if len(low) % 2:
-            amps, spare, u, mirrored = spare, amps, mirrored, u
-        np.matmul(top, amps.reshape(dim, lo), out=spare.reshape(dim, lo))
-        u, mirrored = mirrored, u
+        chunks = zip(amps.reshape(-1, _MIXER_CHUNK), spare.reshape(-1, _MIXER_CHUNK))
+    for a, s in chunks:
+        np.matmul(a.reshape(shapes[0]), blocks[0], out=s.reshape(shapes[0]))
+        for j in range(1, inner):
+            a, s = s, a
+            np.matmul(blocks[j], a.reshape(shapes[j]), out=s.reshape(shapes[j]))
+    if inner % 2:
+        amps, spare, u, mirrored = spare, amps, mirrored, u
+    for j in range(inner, len(blocks)):
+        np.matmul(blocks[j], amps.reshape(shapes[j]), out=spare.reshape(shapes[j]))
+        amps, spare, u, mirrored = spare, amps, mirrored, u
     np.multiply(u[::-1], _parity_signs(n), out=mirrored)
     mirrored *= math.tan(beta) * (-1j) ** n
     u += mirrored
@@ -368,7 +381,9 @@ def _sample_indices(state: MirroredHalf, shots: int, rng: np.random.Generator) -
     searched in sorted order, which keeps the search's branches predictable,
     and each result goes back to its draw's position.
     """
-    cdf = np.cumsum(np.abs(state.half) ** 2)
+    cdf = np.abs(state.half)  # |h|^2, then its running sum, in one array
+    np.square(cdf, out=cdf)
+    np.cumsum(cdf, out=cdf)
     total = cdf[-1]
     u = rng.random(shots)
     upper = u >= total

@@ -627,12 +627,14 @@ def _check_kept_half_sampling() -> CheckResult:
 
 
 def _check_mixer_chunks() -> CheckResult:
-    # above 2^16 floats apply_mixer runs its low blocks chunk by chunk and
-    # its top block on its own, 3 bits wide at n = 17 and 4 at n = 20; the
-    # reference turns one qubit at a time on the full vector
+    # apply_mixer runs each block where its bits lie: at n = 12 three
+    # blocks within one chunk; above 2^16 floats the low blocks chunk by
+    # chunk and the top block, 3 bits wide at n = 17 and 4 at n = 20, over
+    # the whole half; the reference turns one qubit at a time on the full
+    # vector
     rng = np.random.default_rng(19)
     worst = 0.0
-    for n in (17, 20):
+    for n in (12, 17, 20):
         state = engine.MirroredHalf(half=rng.normal(size=1 << (n - 1))
                                     + 1j * rng.normal(size=1 << (n - 1)))
         beta = float(rng.uniform(-np.pi, np.pi))
@@ -645,8 +647,29 @@ def _check_mixer_chunks() -> CheckResult:
             pairs[:, 1] = c * high - 1j * s * low
         worst = max(worst, float(np.max(np.abs(engine.apply_mixer(state, beta).amps - full))))
     return CheckResult("mixer-chunks", worst <= 1e-12,
-                       f"max deviation {worst:.2e} from one-qubit rotations at n = 17 "
-                       f"(3-bit top block) and n = 20 (4-bit top block)")
+                       f"max deviation {worst:.2e} from one-qubit rotations at n = 12 "
+                       f"(three blocks in one chunk), n = 17 (3-bit top block) and "
+                       f"n = 20 (4-bit top block)")
+
+
+def _check_cut_table_levels() -> CheckResult:
+    # weights in quarters keep every sum exact, so the split levels the
+    # phase rows are built from must rebuild the kept half bit for bit
+    rng = np.random.default_rng(21)
+    mismatches = total = 0
+    for n in (9, 12, 16):
+        edges = tuple((i, j, int(rng.integers(1, 13)) / 4) for j in range(n) for i in range(j)
+                      if rng.random() < 0.5)
+        diag = engine.build_cost_diagonal(instance.WeightedGraph(n=n, edges=edges))
+        a, b = engine._split_bits(n)
+        lo, cross, hi = np.split(diag.levels, [1 << b, (a + 1) << b])
+        bits = (np.arange(1 << a)[:, None] >> np.arange(a)) & 1
+        rebuilt = (hi[:, None] + lo + bits @ cross.reshape(a, 1 << b)).ravel()
+        mismatches += int(np.sum(rebuilt != diag.values[:rebuilt.size]))
+        total += rebuilt.size
+    return CheckResult("cut-table-levels", mismatches == 0,
+                       f"{mismatches} of {total} kept-half entries at n = 9, 12, 16 differ "
+                       f"from the cut table")
 
 
 def _check_lipschitz_certificate() -> CheckResult:
@@ -781,6 +804,7 @@ def invariant_suite() -> SuiteReport:
         _check_sampling_unbiasedness(),
         _check_kept_half_sampling(),
         _check_mixer_chunks(),
+        _check_cut_table_levels(),
         _check_lipschitz_certificate(),
         _check_layer_gap_decay(),
         _check_symmetry_breaking(),

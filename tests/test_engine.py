@@ -178,7 +178,8 @@ EXTREME_BETAS = [
 class TestMixer:
     def test_closed_form_block_matches_kron(self):
         # in the twisted frame each qubit turns by the real Q; the lowest
-        # block also spans the real/imaginary bit and carries cos(beta)
+        # block also spans the real/imaginary bit, carries cos(beta) and is
+        # held transposed, since apply_mixer right-multiplies by it
         rng = np.random.default_rng(3)
         for n in range(1, 21):
             betas = rng.uniform(-7, 7, 3)
@@ -189,6 +190,8 @@ class TestMixer:
                 assert [block.shape[0] for block in blocks] == [1 << k for k in sizes]
                 for j, (k, block) in enumerate(zip(sizes, blocks)):
                     kron = reduce(np.kron, [q] * (k - 1) + [c * np.eye(2) if j == 0 else q])
+                    if j == 0:
+                        kron = kron.T
                     assert block.dtype == np.float64
                     assert np.max(np.abs(block - kron)) <= 1e-14, (n, j)
 
@@ -242,10 +245,12 @@ class TestMixer:
             apply_mixer(state, beta)
             assert np.max(np.abs(state.amps - expected)) <= 1e-12
 
-    @pytest.mark.parametrize("n", [17, 18, 19, 20])
-    def test_chunked_blocks_match_the_reference(self, n):
-        # above 2^16 floats the low blocks run chunk by chunk and the top
-        # block (3 bits at n = 17..19, 4 at n = 20) runs on its own
+    @pytest.mark.parametrize("n", range(1, 21))
+    def test_in_place_blocks_match_the_reference(self, n):
+        # every layout of the block loop: one block (n <= 4), blocks within
+        # one 2^16-float chunk (5..16), and from n = 17 blocks chunk by
+        # chunk, then the top block (1..4 bits above the chunk) over the
+        # whole half
         rng = np.random.default_rng(n)
         for beta in rng.uniform(-7, 7, 2):
             state = random_kept_half(n, rng)
