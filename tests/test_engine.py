@@ -249,8 +249,8 @@ class TestMixer:
     def test_in_place_blocks_match_the_reference(self, n):
         # every layout of the block loop: one block (n <= 4), blocks within
         # one 2^16-float chunk (5..16), and from n = 17 blocks chunk by
-        # chunk, then the top block (1..4 bits above the chunk) over the
-        # whole half
+        # chunk, then the top block, reaching 1..4 bits above the chunk,
+        # over the whole half
         rng = np.random.default_rng(n)
         for beta in rng.uniform(-7, 7, 2):
             state = random_kept_half(n, rng)
