@@ -1,9 +1,9 @@
 """Command-line entry point.
 
 Subcommands: gen (instance files), run (sweep from a config file), score,
-report (improvement + significance tables), transfer (depth-transfer
-experiment), check (invariant suite). Exit codes: 0 success, 1 check or
-run failure, 2 usage errors.
+report (improvement, cost per label and significance tables), transfer
+(depth-transfer experiment), check (invariant suite). Exit codes: 0
+success, 1 check or run failure, 2 usage errors.
 """
 from __future__ import annotations
 
@@ -144,6 +144,18 @@ def _cmd_report(args: argparse.Namespace) -> int:
     for name, row in summary.items():
         print(f"  {name:16s} {row['expectation_pct']:+11.1f}% {row['iteration_pct']:+11.1f}%"
               f" {row['cells']:6d}")
+    by_label: dict[str, list] = {}
+    for r in records:
+        by_label.setdefault(harness.optimizer_label(r), []).append(r)
+    print("\ncost per label (ms/eval is total wall time over total evaluations):")
+    print(f"  {'label':16s} {'runs':>5s} {'median wall s':>14s} {'ms/eval':>9s}"
+          f" {'median evals':>13s}")
+    for label in sorted(by_label):
+        runs = by_label[label]
+        evals = sum(r.evaluations for r in runs)
+        ms_per_eval = 1e3 * sum(r.wall_time for r in runs) / evals if evals else float("nan")
+        print(f"  {label:16s} {len(runs):5d} {np.median([r.wall_time for r in runs]):14.3f}"
+              f" {ms_per_eval:9.3f} {np.median([r.evaluations for r in runs]):13.1f}")
     matrix = harness.significance_matrix(records, alpha=args.alpha)
     print(f"\npairwise Wilcoxon p-values on per-cell expectations (alpha={matrix.alpha}):")
     width = max(len(label) for label in matrix.labels) + 2
@@ -231,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_score.add_argument("--out", default=None)
     p_score.set_defaults(fn=_cmd_score)
 
-    p_report = sub.add_parser("report", help="improvement and significance tables")
+    p_report = sub.add_parser("report", help="improvement, cost and significance tables")
     p_report.add_argument("--results", required=True)
     p_report.add_argument("--alpha", type=_fraction(closed=False), default=0.05)
     p_report.add_argument("--k-modes", type=_positive_int, default=None)

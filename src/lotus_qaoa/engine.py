@@ -29,7 +29,8 @@ the (rest, 2^k) view and every other block left-multiplies the
 (pieces, 2^k, 2^offset) view at its bit offset, alternating between the
 state's array and one spare. From n = 17 the blocks within a 2^16-float
 chunk run chunk by chunk, in cache, and the top block over the whole half;
-the dropped top qubit is one pair step.
+the dropped top qubit is one pair step, run from n = 15 on mirrored pairs
+of 2^13-amplitude pieces with a sign table of one piece.
 """
 from __future__ import annotations
 
@@ -48,6 +49,7 @@ DEFAULT_QUBIT_CAP = 20
 ENGINE_VERSION = 5
 _MIXER_BLOCK = 4  # index bits fused per mixer matmul
 _MIXER_CHUNK = 1 << 16  # floats (512 KiB) of the half that the low mixer blocks run on at once
+_PAIR_PIECE = 1 << 13  # amplitudes (128 KiB) of the half that the pair step runs on at once
 _POPCOUNT = np.array([bin(v).count("1") for v in range(1 << _MIXER_BLOCK)])
 _POWER_SIGNS = np.array([[1.0], [1.0], [-1.0]])  # rows c^i, s^i, -s^i
 _SPLIT_MIN_N = 9  # below it one exp per entry beats the split's extra calls
@@ -252,14 +254,38 @@ def _mixer_factors(n: int, betas: np.ndarray) -> list[tuple[np.ndarray, ...]]:
 
 
 @cache
-def _parity_signs(n: int) -> np.ndarray:
-    """(-1)^popcount(z) over the kept half's indices (read-only), complex so
-    that multiplying the half by it needs no cast."""
-    signs = np.ones(1 << (n - 1), dtype=np.complex128)
-    for q in range(n - 1):  # in place: the table is its own peak memory
+def _parity_signs(bits: int) -> np.ndarray:
+    """(-1)^popcount(z) for z < 2^bits (read-only), complex so that
+    multiplying amplitudes by it needs no cast."""
+    signs = np.ones(1 << bits, dtype=np.complex128)
+    for q in range(bits):  # in place: the table is its own peak memory
         signs.reshape(-1, 2, 1 << q)[:, 1] *= -1.0
     signs.flags.writeable = False
     return signs
+
+
+def _pair_pieces(u: np.ndarray, spare: np.ndarray, kappa: complex) -> None:
+    """In place u += kappa * sigma * u[::-1], sigma(z) = (-1)^popcount(z),
+    on a half of more than one ``_PAIR_PIECE``; ``spare`` (the size of u)
+    is scratch.
+
+    Output piece c reads piece C - 1 - c reversed, and sigma(c * P + r) =
+    (-1)^popcount(c) sigma(r), so every piece takes the one factor
+    kappa * sigma[:P], its row subtracted where popcount(c) is odd. Both
+    pieces of a pair are read into the spare before either is written, so
+    each pair stays in cache. Bit for bit the whole-half formula: sigma
+    times kappa is exact, and a - x is a + (-x).
+    """
+    factor = _parity_signs(_PAIR_PIECE.bit_length() - 1) * kappa
+    pieces, rows = u.reshape(-1, _PAIR_PIECE), spare.reshape(-1, _PAIR_PIECE)
+    last = len(pieces) - 1
+    for c in range(len(pieces) // 2):
+        d = last - c
+        np.multiply(pieces[d, ::-1], factor, out=rows[c])
+        np.multiply(pieces[c, ::-1], factor, out=rows[d])
+        for e in (c, d):
+            combine = np.subtract if bin(e).count("1") % 2 else np.add
+            combine(pieces[e], rows[e], out=pieces[e])
 
 
 @cache
@@ -311,7 +337,9 @@ def apply_mixer(state: MirroredHalf, beta: float,
     kappa = tan(beta) (-i)^n, one pair step (cos(beta) of a finite double
     is never 0, so tan(beta) is finite). Each block writes into one spare
     array, which then swaps with the state's; the pair step builds
-    kappa * sigma * u[::-1] in the spare and adds it to u. It uses numpy,
+    kappa * sigma * u[::-1] in the spare and adds it to u. Above one
+    ``_PAIR_PIECE`` it runs on mirrored pairs of pieces
+    (``_pair_pieces``), so the sign table holds one piece. It uses numpy,
     not a BLAS axpy: with OpenBLAS's default threads a threaded axpy per
     layer made sweeps at n = 16 several times slower.
     """
@@ -336,9 +364,13 @@ def apply_mixer(state: MirroredHalf, beta: float,
     for j in range(inner, len(blocks)):
         np.matmul(blocks[j], amps.reshape(shapes[j]), out=spare.reshape(shapes[j]))
         amps, spare, u, mirrored = spare, amps, mirrored, u
-    np.multiply(u[::-1], _parity_signs(n), out=mirrored)
-    mirrored *= math.tan(beta) * (-1j) ** n
-    u += mirrored
+    kappa = math.tan(beta) * (-1j) ** n
+    if u.size > _PAIR_PIECE:
+        _pair_pieces(u, mirrored, kappa)
+    else:  # one piece: three calls on the cached table, no per-call factor
+        np.multiply(u[::-1], _parity_signs(n - 1), out=mirrored)
+        mirrored *= kappa
+        u += mirrored
     state.half = u
     return state
 

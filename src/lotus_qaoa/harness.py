@@ -630,11 +630,12 @@ def _check_mixer_chunks() -> CheckResult:
     # apply_mixer runs each block where its bits lie: at n = 12 three
     # blocks within one chunk; above 2^16 floats the low blocks chunk by
     # chunk and the top block, 3 bits wide at n = 17 and 4 at n = 20, over
-    # the whole half; the reference turns one qubit at a time on the full
-    # vector
+    # the whole half. Its pair step runs the half in mirrored pieces of
+    # 2^13 amplitudes, first two of them at n = 15. The reference turns one
+    # qubit at a time on the full vector
     rng = np.random.default_rng(19)
     worst = 0.0
-    for n in (12, 17, 20):
+    for n in (12, 15, 17, 20):
         state = engine.MirroredHalf(half=rng.normal(size=1 << (n - 1))
                                     + 1j * rng.normal(size=1 << (n - 1)))
         beta = float(rng.uniform(-np.pi, np.pi))
@@ -648,8 +649,8 @@ def _check_mixer_chunks() -> CheckResult:
         worst = max(worst, float(np.max(np.abs(engine.apply_mixer(state, beta).amps - full))))
     return CheckResult("mixer-chunks", worst <= 1e-12,
                        f"max deviation {worst:.2e} from one-qubit rotations at n = 12 "
-                       f"(three blocks in one chunk), n = 17 (3-bit top block) and "
-                       f"n = 20 (4-bit top block)")
+                       f"(three blocks in one chunk), n = 15 (two pair-step pieces), "
+                       f"n = 17 (3-bit top block) and n = 20 (4-bit top block)")
 
 
 def _check_cut_table_levels() -> CheckResult:

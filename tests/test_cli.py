@@ -2,6 +2,7 @@ import dataclasses
 import json
 import os
 
+import numpy as np
 import pytest
 
 from lotus_qaoa import cli, harness
@@ -69,6 +70,22 @@ class TestScoreReport:
         out = capsys.readouterr().out
         assert "nelder-mead" in out and "lotus[K=1]" in out
         assert "Wilcoxon" in out
+        # the cost table: runs, median wall time, total ms over total
+        # evaluations and median evaluations for each label
+        cost = out.split("cost per label")[1].split("\n\n")[0].splitlines()[2:]
+        rows = {line.split()[0]: line.split()[1:] for line in cost if line.strip()}
+        by_label = {}
+        for r in load_records(result_file):
+            by_label.setdefault(harness.optimizer_label(r), []).append(r)
+        assert rows.keys() == by_label.keys() == {"lotus[K=1]", "nelder-mead"}
+        for label, (runs, wall, ms_per_eval, evals) in rows.items():
+            mine = by_label[label]
+            assert int(runs) == len(mine) == 5
+            assert float(wall) == pytest.approx(np.median([r.wall_time for r in mine]), abs=5e-4)
+            assert float(ms_per_eval) == pytest.approx(
+                1e3 * sum(r.wall_time for r in mine) / sum(r.evaluations for r in mine),
+                abs=5e-4)
+            assert float(evals) == np.median([r.evaluations for r in mine])
 
 
 class TestTransfer:

@@ -267,6 +267,20 @@ class TestMixer:
         apply_mixer(state, beta)
         assert np.max(np.abs(state.amps - expected)) <= 1e-12
 
+    @pytest.mark.parametrize("n", range(1, 21))
+    def test_pair_step_equals_the_whole_half_formula(self, n):
+        # with identity blocks apply_mixer is the pair step alone, which on
+        # one piece (n <= 14), two (n = 15) and many (n >= 16) must give
+        # u + (u[::-1] * sigma) * kappa bit for bit, sigma over the whole half
+        rng = np.random.default_rng(n)
+        sigma = reduce(np.kron, [np.array([1.0, -1.0])] * (n - 1), np.ones(1)).astype(complex)
+        identity = tuple(np.eye(1 << k) for k in engine._mixer_block_sizes(n))
+        for beta in EXTREME_BETAS:
+            u = rng.normal(size=1 << (n - 1)) + 1j * rng.normal(size=1 << (n - 1))
+            expected = u + (u[::-1] * sigma) * (np.tan(beta) * (-1j) ** n)
+            got = apply_mixer(MirroredHalf(half=u), beta, identity).half
+            assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
     def test_norm_preserved(self):
         rng = np.random.default_rng(6)
         state = plus_state(6)
