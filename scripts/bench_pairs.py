@@ -1,6 +1,8 @@
 """Paired benchmark of two commits: parent against change, alternating.
 
     python3 scripts/bench_pairs.py --parent HEAD~1 --change HEAD --out BENCH_8.json
+    python3 scripts/bench_pairs.py --parent HEAD~1 --change HEAD --out BENCH_8_trace.json \
+        --trace oneshot-n20 --pairs 5
 
 Each commit's files are exported with ``git archive`` into its own fresh
 temporary directory (``TMPDIR`` chooses where; it is removed at the end),
@@ -9,9 +11,9 @@ working tree and metadata are left alone. For every pair and
 every workload in ``BENCHMARK.json`` the script runs
 ``perfbench/run.py --seconds S --trace 0`` once on each side, on the same
 seed, where S is the benchmark's ``run_seconds``. There are ``PAIRS``
-pairs on seeds ``FIRST_SEED`` upward; even pairs run the parent first and
-odd pairs the change first, so slow drift of the host falls on both sides
-alike. The holdout seed runs as one more pair after the tuned seeds and is
+pairs (``--pairs`` sets another count) on seeds ``FIRST_SEED`` upward;
+even pairs run the parent first and odd pairs the change first, so slow
+drift of the host falls on both sides alike. The holdout seed runs as one more pair after the tuned seeds and is
 reported apart from them.
 
 The output holds, per workload and end-to-end metric: both sides' values
@@ -27,6 +29,13 @@ beats every parent run, so the pairs cannot tell. It also
 records the host's core count, the numpy and scipy versions and both
 commits. It is rewritten after every pair, with ``"complete": false``
 until the last pair is done.
+
+With ``--trace WORKLOAD`` the pairs run ``--trace 1`` on that workload
+alone, with no holdout pair; ``--pairs`` sets how many. The summary then
+gives each per-layer metric of ``BENCHMARK.json`` and each row of the
+run's kernel table (read from its result file under ``perfbench/out/``)
+the same medians, quartiles, win count and ``gain`` verdict, but no
+``regressed`` or ``unresolved`` verdict: per-layer metrics have no bound.
 """
 from __future__ import annotations
 
@@ -68,11 +77,16 @@ def _export(commit: str, dest: str) -> None:
             tar.extractall(dest, filter="data")
 
 
-def _run(tree: str, workload: str, seed: int, seconds: float) -> dict:
-    """One benchmark run; its metric values, or an ``error`` entry."""
+def _run(tree: str, workload: str, seed: int, seconds: float, trace: bool = False) -> dict:
+    """One benchmark run; its metric values, or an ``error`` entry.
+
+    A traced run's values are its per-layer metrics, and ``kernels`` holds
+    the (n, kernel, median_s) rows of the kernel table in its result file.
+    """
+    flag = "1" if trace else "0"
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+         "--seconds", str(seconds), "--trace", flag],
         cwd=tree, capture_output=True, text=True)
     lines = done.stdout.strip().splitlines()
     try:
@@ -81,6 +95,14 @@ def _run(tree: str, workload: str, seed: int, seconds: float) -> dict:
         return {"error": f"exit {done.returncode}: {done.stderr.strip()[-400:]}"}
     values = {name: m["value"] for name, m in result["metrics"].items()}
     values["correct"] = result["correct"]
+    if trace:
+        path = os.path.join(tree, "perfbench", "out", f"{workload}-seed{seed}-trace{flag}.json")
+        try:
+            with open(path, encoding="utf-8") as fh:
+                rows = json.load(fh).get("kernels", [])
+        except (OSError, json.JSONDecodeError) as exc:
+            return {"error": f"no result file: {exc}"}
+        values["kernels"] = [{k: row[k] for k in ("n", "kernel", "median_s")} for row in rows]
     return values
 
 
@@ -91,25 +113,57 @@ def _quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def _summary(runs: dict, spec: dict, seeds: list[int]) -> dict:
-    """Per workload and metric: both sides, wins, and the gain, regression and
-    spread verdicts.
+def _compare(pairs: list[tuple[float, float]], better: str, pairs_run: int) -> dict:
+    """Both sides' medians, quartiles and values over ``pairs`` of (parent,
+    change) values, the change's wins and ties, and the gain verdict.
 
-    ``gain``: the change wins at least nine tenths of the pairs run (ties
-    count for neither side, a pair with an errored run is not a win) and
-    beats the parent's median by more than the parent's interquartile range.
-    ``unresolved``: the parent's interquartile range is wider than the
-    metric's bound, so ``regressed`` cannot tell a regression from noise,
-    and not every change run beats every parent run. ``errored`` counts each
-    side's runs that returned no metrics.
+    ``gain``: the change wins at least nine tenths of the ``pairs_run``
+    pairs (ties count for neither side, a pair with an errored run is not a
+    win) and beats the parent's median by more than the parent's
+    interquartile range.
+    """
+    sign = 1.0 if better == "higher" else -1.0
+    parent = [a for a, _ in pairs]
+    change = [b for _, b in pairs]
+    p_q1, p_med, p_q3 = _quartiles(parent)
+    c_q1, c_med, c_q3 = _quartiles(change)
+    wins = sum(sign * (b - a) > 0 for a, b in pairs)
+    beyond_iqr = sign * (c_med - p_med) > (p_q3 - p_q1)
+    return {
+        "parent": {"median": p_med, "q1": p_q1, "q3": p_q3, "values": parent},
+        "change": {"median": c_med, "q1": c_q1, "q3": c_q3, "values": change},
+        "pairs": len(pairs),
+        "pairs_run": pairs_run,
+        "wins": wins,
+        "ties": sum(b == a for a, b in pairs),
+        "median_change_rel": (c_med - p_med) / p_med if p_med else None,
+        "gain_beyond_parent_iqr": beyond_iqr,
+        "gain": wins >= 0.9 * pairs_run and beyond_iqr,
+    }
+
+
+def _both_ran(runs: dict, seeds: list[int]) -> tuple[list[dict], dict]:
+    """The pairs of ``runs`` (seed -> side -> values) with both sides run,
+    and how many runs of each side errored."""
+    ran = [runs[s] for s in seeds if "parent" in runs.get(s, {}) and "change" in runs[s]]
+    errored = {side: sum("error" in pair[side] for pair in ran) for side in ("parent", "change")}
+    return ran, errored
+
+
+def _summary(runs: dict, spec: dict, seeds: list[int]) -> dict:
+    """Per workload and end-to-end metric: ``_compare``'s entry, plus the
+    regression and spread verdicts and the holdout pair.
+
+    ``regressed``: the change's median is worse than the parent's by more
+    than the metric's bound. ``unresolved``: the parent's interquartile
+    range is wider than the metric's bound, so ``regressed`` cannot tell a
+    regression from noise, and not every change run beats every parent run.
+    ``errored`` counts each side's runs that returned no metrics.
     """
     out = {}
     for wl in spec["workloads"]:
         name = wl["name"]
-        ran = [runs[name][s] for s in seeds
-               if "parent" in runs[name].get(s, {}) and "change" in runs[name][s]]
-        errored = {side: sum("error" in pair[side] for pair in ran)
-                   for side in ("parent", "change")}
+        ran, errored = _both_ran(runs[name], seeds)
         per_metric = {}
         for metric in spec["end_to_end"]:
             key = metric["name"]
@@ -118,28 +172,15 @@ def _summary(runs: dict, spec: dict, seeds: list[int]) -> dict:
             pairs = [(a, b) for a, b in pairs if a is not None and b is not None]
             if not pairs:
                 continue
-            parent = [a for a, _ in pairs]
-            change = [b for _, b in pairs]
-            p_q1, p_med, p_q3 = _quartiles(parent)
-            c_q1, c_med, c_q3 = _quartiles(change)
-            wins = sum(sign * (b - a) > 0 for a, b in pairs)
-            beyond_iqr = sign * (c_med - p_med) > (p_q3 - p_q1)
-            entry = {
-                "unit": metric["unit"], "better": metric["better"],
-                "parent": {"median": p_med, "q1": p_q1, "q3": p_q3, "values": parent},
-                "change": {"median": c_med, "q1": c_q1, "q3": c_q3, "values": change},
-                "pairs": len(pairs),
-                "pairs_run": len(ran),
-                "errored": errored,
-                "wins": wins,
-                "ties": sum(b == a for a, b in pairs),
-                "median_change_rel": (c_med - p_med) / p_med if p_med else None,
-                "gain_beyond_parent_iqr": beyond_iqr,
-                "gain": wins >= 0.9 * len(ran) and beyond_iqr,
-                "regressed": sign * (p_med - c_med) > metric["bound"] * abs(p_med),
-                "unresolved": (p_q3 - p_q1 > metric["bound"] * abs(p_med)
-                               and min(sign * b for b in change) <= max(sign * a for a in parent)),
-            }
+            compared = _compare(pairs, metric["better"], len(ran))
+            parent, change = compared["parent"], compared["change"]
+            p_med, p_iqr = parent["median"], parent["q3"] - parent["q1"]
+            entry = {"unit": metric["unit"], "better": metric["better"], **compared,
+                     "errored": errored}
+            entry["regressed"] = sign * (p_med - change["median"]) > metric["bound"] * abs(p_med)
+            entry["unresolved"] = (p_iqr > metric["bound"] * abs(p_med)
+                                   and min(sign * b for b in change["values"])
+                                   <= max(sign * a for a in parent["values"]))
             holdout = runs[name].get(HOLDOUT_SEED, {})
             if "parent" in holdout and "change" in holdout:
                 a, b = holdout["parent"].get(key), holdout["change"].get(key)
@@ -151,22 +192,64 @@ def _summary(runs: dict, spec: dict, seeds: list[int]) -> dict:
     return out
 
 
+def _trace_summary(runs: dict, spec: dict, seeds: list[int]) -> dict:
+    """Traced pairs of one workload: ``_compare``'s entry for each per-layer
+    metric and each kernel-table row (its ``median_s``, lower is better).
+
+    Per-layer metrics have no bound in ``BENCHMARK.json``, so there is no
+    regression verdict; ``errored`` counts each side's failed runs.
+    """
+    ran, errored = _both_ran(runs, seeds)
+    per_layer = {}
+    for metric in spec["per_layer"]:
+        key = metric["name"]
+        pairs = [(pair["parent"].get(key), pair["change"].get(key)) for pair in ran]
+        pairs = [(a, b) for a, b in pairs if a is not None and b is not None]
+        if pairs:
+            per_layer[key] = {"unit": metric["unit"], "better": metric["better"],
+                              **_compare(pairs, metric["better"], len(ran)), "errored": errored}
+
+    def rows(values: dict) -> dict:
+        return {(r["n"], r["kernel"]): r["median_s"] for r in values.get("kernels", [])}
+
+    kernels = {}
+    for pair in ran:
+        parent, change = rows(pair["parent"]), rows(pair["change"])
+        for key in parent.keys() & change.keys():
+            kernels.setdefault(key, []).append((parent[key], change[key]))
+    return {
+        "per_layer": per_layer,
+        "kernels": [{"n": n, "kernel": kernel, "unit": "s", "better": "lower",
+                     **_compare(pairs, "lower", len(ran)), "errored": errored}
+                    for (n, kernel), pairs in sorted(kernels.items())],
+    }
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", default="HEAD~1", help="commit to compare against")
     parser.add_argument("--change", default="HEAD", help="commit under test")
     parser.add_argument("--out", required=True)
+    parser.add_argument("--trace", metavar="WORKLOAD",
+                        help="run traced pairs of this workload and summarize its per-layer "
+                             "metrics and kernel table instead")
+    parser.add_argument("--pairs", type=int, default=PAIRS, help="pairs to run")
     args = parser.parse_args(argv)
 
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         spec = json.load(fh)
+    workloads = [w["name"] for w in spec["workloads"]]
+    if args.trace is not None and args.trace not in workloads:
+        parser.error(f"--trace: unknown workload {args.trace!r}; known: {workloads}")
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
     commits = {"parent": _git("rev-parse", args.parent), "change": _git("rev-parse", args.change)}
     seconds = spec["run_seconds"]
-    seeds = [FIRST_SEED + i for i in range(PAIRS)]
+    seeds = [FIRST_SEED + i for i in range(args.pairs)]
     header = {
         "command": "python3 scripts/bench_pairs.py " + " ".join(argv or sys.argv[1:]),
         "commits": commits, "seconds": seconds, "seeds": seeds,
-        "holdout_seed": HOLDOUT_SEED,
+        **({"trace": args.trace} if args.trace else {"holdout_seed": HOLDOUT_SEED}),
         "order": "even pairs run the parent first, odd pairs the change first",
         "environment": {
             "nproc": os.cpu_count(), "cpus_usable": len(os.sched_getaffinity(0)),
@@ -175,28 +258,31 @@ def main(argv: list[str] | None = None) -> int:
         },
         "started": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
     }
-    runs: dict = {w["name"]: {} for w in spec["workloads"]}
+    traced = [args.trace] if args.trace else workloads
+    runs: dict = {name: {} for name in traced}
 
     def write(complete: bool) -> None:
-        payload = dict(header, complete=complete, summary=_summary(runs, spec, seeds),
-                       runs=runs)
+        summary = ({args.trace: _trace_summary(runs[args.trace], spec, seeds)} if args.trace
+                   else _summary(runs, spec, seeds))
+        payload = dict(header, complete=complete, summary=summary, runs=runs)
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=1)
             fh.write("\n")
 
+    shown = "engine.evolve_ms" if args.trace else "ms_per_eval_at_ref"
     workdir = tempfile.mkdtemp(prefix="bench-pairs-")
     try:
         trees = {side: os.path.join(workdir, side) for side in commits}
         for side, commit in commits.items():
             _export(commit, trees[side])
-        for i, seed in enumerate([*seeds, HOLDOUT_SEED]):
+        for i, seed in enumerate(seeds if args.trace else [*seeds, HOLDOUT_SEED]):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-            for wl in spec["workloads"]:
+            for name in traced:
                 for side in order:
-                    result = _run(trees[side], wl["name"], seed, seconds)
-                    runs[wl["name"]].setdefault(seed, {})[side] = result
-                    print(f"pair {i} seed {seed} {wl['name']} {side}: "
-                          f"{result.get('ms_per_eval_at_ref', result.get('error'))}",
+                    result = _run(trees[side], name, seed, seconds, trace=bool(args.trace))
+                    runs[name].setdefault(seed, {})[side] = result
+                    print(f"pair {i} seed {seed} {name} {side}: "
+                          f"{result.get(shown, result.get('error'))}",
                           file=sys.stderr, flush=True)
             write(complete=False)
         write(complete=True)

@@ -31,6 +31,16 @@ state's array and one spare. From n = 17 the blocks within a 2^16-float
 chunk run chunk by chunk, in cache, and the top block over the whole half;
 the dropped top qubit is one pair step, run from n = 15 on mirrored pairs
 of 2^13-amplitude pieces with a sign table of one piece.
+
+An optimization run allocates its state-sized arrays once: ``optim.optimize``
+creates one ``Workspace`` per run, owns it for the whole run and passes it
+to every ``evolve``. The workspace holds the state buffers with their
+prebuilt mixer views, the phase rows and the mixer blocks; the sampling
+CDF and the exact expectation's product run in its spare buffer, and it
+keeps the best evaluation's state out of reuse. A state that ``evolve`` ran there carries
+its workspace, so the kernels and readouts find those buffers through it;
+every other call (``evolve`` without a workspace, the kernels alone) builds
+its arrays and views as it goes. Nothing caches a buffer beyond its run.
 """
 from __future__ import annotations
 
@@ -88,10 +98,13 @@ class MirroredHalf:
     real rotation. The twist is a unit diagonal, so it commutes with the
     cost phases and leaves every |amplitude|^2 as it is: the phase, the
     expectations and sampling read ``half`` directly. ``amps`` untwists
-    and forms the full 2^n vector on each access.
+    and forms the full 2^n vector on each access. ``workspace`` is the
+    ``Workspace`` whose buffer holds ``half`` when ``evolve`` ran the state
+    there, else None.
     """
 
     half: np.ndarray
+    workspace: Workspace | None = field(default=None, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -116,12 +129,15 @@ def _twist_bits(bits: int, scale: float = 1.0) -> np.ndarray:
     return twist
 
 
-def _twist(n: int, scale: float = 1.0) -> np.ndarray:
-    """scale * i^popcount(z) over the kept half: the outer product of the
-    twists of its high (n - 1) // 2 bits and of its other bits, exact since
-    the parts of every factor are 0 or +-1 (+-scale)."""
+def _twist(n: int, scale: float = 1.0, out: np.ndarray | None = None) -> np.ndarray:
+    """scale * i^popcount(z) over the kept half, written into ``out`` when
+    given: the outer product of the twists of its high (n - 1) // 2 bits
+    and of its other bits, exact since the parts of every factor are 0 or
+    +-1 (+-scale)."""
     hi = (n - 1) // 2
-    return (_twist_bits(hi)[:, None] * _twist_bits(n - 1 - hi, scale)).ravel()
+    if out is not None:
+        out = out.reshape(1 << hi, -1)
+    return np.multiply(_twist_bits(hi)[:, None], _twist_bits(n - 1 - hi, scale), out=out).ravel()
 
 
 def _split_bits(n: int) -> tuple[int, int]:
@@ -149,8 +165,10 @@ def plus_state(n: int) -> MirroredHalf:
     return MirroredHalf(half=_twist(n, (1 << n) ** -0.5))
 
 
-def _phase_rows(diag: CostDiagonal, gammas: np.ndarray) -> np.ndarray:
-    """Each layer's phases exp(-i*gamma*values) over the kept half, (p, half).
+def _phase_rows(diag: CostDiagonal, gammas: np.ndarray,
+                out: np.ndarray | None = None) -> np.ndarray:
+    """Each layer's phases exp(-i*gamma*values) over the kept half, (p, half),
+    written into ``out`` ((p, 2^a, 2^b)) when given.
 
     One exp over the (p, levels) outer product; for each high bit i, the
     rows with it set are the rows below times exp(-i*gamma*C_i); last, each
@@ -160,11 +178,12 @@ def _phase_rows(diag: CostDiagonal, gammas: np.ndarray) -> np.ndarray:
     a, b = _split_bits(diag.n)
     width = 1 << b
     gammas = np.asarray(gammas, dtype=np.float64)
-    e = np.exp(np.multiply.outer(-1j * gammas, diag.levels))
     if a == 0:  # the low row is the whole half
-        return e[:, :width]
+        return np.exp(np.multiply.outer(-1j * gammas, diag.levels[:width]),
+                      out=None if out is None else out.reshape(gammas.size, width))
+    e = np.exp(np.multiply.outer(-1j * gammas, diag.levels))
     cross = e[:, :(a + 1) * width].reshape(gammas.size, a + 1, width)
-    rows = np.empty((gammas.size, 1 << a, width), dtype=np.complex128)
+    rows = np.empty((gammas.size, 1 << a, width), dtype=np.complex128) if out is None else out
     rows[:, 0] = cross[:, 0]
     for i in range(a):
         h = 1 << i
@@ -233,24 +252,39 @@ def _mixer_plan(n: int) -> tuple[np.ndarray, tuple[tuple[int, int, int], ...], i
     return index, tuple(spans), width
 
 
-def _mixer_factors(n: int, betas: np.ndarray) -> list[tuple[np.ndarray, ...]]:
+class _MixerFactors:
+    """The arrays ``_mixer_factors`` builds the blocks of p layers in, at n,
+    and each layer's tuple of block views into them."""
+
+    def __init__(self, n: int, p: int) -> None:
+        index, spans, width = _mixer_plan(n)
+        self.powers = np.empty((p, 3, width))  # c^i; s^i, then 0; -s^i, then -0
+        self.powers[:, :, :1] = _POWER_SIGNS
+        self.table = np.empty((p, width - 1, 2, width))
+        self.flat = np.empty((p, index.size))
+        self.layers = list(zip(*[self.flat[:, start:end].reshape(-1, dim, dim)
+                                 for start, end, dim in spans]))
+
+
+def _mixer_factors(n: int, betas: np.ndarray,
+                   out: _MixerFactors | None = None) -> list[tuple[np.ndarray, ...]]:
     """Each layer's real mixer blocks, lowest first (float64, (2^k, 2^k)),
-    the lowest one transposed.
+    the lowest one transposed, built in ``out`` when given.
 
     The powers c^i and s^i are running products; one gather from their
     signed table builds the blocks of all p layers.
     """
-    index, spans, width = _mixer_plan(n)
     b = np.asarray(betas, dtype=np.float64)[:, None, None]
-    powers = np.empty((b.size, 3, width))  # c^i; s^i, then 0; -s^i, then -0
-    powers[:, :, :1] = _POWER_SIGNS
+    f = _MixerFactors(n, b.size) if out is None else out
+    powers = f.powers
     powers[:, :1, 1:] = np.cos(b)
     powers[:, 1:, 1:] = np.sin(b)
     powers[:, 1:, -1] = 0.0
     np.multiply.accumulate(powers, axis=2, out=powers)
-    table = np.multiply(powers[:, 0, :-1, None, None], powers[:, None, 1:])
-    flat = table.reshape(b.size, -1).take(index, axis=1)
-    return list(zip(*[flat[:, start:end].reshape(-1, dim, dim) for start, end, dim in spans]))
+    np.multiply(powers[:, 0, :-1, None, None], powers[:, None, 1:], out=f.table)
+    # mode="clip" writes straight into out; the default mode buffers it
+    f.table.reshape(b.size, -1).take(_mixer_plan(n)[0], axis=1, out=f.flat, mode="clip")
+    return f.layers
 
 
 @cache
@@ -264,10 +298,11 @@ def _parity_signs(bits: int) -> np.ndarray:
     return signs
 
 
-def _pair_pieces(u: np.ndarray, spare: np.ndarray, kappa: complex) -> None:
+def _pair_pieces(pieces: np.ndarray, rows: np.ndarray, kappa: complex) -> None:
     """In place u += kappa * sigma * u[::-1], sigma(z) = (-1)^popcount(z),
-    on a half of more than one ``_PAIR_PIECE``; ``spare`` (the size of u)
-    is scratch.
+    on a half u of more than one ``_PAIR_PIECE``, given as its
+    (pieces, ``_PAIR_PIECE``) view; ``rows``, a spare of the same shape, is
+    scratch.
 
     Output piece c reads piece C - 1 - c reversed, and sigma(c * P + r) =
     (-1)^popcount(c) sigma(r), so every piece takes the one factor
@@ -277,7 +312,6 @@ def _pair_pieces(u: np.ndarray, spare: np.ndarray, kappa: complex) -> None:
     times kappa is exact, and a - x is a + (-x).
     """
     factor = _parity_signs(_PAIR_PIECE.bit_length() - 1) * kappa
-    pieces, rows = u.reshape(-1, _PAIR_PIECE), spare.reshape(-1, _PAIR_PIECE)
     last = len(pieces) - 1
     for c in range(len(pieces) // 2):
         d = last - c
@@ -303,6 +337,28 @@ def _mixer_views(n: int) -> tuple[tuple[tuple[int, ...], ...], int]:
         offset += k
         inner += 1 << offset <= _MIXER_CHUNK
     return tuple(shapes), inner
+
+
+class _Buffer:
+    """A kept-half array and the views the mixer runs on.
+
+    ``chunks`` holds, per chunk of ``_MIXER_CHUNK`` floats (one chunk when
+    the half fits in one), the float64 view of each block within it, in the
+    shapes of ``_mixer_views``; ``top`` the whole-half view of each block
+    above the chunk; ``pieces`` the (pieces, ``_PAIR_PIECE``) view of a
+    half of more than one piece, else None.
+    """
+
+    __slots__ = ("half", "chunks", "top", "pieces")
+
+    def __init__(self, half: np.ndarray) -> None:
+        shapes, inner = _mixer_views(half.size.bit_length())
+        flat = half.view(np.float64)
+        parts = flat.reshape(-1, _MIXER_CHUNK) if flat.size > _MIXER_CHUNK else (flat,)
+        self.half = half
+        self.chunks = [[part.reshape(shape) for shape in shapes[:inner]] for part in parts]
+        self.top = [flat.reshape(shape) for shape in shapes[inner:]]
+        self.pieces = half.reshape(-1, _PAIR_PIECE) if half.size > _PAIR_PIECE else None
 
 
 def apply_mixer(state: MirroredHalf, beta: float,
@@ -342,63 +398,134 @@ def apply_mixer(state: MirroredHalf, beta: float,
     (``_pair_pieces``), so the sign table holds one piece. It uses numpy,
     not a BLAS axpy: with OpenBLAS's default threads a threaded axpy per
     layer made sweeps at n = 16 several times slower.
+
+    The state's array and the spare come with their views (``_Buffer``).
+    A state that ``evolve`` runs in a ``Workspace`` takes both, prebuilt,
+    from the workspace, and leaves the two swapped there as the blocks left
+    them; any other state gets its views and a new spare built here.
     """
-    u = np.ascontiguousarray(state.half, dtype=np.complex128)
-    n = u.size.bit_length()
+    ws = state.workspace
+    if ws is not None and state.half is ws.state.half:
+        buf, spare = ws.state, ws.spare
+    else:  # standalone: views of this state and of one new spare
+        ws = None
+        u = np.ascontiguousarray(state.half, dtype=np.complex128)
+        buf, spare = _Buffer(u), _Buffer(np.empty_like(u))
+    n = buf.half.size.bit_length()
     if blocks is None:
         blocks = _mixer_factors(n, np.array([beta]))[0]
-    shapes, inner = _mixer_views(n)
-    mirrored = np.empty_like(u)
-    amps, spare = u.view(np.float64), mirrored.view(np.float64)
-    if amps.size <= _MIXER_CHUNK:
-        chunks = ((amps, spare),)
-    else:
-        chunks = zip(amps.reshape(-1, _MIXER_CHUNK), spare.reshape(-1, _MIXER_CHUNK))
-    for a, s in chunks:
-        np.matmul(a.reshape(shapes[0]), blocks[0], out=s.reshape(shapes[0]))
-        for j in range(1, inner):
+    for a, s in zip(buf.chunks, spare.chunks):
+        np.matmul(a[0], blocks[0], out=s[0])
+        for j in range(1, len(a)):
             a, s = s, a
-            np.matmul(blocks[j], a.reshape(shapes[j]), out=s.reshape(shapes[j]))
+            np.matmul(blocks[j], a[j], out=s[j])
+    inner = len(buf.chunks[0])
     if inner % 2:
-        amps, spare, u, mirrored = spare, amps, mirrored, u
-    for j in range(inner, len(blocks)):
-        np.matmul(blocks[j], amps.reshape(shapes[j]), out=spare.reshape(shapes[j]))
-        amps, spare, u, mirrored = spare, amps, mirrored, u
+        buf, spare = spare, buf
+    for j in range(len(buf.top)):
+        np.matmul(blocks[inner + j], buf.top[j], out=spare.top[j])
+        buf, spare = spare, buf
     kappa = math.tan(beta) * (-1j) ** n
-    if u.size > _PAIR_PIECE:
-        _pair_pieces(u, mirrored, kappa)
+    if buf.pieces is not None:
+        _pair_pieces(buf.pieces, spare.pieces, kappa)
     else:  # one piece: three calls on the cached table, no per-call factor
-        np.multiply(u[::-1], _parity_signs(n - 1), out=mirrored)
+        mirrored = spare.half
+        np.multiply(buf.half[::-1], _parity_signs(n - 1), out=mirrored)
         mirrored *= kappa
-        u += mirrored
-    state.half = u
+        buf.half += mirrored
+    if ws is not None:
+        ws.state, ws.spare = buf, spare
+    state.half = buf.half
     return state
 
 
-def evolve(g: WeightedGraph, sched: Schedule, diag: CostDiagonal | None = None) -> MirroredHalf:
+class Workspace:
+    """The state-sized buffers of every evaluation of one run, at n qubits
+    and depth p, allocated once.
+
+    ``optim.optimize`` creates one per run, owns it for the whole run and
+    hands it to every ``evolve``, so no evaluation allocates a state-sized
+    array or rebuilds a view. It holds three kept-half buffers with their
+    mixer views (``_Buffer``): ``state``, which ``evolve`` writes |+> into
+    and runs the layers on, ``spare``, which the mixer's blocks alternate
+    with it, and one kept buffer; the (p, 2^a, 2^b) phase rows that
+    ``_phase_rows`` fills; and the arrays of ``_mixer_factors``. Between
+    mixer calls the spare is free, so the product of ``expectation_exact``
+    and the float CDF of ``_sample_indices`` run in its memory. A state
+    that ``evolve`` returns is overwritten by the next ``evolve`` unless
+    ``keep`` takes it out of reuse. The buffers live as long as the
+    workspace; nothing caches them across runs.
+    """
+
+    def __init__(self, n: int, p: int) -> None:
+        if not (1 <= n <= DEFAULT_QUBIT_CAP):
+            raise ValueError(f"need 1 <= n <= {DEFAULT_QUBIT_CAP}, got {n}")
+        a, b = _split_bits(n)
+        self.n, self.p = n, p
+        self.state, self.spare, self._kept = (_Buffer(np.empty(1 << (n - 1), dtype=np.complex128))
+                                              for _ in range(3))
+        self.rows = np.empty((p, 1 << a, 1 << b), dtype=np.complex128)
+        self.factors = _MixerFactors(n, p)
+
+    def plus_state(self) -> MirroredHalf:
+        """|+>^n, as ``plus_state`` builds it, written into the state buffer."""
+        half = self.state.half
+        _twist(self.n, (1 << self.n) ** -0.5, out=half)
+        return MirroredHalf(half=half, workspace=self)
+
+    def keep(self, state: MirroredHalf) -> MirroredHalf:
+        """Take ``state``, the last one ``evolve`` returned here, out of reuse.
+
+        Its buffer swaps with the kept one, so the state kept before goes
+        back into reuse and the next ``evolve`` overwrites it.
+        """
+        if state.half is not self.state.half:
+            raise ValueError("state is not this workspace's current state")
+        self.state, self._kept = self._kept, self.state
+        return state
+
+
+def evolve(g: WeightedGraph, sched: Schedule, diag: CostDiagonal | None = None,
+           workspace: Workspace | None = None) -> MirroredHalf:
     """Run the full circuit: |+>^n, then p cost-phase + mixer layers.
 
     Every layer's phases and mixer blocks are built once per schedule and
     handed to the per-layer kernels. Pass a prebuilt ``diag`` to skip
-    rebuilding it in hot loops.
+    rebuilding it in hot loops. With a ``workspace`` of this n and p the
+    circuit runs in its buffers and the returned state lives there (see
+    ``Workspace``); without one every array is new, and the state is the
+    caller's alone.
     """
     if diag is None:
         diag = build_cost_diagonal(g)
-    state = plus_state(g.n)
     gammas, betas = sched.raw_gammas, sched.raw_betas
-    for gamma, beta, row, blocks in zip(gammas.tolist(), betas.tolist(),
-                                        _phase_rows(diag, gammas), _mixer_factors(g.n, betas)):
+    if workspace is None:
+        state = plus_state(g.n)
+        rows, factors = _phase_rows(diag, gammas), _mixer_factors(g.n, betas)
+    elif (workspace.n, workspace.p) != (g.n, gammas.size):
+        raise ValueError(f"workspace is for n={workspace.n}, p={workspace.p}; "
+                         f"circuit has n={g.n}, p={gammas.size}")
+    else:
+        state = workspace.plus_state()
+        rows = _phase_rows(diag, gammas, workspace.rows)
+        factors = _mixer_factors(g.n, betas, workspace.factors)
+    for gamma, beta, row, blocks in zip(gammas.tolist(), betas.tolist(), rows, factors):
         apply_cost_phase(state, diag, gamma, row)
         apply_mixer(state, beta, blocks)
     return state
 
 
 def expectation_exact(state: MirroredHalf, diag: CostDiagonal) -> float:
-    """Sum_z |amps[z]|^2 * values[z]: twice the sum over the kept half."""
+    """Sum_z |amps[z]|^2 * values[z]: twice the sum over the kept half.
+
+    The product runs in the workspace's spare when the state has one.
+    """
     amps = state.half
     if 2 * amps.size != diag.values.size:
         raise ValueError("state and diagonal dimensions differ")
-    return 2.0 * float(np.vdot(amps, diag.values[:amps.size] * amps).real)
+    product = None if state.workspace is None else state.workspace.spare.half
+    return 2.0 * float(np.vdot(amps, np.multiply(diag.values[:amps.size], amps,
+                                                 out=product)).real)
 
 
 def _sample_indices(state: MirroredHalf, shots: int, rng: np.random.Generator) -> np.ndarray:
@@ -413,7 +540,9 @@ def _sample_indices(state: MirroredHalf, shots: int, rng: np.random.Generator) -
     searched in sorted order, which keeps the search's branches predictable,
     and each result goes back to its draw's position.
     """
-    cdf = np.abs(state.half)  # |h|^2, then its running sum, in one array
+    # |h|^2, then its running sum, in one array: the workspace's spare if there is one
+    cdf = np.abs(state.half, out=None if state.workspace is None
+                 else state.workspace.spare.half.view(np.float64)[:state.half.size])
     np.square(cdf, out=cdf)
     np.cumsum(cdf, out=cdf)
     total = cdf[-1]

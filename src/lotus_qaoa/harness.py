@@ -653,6 +653,35 @@ def _check_mixer_chunks() -> CheckResult:
                        f"n = 17 (3-bit top block) and n = 20 (4-bit top block)")
 
 
+def _check_workspace_reuse() -> CheckResult:
+    # a run's evaluations share one workspace: every schedule it runs must
+    # leave the state, and the readouts from its buffers, that a fresh
+    # evolve gives, bit for bit, so no buffer may carry anything over from
+    # the schedule before. n = 8 and 12 run one pair-step piece, n = 15 two
+    # and n = 17 chunked blocks
+    rng = np.random.default_rng(23)
+    mismatches = total = 0
+    for n in (8, 12, 15, 17):
+        g = instance.gen_erdos_renyi(n, 0.5, 30 + n)
+        diag = engine.build_cost_diagonal(g)
+        workspace = engine.Workspace(n, 2)
+        for _ in range(3):
+            sched = schedule.standard_unpack(rng.uniform(-2 * np.pi, 2 * np.pi, 4), 2)
+            reused = engine.evolve(g, sched, diag=diag, workspace=workspace)
+            fresh = engine.evolve(g, sched, diag=diag)
+            same = (np.array_equal(reused.half.view(np.int64), fresh.half.view(np.int64))
+                    and engine.expectation_exact(reused, diag)
+                    == engine.expectation_exact(fresh, diag)
+                    and np.array_equal(
+                        engine._sample_indices(reused, 512, np.random.default_rng(n)),
+                        engine._sample_indices(fresh, 512, np.random.default_rng(n))))
+            mismatches += not same
+            total += 1
+    return CheckResult("workspace-reuse", mismatches == 0,
+                       f"{mismatches} of {total} schedules run in one reused workspace at "
+                       f"n = 8, 12, 15, 17 differ from a fresh evolve")
+
+
 def _check_cut_table_levels() -> CheckResult:
     # weights in quarters keep every sum exact, so the split levels the
     # phase rows are built from must rebuild the kept half bit for bit
@@ -805,6 +834,7 @@ def invariant_suite() -> SuiteReport:
         _check_sampling_unbiasedness(),
         _check_kept_half_sampling(),
         _check_mixer_chunks(),
+        _check_workspace_reuse(),
         _check_cut_table_levels(),
         _check_lipschitz_certificate(),
         _check_layer_gap_decay(),

@@ -273,9 +273,12 @@ def optimize(g: WeightedGraph, p: int, method: str,
     ``k_modes > 0`` searches the K-mode HFA vector in ``hfa_bounds``; 0 the
     unbounded 2p layer angles. An evaluation is minus one circuit's
     expectation: exact for ``shots=0`` (``noise_rng`` may then be None),
-    else a ``shots``-sample estimate. The record's readout (exact and
-    8192-shot expectation, best bitstring) reads the state of the
-    evaluation that set the best objective; it is not simulated again.
+    else a ``shots``-sample estimate. Every evaluation runs its circuit in
+    the run's one ``engine.Workspace``, so none allocates a state-sized
+    array. The record's readout (exact and 8192-shot expectation, best
+    bitstring) reads the state of the evaluation that set the best
+    objective, which the workspace keeps out of reuse; it is not simulated
+    again.
     """
     started = time.perf_counter()
     tol = DEFAULT_TOL_EXACT if shots == 0 else DEFAULT_TOL_SAMPLED
@@ -285,19 +288,20 @@ def optimize(g: WeightedGraph, p: int, method: str,
         return hfa_generate(HfaParams.from_vector(x), p) if k_modes else standard_unpack(x, p)
 
     diag = engine.build_cost_diagonal(g)
+    workspace = engine.Workspace(g.n, p)  # every evaluation's buffers
     best: OptimizerOutcome | None = None
     best_f, state = np.inf, None  # the state of the evaluation that set the best objective
     total_evals = total_iters = 0
     for x0, noise_rng in starts:
         def evaluate(x: np.ndarray, noise_rng=noise_rng) -> float:
             nonlocal best_f, state
-            evolved = engine.evolve(g, to_schedule(x), diag=diag)
+            evolved = engine.evolve(g, to_schedule(x), diag=diag, workspace=workspace)
             if shots == 0:
                 f = -engine.expectation_exact(evolved, diag)
             else:
                 f = -engine.expectation_sampled(evolved, diag, shots, noise_rng)[0]
-            if f < best_f:
-                best_f, state = f, evolved
+            if f < best_f:  # the next evaluation would overwrite it in the workspace
+                best_f, state = f, workspace.keep(evolved)
             return f
 
         obj = ObjectiveSpec(dimension=x0.size, evaluator=evaluate, bounds=bounds)

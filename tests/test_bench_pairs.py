@@ -1,6 +1,7 @@
 """The verdicts of the paired-benchmark script, on synthetic runs."""
 import importlib.util
 import os
+import statistics
 
 import pytest
 
@@ -84,3 +85,75 @@ def test_regression_beyond_the_bound():
     entry = summary(PARENT, [p * 1.3 for p in PARENT])["ms"]
     assert entry["regressed"] and entry["wins"] == 0 and not entry["unresolved"]
     assert not summary(PARENT, [p * 1.2 for p in PARENT])["ms"]["regressed"]
+
+
+TRACE_SPEC = {
+    "workloads": [{"name": "w"}],
+    "per_layer": [
+        {"name": "engine.mixer_us", "unit": "us", "better": "lower"},
+        {"name": "harness.pool_busy_frac", "unit": "ratio", "better": "higher"},
+    ],
+}
+
+
+def traced(mixer, busy=0.5, kernel=1e-3):
+    """Values of one traced run; None is an errored run."""
+    if mixer is None:
+        return {"error": "exit 1: boom"}
+    return {"engine.mixer_us": mixer, "harness.pool_busy_frac": busy, "correct": True,
+            "kernels": [{"n": 8, "kernel": "mixer", "median_s": kernel},
+                        {"n": 20, "kernel": "exact", "median_s": 2e-3}]}
+
+
+def trace_summary(pairs):
+    runs = {s: {"parent": a, "change": b} for s, (a, b) in zip(SEEDS, pairs)}
+    return bench_pairs._trace_summary(runs, TRACE_SPEC, SEEDS[:len(pairs)])
+
+
+def test_trace_summary_gives_every_layer_and_kernel_row_a_verdict():
+    out = trace_summary([(traced(p, 0.5, p * 1e-4), traced(p - 2.0, 0.6, (p - 2.0) * 1e-4))
+                         for p in PARENT[:5]])
+    mixer = out["per_layer"]["engine.mixer_us"]
+    assert mixer["wins"] == mixer["pairs"] == mixer["pairs_run"] == 5 and mixer["gain"]
+    assert mixer["parent"]["median"] == statistics.median(PARENT[:5])
+    assert mixer["median_change_rel"] == pytest.approx(-0.2, abs=1e-2)
+    busy = out["per_layer"]["harness.pool_busy_frac"]
+    assert busy["better"] == "higher" and busy["wins"] == 5 and busy["gain"]
+    assert [(row["n"], row["kernel"]) for row in out["kernels"]] == [(8, "mixer"), (20, "exact")]
+    low, high = out["kernels"]
+    assert low["wins"] == 5 and low["gain"] and low["unit"] == "s"
+    assert high["ties"] == 5 and high["wins"] == 0 and not high["gain"]
+    for entry in [*out["per_layer"].values(), *out["kernels"]]:
+        assert "regressed" not in entry and "unresolved" not in entry
+        assert entry["errored"] == {"parent": 0, "change": 0}
+
+
+def test_trace_summary_counts_errored_runs():
+    pairs = [(traced(p), traced(p - 2.0)) for p in PARENT[:4]] + [(traced(10.0), traced(None))]
+    out = trace_summary(pairs)
+    mixer = out["per_layer"]["engine.mixer_us"]
+    assert mixer["errored"] == {"parent": 0, "change": 1}
+    assert mixer["pairs"] == 4 and mixer["pairs_run"] == 5 and mixer["wins"] == 4
+    assert not mixer["gain"]  # 4 of 5 pairs is below nine tenths
+    assert out["kernels"][0]["pairs"] == 4
+
+
+FAKE_RUN = '''
+import json, os, sys
+args = dict(zip(sys.argv[1::2], sys.argv[2::2]))
+os.makedirs("perfbench/out", exist_ok=True)
+name = f"{args['--workload']}-seed{args['--seed']}-trace{args['--trace']}.json"
+with open(os.path.join("perfbench/out", name), "w") as fh:
+    json.dump({"kernels": [{"n": 8, "kernel": "mixer", "median_s": 2e-6, "reps": 5}]}, fh)
+print(json.dumps({"correct": True, "metrics": {"engine.mixer_us": {"value": 9.0, "unit": "us"}}}))
+'''
+
+
+def test_traced_run_reads_the_kernel_table_from_its_result_file(tmp_path):
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(FAKE_RUN)
+    values = bench_pairs._run(str(tmp_path), "w", 7, 1.0, trace=True)
+    assert values == {"engine.mixer_us": 9.0, "correct": True,
+                      "kernels": [{"n": 8, "kernel": "mixer", "median_s": 2e-6}]}
+    untraced = bench_pairs._run(str(tmp_path), "w", 7, 1.0)
+    assert "kernels" not in untraced and untraced["engine.mixer_us"] == 9.0

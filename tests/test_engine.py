@@ -7,8 +7,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lotus_qaoa import engine, instance
+from lotus_qaoa.engine import DEFAULT_QUBIT_CAP
 from lotus_qaoa.engine import (
     MirroredHalf,
+    Workspace,
     apply_cost_phase,
     apply_mixer,
     build_cost_diagonal,
@@ -592,3 +594,63 @@ class TestKeptHalf:
         with pytest.raises(ValueError, match="dimensions"):
             expectation_exact(MirroredHalf(half=np.ones(4, dtype=complex)),
                               build_cost_diagonal(SINGLE_EDGE))
+
+
+def same_bits(a, b):
+    """Equal as int64 views: every bit, signed zeros included."""
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+class TestWorkspace:
+    @pytest.mark.parametrize("n", range(1, 21))
+    def test_reused_workspace_equals_the_standalone_kernels(self, n):
+        # one workspace runs several schedules, as a run's evaluations do:
+        # each must equal the per-layer kernels run standalone, bit for bit,
+        # over one piece (n <= 14), pair-step pieces (n >= 15) and chunked
+        # blocks (n >= 17)
+        g = WeightedGraph(n=1, edges=()) if n == 1 else gen_erdos_renyi(n, 0.5, seed=n)
+        diag = build_cost_diagonal(g)
+        rng = np.random.default_rng(n)
+        p = 2
+        workspace = Workspace(n, p)
+        for _ in range(3):
+            sched = standard_unpack(rng.uniform(-7, 7, 2 * p), p)
+            state = plus_state(n)
+            for gamma, beta in zip(sched.raw_gammas.tolist(), sched.raw_betas.tolist()):
+                apply_mixer(apply_cost_phase(state, diag, gamma), beta)
+            reused = evolve(g, sched, diag=diag, workspace=workspace)
+            assert reused.workspace is workspace
+            assert same_bits(reused.half, state.half), n
+            assert expectation_exact(reused, diag) == expectation_exact(state, diag)
+            assert np.array_equal(engine._sample_indices(reused, 256, np.random.default_rng(1)),
+                                  engine._sample_indices(state, 256, np.random.default_rng(1)))
+
+    def test_standalone_evolves_share_no_memory(self):
+        sched = schedule_of([0.3, -1.2], [0.7, 0.2])
+        g = gen_erdos_renyi(9, 0.5, seed=9)
+        first, second = evolve(g, sched), evolve(g, sched)
+        assert first.workspace is None and second.workspace is None
+        assert not np.shares_memory(first.half, second.half)
+        assert same_bits(first.half, second.half)
+
+    def test_kept_state_survives_later_evolves(self):
+        g = gen_erdos_renyi(15, 0.5, seed=15)
+        diag = build_cost_diagonal(g)
+        workspace = Workspace(15, 1)
+        kept = workspace.keep(evolve(g, schedule_of(0.4, 0.9), diag=diag, workspace=workspace))
+        expected = kept.half.copy()
+        for beta in (0.1, -0.5, 2.0):
+            later = evolve(g, schedule_of(1.1, beta), diag=diag, workspace=workspace)
+            assert not np.shares_memory(later.half, kept.half)
+        assert same_bits(kept.half, expected)
+        with pytest.raises(ValueError, match="current state"):
+            workspace.keep(kept)
+
+    def test_workspace_of_another_size_is_refused(self):
+        workspace = Workspace(3, 2)
+        with pytest.raises(ValueError, match="workspace is for"):
+            evolve(TRIANGLE, schedule_of([0.1], [0.2]), workspace=workspace)
+        with pytest.raises(ValueError, match="workspace is for"):
+            evolve(SINGLE_EDGE, schedule_of([0.1, 0.2], [0.3, 0.4]), workspace=workspace)
+        with pytest.raises(ValueError):
+            Workspace(DEFAULT_QUBIT_CAP + 1, 1)

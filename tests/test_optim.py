@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -197,12 +198,16 @@ def _baseline_run(g, shots):
 
 
 @pytest.mark.parametrize("shots", [0, 256])
-@pytest.mark.parametrize("run", [_lotus_run, _baseline_run], ids=["lotus", "baseline"])
-def test_readout_equals_a_fresh_evolve(run, shots):
+@pytest.mark.parametrize("run, n", [(_lotus_run, 6), (_baseline_run, 6),
+                                    (_lotus_run, 15), (_baseline_run, 15)],
+                         ids=["lotus", "baseline", "lotus-n15", "baseline-n15"])
+def test_readout_equals_a_fresh_evolve(run, n, shots):
     """The record reads the winning evaluation's state: its exact and
     8192-shot expectation and best cut equal a fresh ``evolve`` of the
-    returned schedule's, bit for bit."""
-    g = gen_erdos_renyi(6, 0.7, seed=4)
+    returned schedule's, bit for bit. Later evaluations run in the same
+    workspace, so the state must have been kept out of reuse; n = 15 runs
+    the pair step in pieces."""
+    g = gen_erdos_renyi(n, 0.7, seed=4)
     sched, record = run(g, shots)
     diag = engine.build_cost_diagonal(g)
     state = engine.evolve(g, sched, diag=diag)
@@ -215,6 +220,35 @@ def test_readout_equals_a_fresh_evolve(run, shots):
             state, diag, optim.VERIFY_SHOTS, optim._seed_rng(3, 90))[0]
     assert record.best_cut == engine.sample_best_bitstring(
         state, diag, optim.VERIFY_SHOTS, optim._seed_rng(3, 91))
+
+
+@pytest.mark.parametrize("shots", [0, 1024])
+def test_later_evaluations_allocate_no_state_sized_array(monkeypatch, shots):
+    """After the first evaluation a run reuses its workspace: no evaluation
+    allocates an array as large as the kept half (2^15 amplitudes at n = 16).
+    numpy reports its arrays to tracemalloc; the peak traced between two
+    ``evolve`` calls bounds what one evaluation allocates at once."""
+    g = gen_erdos_renyi(16, 0.5, seed=5)
+    half_bytes = np.dtype(np.complex128).itemsize << 15
+    marks = []
+    evolve = engine.evolve
+
+    def marked(*args, **kwargs):
+        marks.append(tracemalloc.get_traced_memory())
+        tracemalloc.reset_peak()
+        return evolve(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "evolve", marked)
+    tracemalloc.start()
+    try:
+        _, out, _ = lotus_optimize(g, 2, k_modes=1, init=LotusInitConfig(n_restarts=1),
+                                   shots=shots, seed=6, budget=12)
+    finally:
+        tracemalloc.stop()
+    assert len(marks) == out.evaluations >= 4
+    # evaluation i runs from mark i to mark i + 1; the first one sets up
+    grown = [peak - start for (start, _), (_, peak) in zip(marks[1:], marks[2:])]
+    assert max(grown) < half_bytes, grown
 
 
 class TestLotusOptimize:
