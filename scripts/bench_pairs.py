@@ -13,8 +13,8 @@ every workload in ``BENCHMARK.json`` the script runs
 seed, where S is the benchmark's ``run_seconds``. There are ``PAIRS``
 pairs (``--pairs`` sets another count) on seeds ``FIRST_SEED`` upward;
 even pairs run the parent first and odd pairs the change first, so slow
-drift of the host falls on both sides alike. The holdout seed runs as one more pair after the tuned seeds and is
-reported apart from them.
+drift of the host falls on both sides alike. The holdout seed runs as one
+more pair after the tuned seeds and is reported apart from them.
 
 The output holds, per workload and end-to-end metric: both sides' values
 per seed, their medians and quartiles, how many pairs the change won, how
