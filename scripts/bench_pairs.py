@@ -2,7 +2,7 @@
 
     python3 scripts/bench_pairs.py --parent HEAD~1 --change HEAD --out BENCH_8.json
     python3 scripts/bench_pairs.py --parent HEAD~1 --change HEAD --out BENCH_8_trace.json \
-        --trace oneshot-n20 --pairs 5
+        --trace oneshot-n20
 
 Each commit's files are exported with ``git archive`` into its own fresh
 temporary directory (``TMPDIR`` chooses where; it is removed at the end),
@@ -11,10 +11,10 @@ working tree and metadata are left alone. For every pair and
 every workload in ``BENCHMARK.json`` the script runs
 ``perfbench/run.py --seconds S --trace 0`` once on each side, on the same
 seed, where S is the benchmark's ``run_seconds``. There are ``PAIRS``
-pairs (``--pairs`` sets another count) on seeds ``FIRST_SEED`` upward;
-even pairs run the parent first and odd pairs the change first, so slow
-drift of the host falls on both sides alike. The holdout seed runs as one
-more pair after the tuned seeds and is reported apart from them.
+pairs on seeds ``FIRST_SEED`` upward; even pairs run the parent first and
+odd pairs the change first, so slow drift of the host falls on both sides
+alike. The holdout seed runs as one more pair after the tuned seeds and is
+reported apart from them.
 
 The output holds, per workload and end-to-end metric: both sides' values
 per seed, their medians and quartiles, how many pairs the change won, how
@@ -30,9 +30,9 @@ records the host's core count, the numpy and scipy versions and both
 commits. It is rewritten after every pair, with ``"complete": false``
 until the last pair is done.
 
-With ``--trace WORKLOAD`` the pairs run ``--trace 1`` on that workload
-alone, with no holdout pair; ``--pairs`` sets how many. The summary then
-gives each per-layer metric of ``BENCHMARK.json`` and each row of the
+With ``--trace WORKLOAD`` there are ``TRACE_PAIRS`` pairs, run with
+``--trace 1`` on that workload alone and with no holdout pair. The summary
+then gives each per-layer metric of ``BENCHMARK.json`` and each row of the
 run's kernel table (read from its result file under ``perfbench/out/``)
 the same medians, quartiles, win count and ``gain`` verdict, but no
 ``regressed`` or ``unresolved`` verdict: per-layer metrics have no bound.
@@ -56,6 +56,7 @@ import scipy
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PAIRS = 10
+TRACE_PAIRS = 6  # traced pairs of one workload, on the first seeds
 FIRST_SEED = 301  # pair i runs seed FIRST_SEED + i
 HOLDOUT_SEED = 9001
 
@@ -233,7 +234,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--trace", metavar="WORKLOAD",
                         help="run traced pairs of this workload and summarize its per-layer "
                              "metrics and kernel table instead")
-    parser.add_argument("--pairs", type=int, default=PAIRS, help="pairs to run")
     args = parser.parse_args(argv)
 
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
@@ -241,11 +241,9 @@ def main(argv: list[str] | None = None) -> int:
     workloads = [w["name"] for w in spec["workloads"]]
     if args.trace is not None and args.trace not in workloads:
         parser.error(f"--trace: unknown workload {args.trace!r}; known: {workloads}")
-    if args.pairs < 1:
-        parser.error("--pairs must be at least 1")
     commits = {"parent": _git("rev-parse", args.parent), "change": _git("rev-parse", args.change)}
     seconds = spec["run_seconds"]
-    seeds = [FIRST_SEED + i for i in range(args.pairs)]
+    seeds = [FIRST_SEED + i for i in range(TRACE_PAIRS if args.trace else PAIRS)]
     header = {
         "command": "python3 scripts/bench_pairs.py " + " ".join(argv or sys.argv[1:]),
         "commits": commits, "seconds": seconds, "seeds": seeds,

@@ -252,39 +252,55 @@ def _mixer_plan(n: int) -> tuple[np.ndarray, tuple[tuple[int, int, int], ...], i
     return index, tuple(spans), width
 
 
+def _powers(p: int, width: int) -> np.ndarray:
+    """The (p, 3, width) power table of ``_mixer_factors``, its signs set:
+    rows c^i; s^i, then 0; -s^i, then -0."""
+    powers = np.empty((p, 3, width))
+    powers[:, :, :1] = _POWER_SIGNS
+    return powers
+
+
+def _layer_blocks(flat: np.ndarray, spans: tuple[tuple[int, int, int], ...]
+                  ) -> list[tuple[np.ndarray, ...]]:
+    """Each layer's tuple of block views into the gathered (p, entries) array."""
+    return list(zip(*[flat[:, start:end].reshape(-1, dim, dim) for start, end, dim in spans]))
+
+
 class _MixerFactors:
     """The arrays ``_mixer_factors`` builds the blocks of p layers in, at n,
     and each layer's tuple of block views into them."""
 
     def __init__(self, n: int, p: int) -> None:
         index, spans, width = _mixer_plan(n)
-        self.powers = np.empty((p, 3, width))  # c^i; s^i, then 0; -s^i, then -0
-        self.powers[:, :, :1] = _POWER_SIGNS
+        self.powers = _powers(p, width)
         self.table = np.empty((p, width - 1, 2, width))
         self.flat = np.empty((p, index.size))
-        self.layers = list(zip(*[self.flat[:, start:end].reshape(-1, dim, dim)
-                                 for start, end, dim in spans]))
+        self.layers = _layer_blocks(self.flat, spans)
 
 
 def _mixer_factors(n: int, betas: np.ndarray,
                    out: _MixerFactors | None = None) -> list[tuple[np.ndarray, ...]]:
     """Each layer's real mixer blocks, lowest first (float64, (2^k, 2^k)),
-    the lowest one transposed, built in ``out`` when given.
+    the lowest one transposed, built in ``out`` when given, else in arrays
+    that the product and the gather allocate.
 
     The powers c^i and s^i are running products; one gather from their
     signed table builds the blocks of all p layers.
     """
+    index, spans, width = _mixer_plan(n)
     b = np.asarray(betas, dtype=np.float64)[:, None, None]
-    f = _MixerFactors(n, b.size) if out is None else out
-    powers = f.powers
+    if out is None:
+        powers, table, flat = _powers(b.size, width), None, None
+    else:
+        powers, table, flat = out.powers, out.table, out.flat
     powers[:, :1, 1:] = np.cos(b)
     powers[:, 1:, 1:] = np.sin(b)
     powers[:, 1:, -1] = 0.0
     np.multiply.accumulate(powers, axis=2, out=powers)
-    np.multiply(powers[:, 0, :-1, None, None], powers[:, None, 1:], out=f.table)
+    table = np.multiply(powers[:, 0, :-1, None, None], powers[:, None, 1:], out=table)
     # mode="clip" writes straight into out; the default mode buffers it
-    f.table.reshape(b.size, -1).take(_mixer_plan(n)[0], axis=1, out=f.flat, mode="clip")
-    return f.layers
+    flat = table.reshape(b.size, -1).take(index, axis=1, out=flat, mode="clip")
+    return _layer_blocks(flat, spans) if out is None else out.layers
 
 
 @cache
@@ -323,20 +339,21 @@ def _pair_pieces(pieces: np.ndarray, rows: np.ndarray, kappa: complex) -> None:
 
 
 @cache
-def _mixer_views(n: int) -> tuple[tuple[tuple[int, ...], ...], int]:
+def _mixer_views(n: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
     """Shape of the float64 view each real mixer block runs on at n, lowest
-    first, and how many blocks act within a chunk of ``_MIXER_CHUNK``.
+    first: those of the blocks that act within a chunk of ``_MIXER_CHUNK``,
+    then those of the blocks above it.
 
     The lowest block's view is (rest, 2^k), with its bits as columns; a
     block at bit offset o has the (pieces, 2^k, 2^o) view, its bits as the
     middle axis.
     """
-    shapes, offset, inner = [], 0, 0
+    low, high, offset = [], [], 0
     for k in _mixer_block_sizes(n):
-        shapes.append((-1, 1 << k, 1 << offset) if offset else (-1, 1 << k))
+        shape = (-1, 1 << k, 1 << offset) if offset else (-1, 1 << k)
         offset += k
-        inner += 1 << offset <= _MIXER_CHUNK
-    return tuple(shapes), inner
+        (low if 1 << offset <= _MIXER_CHUNK else high).append(shape)
+    return tuple(low), tuple(high)
 
 
 class _Buffer:
@@ -345,19 +362,23 @@ class _Buffer:
     ``chunks`` holds, per chunk of ``_MIXER_CHUNK`` floats (one chunk when
     the half fits in one), the float64 view of each block within it, in the
     shapes of ``_mixer_views``; ``top`` the whole-half view of each block
-    above the chunk; ``pieces`` the (pieces, ``_PAIR_PIECE``) view of a
-    half of more than one piece, else None.
+    above the chunk (none when the half fits in one); ``pieces`` the
+    (pieces, ``_PAIR_PIECE``) view of a half of more than one piece, else
+    None. A standalone mixer call builds two, so construction does little
+    beyond making the views.
     """
 
     __slots__ = ("half", "chunks", "top", "pieces")
 
     def __init__(self, half: np.ndarray) -> None:
-        shapes, inner = _mixer_views(half.size.bit_length())
+        low, high = _mixer_views(half.size.bit_length())
         flat = half.view(np.float64)
-        parts = flat.reshape(-1, _MIXER_CHUNK) if flat.size > _MIXER_CHUNK else (flat,)
         self.half = half
-        self.chunks = [[part.reshape(shape) for shape in shapes[:inner]] for part in parts]
-        self.top = [flat.reshape(shape) for shape in shapes[inner:]]
+        if flat.size > _MIXER_CHUNK:
+            self.chunks = [list(map(part.reshape, low)) for part in flat.reshape(-1, _MIXER_CHUNK)]
+            self.top = list(map(flat.reshape, high))
+        else:
+            self.chunks, self.top = [list(map(flat.reshape, low))], []
         self.pieces = half.reshape(-1, _PAIR_PIECE) if half.size > _PAIR_PIECE else None
 
 
