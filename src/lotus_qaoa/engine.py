@@ -476,6 +476,13 @@ class Workspace:
     that ``evolve`` returns is overwritten by the next ``evolve`` unless
     ``keep`` takes it out of reuse. The buffers live as long as the
     workspace; nothing caches them across runs.
+
+    The three buffers and the phase rows are rows of one array. Separate
+    8 MiB arrays at n = 20 came from glibc's heap once earlier frees in the
+    process had raised its mapping threshold, and about 40 MB of their
+    pages stayed resident after the run. One allocation of (3 + p) * 2^(n-1)
+    amplitudes is above that threshold's 32 MiB ceiling at n = 20, so it is
+    mapped for the run and returned to the system at its end.
     """
 
     def __init__(self, n: int, p: int) -> None:
@@ -483,9 +490,9 @@ class Workspace:
             raise ValueError(f"need 1 <= n <= {DEFAULT_QUBIT_CAP}, got {n}")
         a, b = _split_bits(n)
         self.n, self.p = n, p
-        self.state, self.spare, self._kept = (_Buffer(np.empty(1 << (n - 1), dtype=np.complex128))
-                                              for _ in range(3))
-        self.rows = np.empty((p, 1 << a, 1 << b), dtype=np.complex128)
+        halves = np.empty((3 + p, 1 << (n - 1)), dtype=np.complex128)
+        self.state, self.spare, self._kept = (_Buffer(half) for half in halves[:3])
+        self.rows = halves[3:].reshape(p, 1 << a, 1 << b)
         self.factors = _MixerFactors(n, p)
 
     def plus_state(self) -> MirroredHalf:
