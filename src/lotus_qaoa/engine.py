@@ -21,26 +21,28 @@ it. Only ``MirroredHalf.amps`` untwists.
 
 ``evolve`` builds the factors of all p layers once per schedule (phase rows
 from the split of the cut table in ``CostDiagonal``, real mixer blocks with
-one gather) and hands each layer's to ``apply_cost_phase`` and
-``apply_mixer``, which build it themselves when called alone. The layer loop
-only multiplies and runs matmuls. Each mixer block is one matmul where its
-bits already lie, with nothing rotated: the lowest block right-multiplies
-the (rest, 2^k) view and every other block left-multiplies the
-(pieces, 2^k, 2^offset) view at its bit offset, alternating between the
-state's array and one spare. From n = 17 the blocks within a 2^16-float
-chunk run chunk by chunk, in cache, and the top block over the whole half;
-the dropped top qubit is one pair step, run from n = 15 on mirrored pairs
-of 2^13-amplitude pieces with a sign table of one piece.
+one gather in ``_MixerFactors``) and hands each layer's to
+``apply_cost_phase`` and ``apply_mixer``, which build it themselves when
+called alone. The layer loop only multiplies and runs matmuls. Each mixer
+block is one matmul where its bits already lie, with nothing rotated: the
+lowest block right-multiplies the (rest, 2^k) view and every other block
+left-multiplies the (pieces, 2^k, 2^offset) view at its bit offset,
+alternating between the state's array and one spare. From n = 17 the
+blocks within a 2^16-float chunk run chunk by chunk, in cache, and the top
+block over the whole half; the dropped top qubit is one pair step, run
+from n = 15 on mirrored pairs of 2^13-amplitude pieces with a sign table
+of one piece.
 
-An optimization run allocates its state-sized arrays once: ``optim.optimize``
-creates one ``Workspace`` per run, owns it for the whole run and passes it
-to every ``evolve``. The workspace holds the state buffers with their
-prebuilt mixer views, the phase rows and the mixer blocks; the sampling
-CDF and the exact expectation's product run in its spare buffer, and it
-keeps the best evaluation's state out of reuse. A state that ``evolve`` ran there carries
-its workspace, so the kernels and readouts find those buffers through it;
-every other call (``evolve`` without a workspace, the kernels alone) builds
-its arrays and views as it goes. Nothing caches a buffer beyond its run.
+Every circuit runs in a ``Workspace``, which holds the state buffers with
+their prebuilt mixer views, the phase rows and the mixer blocks; the
+sampling CDF and the exact expectation's product run in its spare buffer,
+and it keeps the best evaluation's state out of reuse. An optimization run
+allocates its state-sized arrays once: ``optim.optimize`` creates one
+workspace per run, owns it for the whole run and passes it to every
+``evolve``; ``evolve`` without one creates its own. A state that ``evolve``
+returns carries its workspace, so the kernels and readouts find those
+buffers through it. Only the kernels called alone on a bare state build
+their arrays and views as they go. Nothing caches a buffer beyond its run.
 """
 from __future__ import annotations
 
@@ -99,8 +101,8 @@ class MirroredHalf:
     cost phases and leaves every |amplitude|^2 as it is: the phase, the
     expectations and sampling read ``half`` directly. ``amps`` untwists
     and forms the full 2^n vector on each access. ``workspace`` is the
-    ``Workspace`` whose buffer holds ``half`` when ``evolve`` ran the state
-    there, else None.
+    ``Workspace`` whose buffer holds ``half``, which every state that
+    ``evolve`` returns has; a bare state (``plus_state``) has None.
     """
 
     half: np.ndarray
@@ -252,55 +254,36 @@ def _mixer_plan(n: int) -> tuple[np.ndarray, tuple[tuple[int, int, int], ...], i
     return index, tuple(spans), width
 
 
-def _powers(p: int, width: int) -> np.ndarray:
-    """The (p, 3, width) power table of ``_mixer_factors``, its signs set:
-    rows c^i; s^i, then 0; -s^i, then -0."""
-    powers = np.empty((p, 3, width))
-    powers[:, :, :1] = _POWER_SIGNS
-    return powers
-
-
-def _layer_blocks(flat: np.ndarray, spans: tuple[tuple[int, int, int], ...]
-                  ) -> list[tuple[np.ndarray, ...]]:
-    """Each layer's tuple of block views into the gathered (p, entries) array."""
-    return list(zip(*[flat[:, start:end].reshape(-1, dim, dim) for start, end, dim in spans]))
-
-
 class _MixerFactors:
-    """The arrays ``_mixer_factors`` builds the blocks of p layers in, at n,
-    and each layer's tuple of block views into them."""
+    """The arrays the real mixer blocks of p layers are built in, at n, and
+    each layer's tuple of block views into them."""
 
     def __init__(self, n: int, p: int) -> None:
-        index, spans, width = _mixer_plan(n)
-        self.powers = _powers(p, width)
+        self.index, spans, width = _mixer_plan(n)
+        self.powers = np.empty((p, 3, width))
+        self.powers[:, :, :1] = _POWER_SIGNS  # rows c^i; s^i, then 0; -s^i, then -0
         self.table = np.empty((p, width - 1, 2, width))
-        self.flat = np.empty((p, index.size))
-        self.layers = _layer_blocks(self.flat, spans)
+        self.flat = np.empty((p, self.index.size))
+        self.layers = list(zip(*[self.flat[:, start:end].reshape(-1, dim, dim)
+                                 for start, end, dim in spans]))
 
+    def build(self, betas: np.ndarray) -> list[tuple[np.ndarray, ...]]:
+        """Each layer's real mixer blocks for ``betas`` (p of them), lowest
+        first (float64, (2^k, 2^k)), the lowest one transposed.
 
-def _mixer_factors(n: int, betas: np.ndarray,
-                   out: _MixerFactors | None = None) -> list[tuple[np.ndarray, ...]]:
-    """Each layer's real mixer blocks, lowest first (float64, (2^k, 2^k)),
-    the lowest one transposed, built in ``out`` when given, else in arrays
-    that the product and the gather allocate.
-
-    The powers c^i and s^i are running products; one gather from their
-    signed table builds the blocks of all p layers.
-    """
-    index, spans, width = _mixer_plan(n)
-    b = np.asarray(betas, dtype=np.float64)[:, None, None]
-    if out is None:
-        powers, table, flat = _powers(b.size, width), None, None
-    else:
-        powers, table, flat = out.powers, out.table, out.flat
-    powers[:, :1, 1:] = np.cos(b)
-    powers[:, 1:, 1:] = np.sin(b)
-    powers[:, 1:, -1] = 0.0
-    np.multiply.accumulate(powers, axis=2, out=powers)
-    table = np.multiply(powers[:, 0, :-1, None, None], powers[:, None, 1:], out=table)
-    # mode="clip" writes straight into out; the default mode buffers it
-    flat = table.reshape(b.size, -1).take(index, axis=1, out=flat, mode="clip")
-    return _layer_blocks(flat, spans) if out is None else out.layers
+        The powers c^i and s^i are running products; one gather from their
+        signed table builds the blocks of all p layers.
+        """
+        b = np.asarray(betas, dtype=np.float64)[:, None, None]
+        powers = self.powers
+        powers[:, :1, 1:] = np.cos(b)
+        powers[:, 1:, 1:] = np.sin(b)
+        powers[:, 1:, -1] = 0.0
+        np.multiply.accumulate(powers, axis=2, out=powers)
+        np.multiply(powers[:, 0, :-1, None, None], powers[:, None, 1:], out=self.table)
+        # mode="clip" writes straight into flat; the default mode buffers it
+        self.table.reshape(b.size, -1).take(self.index, axis=1, out=self.flat, mode="clip")
+        return self.layers
 
 
 @cache
@@ -374,11 +357,9 @@ class _Buffer:
         low, high = _mixer_views(half.size.bit_length())
         flat = half.view(np.float64)
         self.half = half
-        if flat.size > _MIXER_CHUNK:
-            self.chunks = [list(map(part.reshape, low)) for part in flat.reshape(-1, _MIXER_CHUNK)]
-            self.top = list(map(flat.reshape, high))
-        else:
-            self.chunks, self.top = [list(map(flat.reshape, low))], []
+        parts = flat.reshape(-1, _MIXER_CHUNK) if flat.size > _MIXER_CHUNK else (flat,)
+        self.chunks = [list(map(part.reshape, low)) for part in parts]
+        self.top = list(map(flat.reshape, high))
         self.pieces = half.reshape(-1, _PAIR_PIECE) if half.size > _PAIR_PIECE else None
 
 
@@ -388,15 +369,15 @@ def apply_mixer(state: MirroredHalf, beta: float,
 
     In the state's frame h[z] = i^popcount(z) amps[z], exp(-i*beta*X) on
     a kept qubit is the real rotation Q = [[c, -s], [s, c]], so the blocks
-    of ``_mixer_factors`` act on the half's float64 view, whose index has
+    of ``_MixerFactors`` act on the half's float64 view, whose index has
     the real/imaginary bit lowest and the kept qubits above it.
-    ``blocks`` is the layer's entry of ``_mixer_factors``, which
-    ``evolve`` builds for all layers at once; without it the blocks are
-    built here.
+    ``blocks`` is the layer's entry of ``_MixerFactors.build``, which
+    ``evolve`` runs for all layers at once; without it the blocks are
+    built here, by the same builder for one layer.
 
     Each block runs as one matmul where its k bits already lie, so no bits
     move: the lowest block right-multiplies the view as a (rest, 2^k)
-    matrix (``_mixer_factors`` holds it transposed), and the block at bit
+    matrix (``_MixerFactors`` holds it transposed), and the block at bit
     offset o left-multiplies every piece of the (pieces, 2^k, 2^o) view.
     Since the lowest block carries cos(beta), that leaves
     u = cos(beta) Q^(x)(n-1) h. A block whose bits lie within the low
@@ -421,9 +402,10 @@ def apply_mixer(state: MirroredHalf, beta: float,
     layer made sweeps at n = 16 several times slower.
 
     The state's array and the spare come with their views (``_Buffer``).
-    A state that ``evolve`` runs in a ``Workspace`` takes both, prebuilt,
-    from the workspace, and leaves the two swapped there as the blocks left
-    them; any other state gets its views and a new spare built here.
+    A state that ``evolve`` runs, always in a ``Workspace``, takes both,
+    prebuilt, from the workspace, and leaves the two swapped there as the
+    blocks left them; only a bare state, the mixer called alone, gets its
+    views and a new spare built here.
     """
     ws = state.workspace
     if ws is not None and state.half is ws.state.half:
@@ -434,7 +416,7 @@ def apply_mixer(state: MirroredHalf, beta: float,
         buf, spare = _Buffer(u), _Buffer(np.empty_like(u))
     n = buf.half.size.bit_length()
     if blocks is None:
-        blocks = _mixer_factors(n, np.array([beta]))[0]
+        blocks = _MixerFactors(n, 1).build([beta])[0]
     for a, s in zip(buf.chunks, spare.chunks):
         np.matmul(a[0], blocks[0], out=s[0])
         for j in range(1, len(a)):
@@ -461,16 +443,17 @@ def apply_mixer(state: MirroredHalf, beta: float,
 
 
 class Workspace:
-    """The state-sized buffers of every evaluation of one run, at n qubits
-    and depth p, allocated once.
+    """The state-sized buffers every circuit at n qubits and depth p runs
+    in, allocated once.
 
     ``optim.optimize`` creates one per run, owns it for the whole run and
     hands it to every ``evolve``, so no evaluation allocates a state-sized
-    array or rebuilds a view. It holds three kept-half buffers with their
-    mixer views (``_Buffer``): ``state``, which ``evolve`` writes |+> into
-    and runs the layers on, ``spare``, which the mixer's blocks alternate
-    with it, and one kept buffer; the (p, 2^a, 2^b) phase rows that
-    ``_phase_rows`` fills; and the arrays of ``_mixer_factors``. Between
+    array or rebuilds a view; ``evolve`` without one creates its own. It
+    holds three kept-half buffers with their mixer views (``_Buffer``):
+    ``state``, which ``evolve`` writes |+> into and runs the layers on,
+    ``spare``, which the mixer's blocks alternate with it, and one kept
+    buffer; the (p, 2^a, 2^b) phase rows that ``_phase_rows`` fills; and
+    the ``_MixerFactors`` of p layers. Between
     mixer calls the spare is free, so the product of ``expectation_exact``
     and the float CDF of ``_sample_indices`` run in its memory. A state
     that ``evolve`` returns is overwritten by the next ``evolve`` unless
@@ -488,6 +471,8 @@ class Workspace:
     def __init__(self, n: int, p: int) -> None:
         if not (1 <= n <= DEFAULT_QUBIT_CAP):
             raise ValueError(f"need 1 <= n <= {DEFAULT_QUBIT_CAP}, got {n}")
+        if p < 1:
+            raise ValueError(f"need depth p >= 1, got {p}")
         a, b = _split_bits(n)
         self.n, self.p = n, p
         halves = np.empty((3 + p, 1 << (n - 1)), dtype=np.complex128)
@@ -519,24 +504,23 @@ def evolve(g: WeightedGraph, sched: Schedule, diag: CostDiagonal | None = None,
 
     Every layer's phases and mixer blocks are built once per schedule and
     handed to the per-layer kernels. Pass a prebuilt ``diag`` to skip
-    rebuilding it in hot loops. With a ``workspace`` of this n and p the
-    circuit runs in its buffers and the returned state lives there (see
-    ``Workspace``); without one every array is new, and the state is the
-    caller's alone.
+    rebuilding it in hot loops. The circuit runs in ``workspace``, which
+    must be of this n and p, and the returned state lives there (see
+    ``Workspace``). Without one, ``evolve`` creates a new workspace, so the
+    state is the caller's alone; it keeps that workspace's (3 + p) halves
+    alive for as long as the caller holds it.
     """
     if diag is None:
         diag = build_cost_diagonal(g)
     gammas, betas = sched.raw_gammas, sched.raw_betas
     if workspace is None:
-        state = plus_state(g.n)
-        rows, factors = _phase_rows(diag, gammas), _mixer_factors(g.n, betas)
-    elif (workspace.n, workspace.p) != (g.n, gammas.size):
+        workspace = Workspace(g.n, sched.depth)
+    elif (workspace.n, workspace.p) != (g.n, sched.depth):
         raise ValueError(f"workspace is for n={workspace.n}, p={workspace.p}; "
-                         f"circuit has n={g.n}, p={gammas.size}")
-    else:
-        state = workspace.plus_state()
-        rows = _phase_rows(diag, gammas, workspace.rows)
-        factors = _mixer_factors(g.n, betas, workspace.factors)
+                         f"circuit has n={g.n}, p={sched.depth}")
+    state = workspace.plus_state()
+    rows = _phase_rows(diag, gammas, workspace.rows)
+    factors = workspace.factors.build(betas)
     for gamma, beta, row, blocks in zip(gammas.tolist(), betas.tolist(), rows, factors):
         apply_cost_phase(state, diag, gamma, row)
         apply_mixer(state, beta, blocks)

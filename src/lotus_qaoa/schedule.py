@@ -34,6 +34,8 @@ def hfa_dimension(k_modes: int) -> int:
 
 def standard_dimension(p: int) -> int:
     """Length of the independent-angle vector at depth p."""
+    if p < 1:
+        raise ValueError(f"need depth p >= 1, got {p}")
     return 2 * p
 
 
@@ -116,6 +118,13 @@ class Schedule:
     raw_gammas: np.ndarray
     raw_betas: np.ndarray
 
+    def __post_init__(self) -> None:
+        gs, bs = np.shape(self.raw_gammas), np.shape(self.raw_betas)
+        if len(gs) != 1 or gs != bs:
+            raise ValueError(f"need 1-D gammas and betas of one length, got shapes {gs} and {bs}")
+        if not gs[0]:
+            raise ValueError("need depth p >= 1, got 0")
+
     @property
     def depth(self) -> int:
         return int(self.raw_gammas.size)
@@ -171,8 +180,6 @@ def hfa_generate(params: HfaParams, p: int) -> Schedule:
 
 def standard_unpack(v: np.ndarray, p: int) -> Schedule:
     """Schedule of the independent-angle vector v (gamma block, then beta block), length 2p."""
-    if p < 1:
-        raise ValueError(f"need depth p >= 1, got {p}")
     v = np.asarray(v, dtype=np.float64)
     if v.size != standard_dimension(p):
         raise ValueError(f"expected a 2p = {standard_dimension(p)} vector, got length {v.size}")

@@ -186,7 +186,7 @@ class TestMixer:
         for n in range(1, 21):
             betas = rng.uniform(-7, 7, 3)
             sizes = engine._mixer_block_sizes(n)
-            for beta, blocks in zip(betas, engine._mixer_factors(n, betas)):
+            for beta, blocks in zip(betas, engine._MixerFactors(n, betas.size).build(betas)):
                 c, s = np.cos(beta), np.sin(beta)
                 q = np.array([[c, -s], [s, c]])
                 assert [block.shape[0] for block in blocks] == [1 << k for k in sizes]
@@ -629,7 +629,7 @@ class TestWorkspace:
         sched = schedule_of([0.3, -1.2], [0.7, 0.2])
         g = gen_erdos_renyi(9, 0.5, seed=9)
         first, second = evolve(g, sched), evolve(g, sched)
-        assert first.workspace is None and second.workspace is None
+        assert first.workspace is not second.workspace
         assert not np.shares_memory(first.half, second.half)
         assert same_bits(first.half, second.half)
 
@@ -654,3 +654,8 @@ class TestWorkspace:
             evolve(SINGLE_EDGE, schedule_of([0.1, 0.2], [0.3, 0.4]), workspace=workspace)
         with pytest.raises(ValueError):
             Workspace(DEFAULT_QUBIT_CAP + 1, 1)
+
+    @pytest.mark.parametrize("p", [0, -1])
+    def test_workspace_needs_positive_depth(self, p):
+        with pytest.raises(ValueError, match=r"need depth p >= 1"):
+            Workspace(3, p)

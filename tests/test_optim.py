@@ -364,3 +364,13 @@ class TestBaselineOptimize:
         _, o1, _ = baseline_optimize(g, 2, method="nelder-mead", shots=0, seed=22, budget=100)
         _, o2, _ = baseline_optimize(g, 2, method="nelder-mead", shots=0, seed=22, budget=100)
         assert o1.f_best == o2.f_best
+
+
+@pytest.mark.parametrize("p", [0, -1])
+@pytest.mark.parametrize("run", [
+    lambda g, p: lotus_optimize(g, p, shots=0, budget=50),
+    lambda g, p: baseline_optimize(g, p, "powell", shots=0, budget=50),
+], ids=["lotus", "baseline"])
+def test_drivers_need_positive_depth(run, p):
+    with pytest.raises(ValueError, match=r"need depth p >= 1"):
+        run(SINGLE_EDGE, p)

@@ -4,6 +4,7 @@ import pytest
 from lotus_qaoa import schedule
 from lotus_qaoa.schedule import (
     HfaParams,
+    Schedule,
     dimension_ratio,
     hfa_generate,
     layer_grid,
@@ -169,6 +170,26 @@ class TestGenerate:
             raw = hfa_generate(params, p).raw_gammas
             hits += not np.array_equal(np.sort(raw), raw)
         assert hits / 200 >= 0.95
+
+
+class TestSchedule:
+    @pytest.mark.parametrize("gammas, betas", [
+        ([0.3, 0.5], [0.2, 0.4, 0.9]),
+        ([0.3, 0.5, 0.7], [0.2, 0.4]),
+        ([[0.3, 0.5]], [[0.2, 0.4]]),
+    ], ids=["lengths-2-3", "lengths-3-2", "2-d"])
+    def test_rejects_mismatched_angle_arrays(self, gammas, betas):
+        with pytest.raises(ValueError, match="1-D gammas and betas of one length"):
+            Schedule(raw_gammas=np.array(gammas), raw_betas=np.array(betas))
+
+    def test_rejects_empty_angle_arrays(self):
+        with pytest.raises(ValueError, match=r"need depth p >= 1, got 0"):
+            Schedule(raw_gammas=np.array([]), raw_betas=np.array([]))
+
+    @pytest.mark.parametrize("p", [0, -1])
+    def test_standard_dimension_needs_positive_depth(self, p):
+        with pytest.raises(ValueError, match=r"need depth p >= 1"):
+            schedule.standard_dimension(p)
 
 
 class TestPackUnpack:

@@ -53,6 +53,8 @@ def test_tracer_sees_the_run_path(tracer, run, starts):
     assert counts["instance.cut_table"] == 1
     assert counts["optim.minimize"] == tracer.TRACER.minimize_calls == starts
     assert counts["engine.evolve"] == outcome.evaluations  # the readout reuses the best state
+    # p = 2: each evaluation runs each per-layer kernel once per layer
+    assert counts["engine.phase"] == counts["engine.mixer"] == 2 * outcome.evaluations
 
 
 @pytest.mark.parametrize("workers", [1, 2])
