@@ -453,12 +453,12 @@ class Workspace:
     ``state``, which ``evolve`` writes |+> into and runs the layers on,
     ``spare``, which the mixer's blocks alternate with it, and one kept
     buffer; the (p, 2^a, 2^b) phase rows that ``_phase_rows`` fills; and
-    the ``_MixerFactors`` of p layers. Between
-    mixer calls the spare is free, so the product of ``expectation_exact``
-    and the float CDF of ``_sample_indices`` run in its memory. A state
-    that ``evolve`` returns is overwritten by the next ``evolve`` unless
-    ``keep`` takes it out of reuse. The buffers live as long as the
-    workspace; nothing caches them across runs.
+    the ``_MixerFactors`` of p layers. Between mixer calls the spare is
+    free, so the product of ``expectation_exact`` and the float CDF of
+    ``_sample_indices`` run in its memory. A state that ``evolve`` returns
+    is overwritten by the next ``evolve`` unless ``keep`` takes it out of
+    reuse. The buffers live as long as the workspace; nothing caches them
+    across runs.
 
     The three buffers and the phase rows are rows of one array. Separate
     8 MiB arrays at n = 20 came from glibc's heap once earlier frees in the

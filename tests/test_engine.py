@@ -654,8 +654,3 @@ class TestWorkspace:
             evolve(SINGLE_EDGE, schedule_of([0.1, 0.2], [0.3, 0.4]), workspace=workspace)
         with pytest.raises(ValueError):
             Workspace(DEFAULT_QUBIT_CAP + 1, 1)
-
-    @pytest.mark.parametrize("p", [0, -1])
-    def test_workspace_needs_positive_depth(self, p):
-        with pytest.raises(ValueError, match=r"need depth p >= 1"):
-            Workspace(3, p)

@@ -370,7 +370,8 @@ class TestBaselineOptimize:
 @pytest.mark.parametrize("run", [
     lambda g, p: lotus_optimize(g, p, shots=0, budget=50),
     lambda g, p: baseline_optimize(g, p, "powell", shots=0, budget=50),
-], ids=["lotus", "baseline"])
-def test_drivers_need_positive_depth(run, p):
+    lambda g, p: engine.Workspace(g.n, p),
+], ids=["lotus", "baseline", "workspace"])
+def test_drivers_and_workspace_need_positive_depth(run, p):
     with pytest.raises(ValueError, match=r"need depth p >= 1"):
         run(SINGLE_EDGE, p)

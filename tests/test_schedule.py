@@ -186,11 +186,6 @@ class TestSchedule:
         with pytest.raises(ValueError, match=r"need depth p >= 1, got 0"):
             Schedule(raw_gammas=np.array([]), raw_betas=np.array([]))
 
-    @pytest.mark.parametrize("p", [0, -1])
-    def test_standard_dimension_needs_positive_depth(self, p):
-        with pytest.raises(ValueError, match=r"need depth p >= 1"):
-            schedule.standard_dimension(p)
-
 
 class TestPackUnpack:
     def test_round_trip(self):
