@@ -19,9 +19,9 @@ commutes with every cost phase and leaves every |amplitude|^2 unchanged,
 so the phase, the expectations and sampling are the same code as without
 it. Only ``MirroredHalf.amps`` untwists.
 
-``evolve`` builds the factors of all p layers once per schedule (phase rows
-from the split of the cut table in ``CostDiagonal``, real mixer blocks with
-one gather in ``_MixerFactors``) and hands each layer's to
+``evolve`` builds the factors of the layers it runs once per schedule
+(phase rows from the split of the cut table in ``CostDiagonal``, real mixer
+blocks with one gather in ``_MixerFactors``) and hands each layer's to
 ``apply_cost_phase`` and ``apply_mixer``, which build it themselves when
 called alone. The layer loop only multiplies and runs matmuls. Each mixer
 block is one matmul where its bits already lie, with nothing rotated: the
@@ -36,13 +36,17 @@ of one piece.
 Every circuit runs in a ``Workspace``, which holds the state buffers with
 their prebuilt mixer views, the phase rows and the mixer blocks; the
 sampling CDF and the exact expectation's product run in its spare buffer,
-and it keeps the best evaluation's state out of reuse. An optimization run
-allocates its state-sized arrays once: ``optim.optimize`` creates one
-workspace per run, owns it for the whole run and passes it to every
-``evolve``; ``evolve`` without one creates its own. A state that ``evolve``
-returns carries its workspace, so the kernels and readouts find those
-buffers through it. Only the kernels called alone on a bare state build
-their arrays and views as they go. Nothing caches a buffer beyond its run.
+and it keeps the best evaluation's state out of reuse. It also keeps the
+state after every layer of its last circuit, so ``evolve`` resumes at the
+first layer whose angles changed: a Powell line search or a
+finite-difference probe moves one angle and reruns only the layers from
+it on. An optimization run allocates its state-sized arrays once:
+``optim.optimize`` creates one workspace per run, owns it for the whole
+run and passes it to every ``evolve``; ``evolve`` without one creates its
+own. A state that ``evolve`` returns carries its workspace, so the kernels
+and readouts find those buffers through it. Only the kernels called alone
+on a bare state build their arrays and views as they go. Nothing caches a
+buffer beyond its run.
 """
 from __future__ import annotations
 
@@ -64,6 +68,7 @@ _MIXER_CHUNK = 1 << 16  # floats (512 KiB) of the half that the low mixer blocks
 _PAIR_PIECE = 1 << 13  # amplitudes (128 KiB) of the half that the pair step runs on at once
 _POPCOUNT = np.array([bin(v).count("1") for v in range(1 << _MIXER_BLOCK)])
 _POWER_SIGNS = np.array([[1.0], [1.0], [-1.0]])  # rows c^i, s^i, -s^i
+_MINUS_I_POWERS = [(-1j) ** n for n in range(DEFAULT_QUBIT_CAP + 1)]  # the pair step's (-i)^n
 _SPLIT_MIN_N = 9  # below it one exp per entry beats the split's extra calls
 
 
@@ -195,19 +200,24 @@ def _phase_rows(diag: CostDiagonal, gammas: np.ndarray,
 
 
 def apply_cost_phase(state: MirroredHalf, diag: CostDiagonal, gamma: float,
-                     phases: np.ndarray | None = None) -> MirroredHalf:
+                     phases: np.ndarray | None = None,
+                     out: np.ndarray | None = None) -> MirroredHalf:
     """In-place amps[z] *= exp(-i*gamma*values[z]); returns the same state.
 
     The kept half reads the first half of the flip-invariant diagonal.
     ``phases`` is the layer's row of ``_phase_rows``, which ``evolve``
-    builds for all layers at once; without it the row is built here.
+    builds for the layers it runs at once; without it the row is built
+    here. With ``out``, a kept-half array, the product is written there
+    instead and the state moves to it, which leaves its old array as it
+    was: ``evolve`` runs each layer out of the snapshot of the layer
+    before.
     """
     amps = state.half
     if 2 * amps.size != diag.values.size:
         raise ValueError("state and diagonal dimensions differ")
     if phases is None:
         phases = _phase_rows(diag, [gamma])[0]
-    amps *= phases
+    state.half = np.multiply(amps, phases, out=amps if out is None else out)
     return state
 
 
@@ -266,24 +276,29 @@ class _MixerFactors:
         self.flat = np.empty((p, self.index.size))
         self.layers = list(zip(*[self.flat[:, start:end].reshape(-1, dim, dim)
                                  for start, end, dim in spans]))
+        # the arrays build writes, for the layers from each start on
+        self._from = [(self.powers[start:], self.table[start:], self.flat[start:])
+                      for start in range(p)]
 
-    def build(self, betas: np.ndarray) -> list[tuple[np.ndarray, ...]]:
+    def build(self, betas: np.ndarray, start: int = 0) -> list[tuple[np.ndarray, ...]]:
         """Each layer's real mixer blocks for ``betas`` (p of them), lowest
-        first (float64, (2^k, 2^k)), the lowest one transposed.
+        first (float64, (2^k, 2^k)), the lowest one transposed, for the
+        layers from ``start`` on.
 
         The powers c^i and s^i are running products; one gather from their
-        signed table builds the blocks of all p layers.
+        signed table builds the blocks of all those layers. A layer's
+        blocks do not depend on which other layers are built.
         """
-        b = np.asarray(betas, dtype=np.float64)[:, None, None]
-        powers = self.powers
+        b = np.asarray(betas[start:], dtype=np.float64)[:, None, None]
+        powers, table, flat = self._from[start]
         powers[:, :1, 1:] = np.cos(b)
         powers[:, 1:, 1:] = np.sin(b)
         powers[:, 1:, -1] = 0.0
         np.multiply.accumulate(powers, axis=2, out=powers)
-        np.multiply(powers[:, 0, :-1, None, None], powers[:, None, 1:], out=self.table)
+        np.multiply(powers[:, 0, :-1, None, None], powers[:, None, 1:], out=table)
         # mode="clip" writes straight into flat; the default mode buffers it
-        self.table.reshape(b.size, -1).take(self.index, axis=1, out=self.flat, mode="clip")
-        return self.layers
+        table.reshape(b.size, -1).take(self.index, axis=1, out=flat, mode="clip")
+        return self.layers[start:]
 
 
 @cache
@@ -297,11 +312,13 @@ def _parity_signs(bits: int) -> np.ndarray:
     return signs
 
 
-def _pair_pieces(pieces: np.ndarray, rows: np.ndarray, kappa: complex) -> None:
+def _pair_pieces(pieces: np.ndarray, rows: np.ndarray, kappa: complex,
+                 factor: np.ndarray | None = None) -> None:
     """In place u += kappa * sigma * u[::-1], sigma(z) = (-1)^popcount(z),
     on a half u of more than one ``_PAIR_PIECE``, given as its
     (pieces, ``_PAIR_PIECE``) view; ``rows``, a spare of the same shape, is
-    scratch.
+    scratch, and so is ``factor``, one piece, when given (a workspace's),
+    else the factor is allocated here.
 
     Output piece c reads piece C - 1 - c reversed, and sigma(c * P + r) =
     (-1)^popcount(c) sigma(r), so every piece takes the one factor
@@ -310,7 +327,7 @@ def _pair_pieces(pieces: np.ndarray, rows: np.ndarray, kappa: complex) -> None:
     each pair stays in cache. Bit for bit the whole-half formula: sigma
     times kappa is exact, and a - x is a + (-x).
     """
-    factor = _parity_signs(_PAIR_PIECE.bit_length() - 1) * kappa
+    factor = np.multiply(_parity_signs(_PAIR_PIECE.bit_length() - 1), kappa, out=factor)
     last = len(pieces) - 1
     for c in range(len(pieces) // 2):
         d = last - c
@@ -428,13 +445,13 @@ def apply_mixer(state: MirroredHalf, beta: float,
     for j in range(len(buf.top)):
         np.matmul(blocks[inner + j], buf.top[j], out=spare.top[j])
         buf, spare = spare, buf
-    kappa = math.tan(beta) * (-1j) ** n
+    kappa = math.tan(beta) * _MINUS_I_POWERS[n]
     if buf.pieces is not None:
-        _pair_pieces(buf.pieces, spare.pieces, kappa)
+        _pair_pieces(buf.pieces, spare.pieces, kappa, None if ws is None else ws.pair_factor)
     else:  # one piece: three calls on the cached table, no per-call factor
         mirrored = spare.half
         np.multiply(buf.half[::-1], _parity_signs(n - 1), out=mirrored)
-        mirrored *= kappa
+        np.multiply(mirrored, kappa, out=mirrored)  # half the cost of *= with a python scalar
         buf.half += mirrored
     if ws is not None:
         ws.state, ws.spare = buf, spare
@@ -444,28 +461,38 @@ def apply_mixer(state: MirroredHalf, beta: float,
 
 class Workspace:
     """The state-sized buffers every circuit at n qubits and depth p runs
-    in, allocated once.
+    in, allocated once, and the state after each layer of the last circuit.
 
     ``optim.optimize`` creates one per run, owns it for the whole run and
     hands it to every ``evolve``, so no evaluation allocates a state-sized
     array or rebuilds a view; ``evolve`` without one creates its own. It
-    holds three kept-half buffers with their mixer views (``_Buffer``):
-    ``state``, which ``evolve`` writes |+> into and runs the layers on,
-    ``spare``, which the mixer's blocks alternate with it, and one kept
-    buffer; the (p, 2^a, 2^b) phase rows that ``_phase_rows`` fills; and
-    the ``_MixerFactors`` of p layers. Between mixer calls the spare is
-    free, so the product of ``expectation_exact`` and the float CDF of
-    ``_sample_indices`` run in its memory. A state that ``evolve`` returns
-    is overwritten by the next ``evolve`` unless ``keep`` takes it out of
-    reuse. The buffers live as long as the workspace; nothing caches them
-    across runs.
+    holds kept-half buffers with their mixer views (``_Buffer``):
+    ``state``, which each layer writes its phase product into and runs its
+    mixer on, ``spare``, which the mixer's blocks alternate with it, one
+    kept buffer and p - 1 ``snapshots``; the p phase ``rows`` that
+    ``_phase_rows`` fills; the ``_MixerFactors`` of p layers; and, from
+    n = 15, the one-piece ``pair_factor`` of ``_pair_pieces``. Between mixer
+    calls the spare is free, so the product of ``expectation_exact`` and
+    the float CDF of ``_sample_indices`` run in its memory. A state that
+    ``evolve`` returns is overwritten by the next ``evolve`` unless ``keep``
+    takes it out of reuse. The buffers live as long as the workspace;
+    nothing caches them across runs.
 
-    The three buffers and the phase rows are rows of one array. Separate
-    8 MiB arrays at n = 20 came from glibc's heap once earlier frees in the
-    process had raised its mapping threshold, and about 40 MB of their
-    pages stayed resident after the run. One allocation of (3 + p) * 2^(n-1)
-    amplitudes is above that threshold's 32 MiB ceiling at n = 20, so it is
-    mapped for the run and returned to the system at its end.
+    After every layer but the last, ``evolve`` swaps the state buffer with
+    that layer's snapshot buffer, so snapshot l holds the state after layer
+    l of the last circuit. Beside them the workspace keeps that circuit's
+    angles and the identity of its ``CostDiagonal``; ``_resume_layer``
+    compares a new circuit's angles with them bit for bit. The snapshots
+    are never handed out: ``keep``, the readouts and a mixer called on a
+    returned state touch only the state, spare and kept buffers.
+
+    The 2p + 2 halves (state, spare, kept, p - 1 snapshots, p phase rows)
+    are rows of one array: 48 MiB at n = 20, p = 2. Separate 8 MiB arrays
+    at n = 20 came from glibc's heap once earlier frees in the process had
+    raised its mapping threshold, and about 40 MB of their pages stayed
+    resident after the run. One allocation above that threshold's 32 MiB
+    ceiling at n = 20 is mapped for the run and returned to the system at
+    its end.
     """
 
     def __init__(self, n: int, p: int) -> None:
@@ -475,10 +502,19 @@ class Workspace:
             raise ValueError(f"need depth p >= 1, got {p}")
         a, b = _split_bits(n)
         self.n, self.p = n, p
-        halves = np.empty((3 + p, 1 << (n - 1)), dtype=np.complex128)
-        self.state, self.spare, self._kept = (_Buffer(half) for half in halves[:3])
-        self.rows = halves[3:].reshape(p, 1 << a, 1 << b)
+        halves = np.empty((2 * p + 2, 1 << (n - 1)), dtype=np.complex128)
+        self.state, self.spare, self._kept, *self.snapshots = map(_Buffer, halves[:p + 2])
+        rows = halves[p + 2:]
+        self.rows = list(rows)  # each layer's phase row
+        # the (p - start, 2^a, 2^b) rows that _phase_rows fills from each start
+        self._rows_from = [rows[start:].reshape(-1, 1 << a, 1 << b) for start in range(p)]
         self.factors = _MixerFactors(n, p)
+        self.pair_factor = (np.empty(_PAIR_PIECE, dtype=np.complex128)
+                            if 1 << (n - 1) > _PAIR_PIECE else None)
+        # the last completed circuit: its diagonal and angles (python floats)
+        self._diag: CostDiagonal | None = None
+        self._gammas: list[float] = []
+        self._betas: list[float] = []
 
     def plus_state(self) -> MirroredHalf:
         """|+>^n, as ``plus_state`` builds it, written into the state buffer."""
@@ -497,18 +533,46 @@ class Workspace:
         self.state, self._kept = self._kept, self.state
         return state
 
+    def _resume_layer(self, diag: CostDiagonal, gammas: list[float], betas: list[float]) -> int:
+        """The first layer whose (gamma, beta) differ in bits from the last
+        circuit's, which must have run with this ``diag``; at most p - 1, so
+        the last layer always runs.
+
+        Equal floats have equal bits except +-0.0, which the signs tell
+        apart; a NaN never equals, so its layer runs again. Layer 0 is
+        checked first, so a circuit that changes it costs one comparison.
+        """
+        if diag is not self._diag:
+            return 0
+        last_gammas, last_betas = self._gammas, self._betas
+        for layer in range(self.p - 1):
+            g, b = gammas[layer], betas[layer]
+            last_g, last_b = last_gammas[layer], last_betas[layer]
+            if (g != last_g or b != last_b or math.copysign(1.0, g) != math.copysign(1.0, last_g)
+                    or math.copysign(1.0, b) != math.copysign(1.0, last_b)):
+                return layer
+        return self.p - 1
+
 
 def evolve(g: WeightedGraph, sched: Schedule, diag: CostDiagonal | None = None,
            workspace: Workspace | None = None) -> MirroredHalf:
     """Run the full circuit: |+>^n, then p cost-phase + mixer layers.
 
-    Every layer's phases and mixer blocks are built once per schedule and
-    handed to the per-layer kernels. Pass a prebuilt ``diag`` to skip
-    rebuilding it in hot loops. The circuit runs in ``workspace``, which
-    must be of this n and p, and the returned state lives there (see
-    ``Workspace``). Without one, ``evolve`` creates a new workspace, so the
-    state is the caller's alone; it keeps that workspace's (3 + p) halves
-    alive for as long as the caller holds it.
+    The circuit runs in ``workspace``, which must be of this n and p, and
+    the returned state lives there (see ``Workspace``). Without one,
+    ``evolve`` creates a new workspace, so the state is the caller's alone;
+    it keeps that workspace's 2p + 2 halves alive for as long as the caller
+    holds it. Pass a prebuilt ``diag`` to skip rebuilding it in hot loops.
+
+    It resumes at the workspace's ``_resume_layer``: the first layer whose
+    angles changed since the last circuit run there with the same ``diag``
+    object, at most p - 1. The phase rows and mixer blocks are built once
+    for the layers from there on and handed to the per-layer kernels.
+    Layer 0 starts from |+> in the state buffer; every later layer writes
+    the product of the layer before's snapshot and its phase row into the
+    state buffer. Each element goes through the same operations on the same
+    inputs in the same order as in a circuit run from |+>, so a resumed
+    state is bit for bit the one a fresh workspace gives.
     """
     if diag is None:
         diag = build_cost_diagonal(g)
@@ -518,12 +582,23 @@ def evolve(g: WeightedGraph, sched: Schedule, diag: CostDiagonal | None = None,
     elif (workspace.n, workspace.p) != (g.n, sched.depth):
         raise ValueError(f"workspace is for n={workspace.n}, p={workspace.p}; "
                          f"circuit has n={g.n}, p={sched.depth}")
-    state = workspace.plus_state()
-    rows = _phase_rows(diag, gammas, workspace.rows)
-    factors = workspace.factors.build(betas)
-    for gamma, beta, row, blocks in zip(gammas.tolist(), betas.tolist(), rows, factors):
-        apply_cost_phase(state, diag, gamma, row)
-        apply_mixer(state, beta, blocks)
+    gamma_list, beta_list = gammas.tolist(), betas.tolist()
+    start = workspace._resume_layer(diag, gamma_list, beta_list)
+    workspace._diag = None  # the snapshots are stale until this circuit completes
+    snapshots, last = workspace.snapshots, workspace.p - 1
+    if start:
+        state = MirroredHalf(half=snapshots[start - 1].half, workspace=workspace)
+    else:
+        state = workspace.plus_state()
+    _phase_rows(diag, gammas[start:], workspace._rows_from[start])
+    workspace.factors.build(betas, start)
+    rows, factors = workspace.rows, workspace.factors.layers
+    for layer in range(start, last + 1):
+        apply_cost_phase(state, diag, gamma_list[layer], rows[layer], out=workspace.state.half)
+        apply_mixer(state, beta_list[layer], factors[layer])
+        if layer < last:  # the state becomes this layer's snapshot; the snapshot's buffer, the state
+            snapshots[layer], workspace.state = workspace.state, snapshots[layer]
+    workspace._diag, workspace._gammas, workspace._betas = diag, gamma_list, beta_list
     return state
 
 
@@ -580,13 +655,21 @@ def expectation_sampled(
     ``shots >= 1``; exact mode is ``expectation_exact``. Deterministic for a
     fixed seed.
     """
+    mean, vals = _sampled_mean(state, diag, shots, seed)
+    if shots == 1:
+        return mean, 0.0
+    return mean, float(vals.std(ddof=1) / np.sqrt(shots))
+
+
+def _sampled_mean(state: MirroredHalf, diag: CostDiagonal, shots: int,
+                  seed: int | np.random.Generator) -> tuple[float, np.ndarray]:
+    """The mean of ``expectation_sampled``, and the sampled values it is
+    taken over; an objective that needs no standard error calls this."""
     if shots < 1:
         raise ValueError(f"need shots >= 1, got {shots}")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     vals = diag.values[_sample_indices(state, shots, rng)]
-    if shots == 1:
-        return float(vals[0]), 0.0
-    return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(shots))
+    return float(vals.mean()), vals
 
 
 def sample_best_bitstring(

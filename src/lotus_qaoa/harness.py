@@ -657,16 +657,28 @@ def _check_workspace_reuse() -> CheckResult:
     # a run's evaluations share one workspace: every schedule it runs must
     # leave the state, and the readouts from its buffers, that a fresh
     # evolve gives, bit for bit, so no buffer may carry anything over from
-    # the schedule before. n = 8 and 12 run one pair-step piece, n = 15 two
-    # and n = 17 chunked blocks
+    # the schedule before. Random schedules run every layer; moving one
+    # angle at a time, as Powell's line searches and the finite-difference
+    # probes do, resumes each circuit from the snapshot of the last layer
+    # that stayed, and the last probe runs again on another graph's
+    # diagonal. n = 8 and 12 run one pair-step piece, n = 15 two and n = 17
+    # chunked blocks
     rng = np.random.default_rng(23)
     mismatches = total = 0
     for n in (8, 12, 15, 17):
-        g = instance.gen_erdos_renyi(n, 0.5, 30 + n)
-        diag = engine.build_cost_diagonal(g)
-        workspace = engine.Workspace(n, 2)
-        for _ in range(3):
-            sched = schedule.standard_unpack(rng.uniform(-2 * np.pi, 2 * np.pi, 4), 2)
+        graphs = [instance.gen_erdos_renyi(n, 0.5, seed) for seed in (30 + n, 60 + n)]
+        diags = [engine.build_cost_diagonal(g) for g in graphs]
+        workspace = engine.Workspace(n, 3)
+        base = rng.uniform(-2 * np.pi, 2 * np.pi, 6)
+        probes = []
+        for i in (2, 5, 1, 4, 0):  # last layer first, then layer 1, then layer 0
+            for step in (1e-6, -1e-6):
+                probes.append(base.copy())
+                probes[-1][i] += step
+        xs = [*rng.uniform(-2 * np.pi, 2 * np.pi, (3, 6)), base, base, *probes, probes[-1]]
+        for k, x in enumerate(xs):
+            g, diag = graphs[k == len(xs) - 1], diags[k == len(xs) - 1]
+            sched = schedule.standard_unpack(x, 3)
             reused = engine.evolve(g, sched, diag=diag, workspace=workspace)
             fresh = engine.evolve(g, sched, diag=diag)
             same = (np.array_equal(reused.half.view(np.int64), fresh.half.view(np.int64))
@@ -679,7 +691,8 @@ def _check_workspace_reuse() -> CheckResult:
             total += 1
     return CheckResult("workspace-reuse", mismatches == 0,
                        f"{mismatches} of {total} schedules run in one reused workspace at "
-                       f"n = 8, 12, 15, 17 differ from a fresh evolve")
+                       f"n = 8, 12, 15, 17 (random, then one angle moved at a time) "
+                       f"differ from a fresh evolve")
 
 
 def _check_cut_table_levels() -> CheckResult:

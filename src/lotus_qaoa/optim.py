@@ -299,7 +299,7 @@ def optimize(g: WeightedGraph, p: int, method: str,
             if shots == 0:
                 f = -engine.expectation_exact(evolved, diag)
             else:
-                f = -engine.expectation_sampled(evolved, diag, shots, noise_rng)[0]
+                f = -engine._sampled_mean(evolved, diag, shots, noise_rng)[0]
             if f < best_f:  # the next evaluation would overwrite it in the workspace
                 best_f, state = f, workspace.keep(evolved)
             return f

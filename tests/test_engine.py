@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 from functools import reduce
 
@@ -601,29 +602,64 @@ def same_bits(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
+def resume_sequence(rng, p):
+    """(diagonal index, gammas, betas) of circuits for one workspace whose
+    later runs share layers with the run before: repeated, with only the
+    last layer changed, with only layer 1 changed, with layer 0 from +0.0
+    to -0.0, and with a second diagonal of the same n, then the first again."""
+    gammas, betas = rng.uniform(-7, 7, (2, p))
+    runs = [(0, gammas, betas), (0, gammas, betas)]
+    for layer in (p - 1, 1):
+        gammas = gammas.copy()
+        gammas[layer] += 0.25
+        runs.append((0, gammas, betas))
+    gammas, betas = gammas.copy(), betas.copy()
+    gammas[0] = betas[0] = 0.0
+    runs.append((0, gammas, betas))
+    gammas, betas = gammas.copy(), betas.copy()
+    gammas[0] = betas[0] = -0.0
+    runs += [(0, gammas, betas), (1, gammas, betas), (0, gammas, betas)]
+    return runs
+
+
 class TestWorkspace:
     @pytest.mark.parametrize("n", range(1, 21))
     def test_reused_workspace_equals_the_standalone_kernels(self, n):
         # one workspace runs several schedules, as a run's evaluations do:
         # each must equal the per-layer kernels run standalone, bit for bit,
         # over one piece (n <= 14), pair-step pieces (n >= 15) and chunked
-        # blocks (n >= 17)
-        g = WeightedGraph(n=1, edges=()) if n == 1 else gen_erdos_renyi(n, 0.5, seed=n)
-        diag = build_cost_diagonal(g)
+        # blocks (n >= 17); at p = 3 the later schedules resume at a layer
+        # that stayed the same
+        graphs = [WeightedGraph(n=1, edges=()) if n == 1 else gen_erdos_renyi(n, 0.5, seed=n),
+                  WeightedGraph(n=1, edges=()) if n == 1 else gen_erdos_renyi(n, 0.5, seed=n + 50)]
+        diags = [build_cost_diagonal(g) for g in graphs]
         rng = np.random.default_rng(n)
-        p = 2
-        workspace = Workspace(n, p)
-        for _ in range(3):
-            sched = standard_unpack(rng.uniform(-7, 7, 2 * p), p)
-            state = plus_state(n)
-            for gamma, beta in zip(sched.raw_gammas.tolist(), sched.raw_betas.tolist()):
-                apply_mixer(apply_cost_phase(state, diag, gamma), beta)
-            reused = evolve(g, sched, diag=diag, workspace=workspace)
-            assert reused.workspace is workspace
-            assert same_bits(reused.half, state.half), n
-            assert expectation_exact(reused, diag) == expectation_exact(state, diag)
-            assert np.array_equal(engine._sample_indices(reused, 256, np.random.default_rng(1)),
-                                  engine._sample_indices(state, 256, np.random.default_rng(1)))
+        random_runs = [(0, *rng.uniform(-7, 7, (2, 2))) for _ in range(3)]
+        for p, runs in ((2, random_runs), (3, resume_sequence(rng, 3))):
+            workspace = Workspace(n, p)
+            for which, gammas, betas in runs:
+                g, diag, sched = graphs[which], diags[which], schedule_of(gammas, betas)
+                state = plus_state(n)
+                for gamma, beta in zip(gammas.tolist(), betas.tolist()):
+                    apply_mixer(apply_cost_phase(state, diag, gamma), beta)
+                reused = evolve(g, sched, diag=diag, workspace=workspace)
+                assert reused.workspace is workspace
+                assert same_bits(reused.half, state.half), (n, p)
+                assert expectation_exact(reused, diag) == expectation_exact(state, diag)
+                assert np.array_equal(engine._sample_indices(reused, 256, np.random.default_rng(1)),
+                                      engine._sample_indices(state, 256, np.random.default_rng(1)))
+
+    def test_resume_layer_compares_bits(self):
+        workspace = Workspace(3, 3)
+        diag = build_cost_diagonal(TRIANGLE)
+        gammas, betas = [0.0, 0.5, 1.5], [0.25, 0.75, 1.25]
+        evolve(TRIANGLE, schedule_of(gammas, betas), diag=diag, workspace=workspace)
+        resume = workspace._resume_layer
+        assert resume(diag, gammas, betas) == 2  # the last layer always runs
+        assert resume(diag, gammas, [0.25, 0.5, 1.25]) == 1
+        assert resume(diag, [-0.0, 0.5, 1.5], betas) == 0
+        assert resume(diag, [float("nan"), 0.5, 1.5], betas) == 0
+        assert resume(build_cost_diagonal(TRIANGLE), gammas, betas) == 0
 
     def test_standalone_evolves_share_no_memory(self):
         sched = schedule_of([0.3, -1.2], [0.7, 0.2])
@@ -634,17 +670,39 @@ class TestWorkspace:
         assert same_bits(first.half, second.half)
 
     def test_kept_state_survives_later_evolves(self):
+        # p = 1, and p = 2 with every later schedule sharing the kept one's
+        # first layer, so that each resumes from the snapshot of layer 0
         g = gen_erdos_renyi(15, 0.5, seed=15)
         diag = build_cost_diagonal(g)
-        workspace = Workspace(15, 1)
-        kept = workspace.keep(evolve(g, schedule_of(0.4, 0.9), diag=diag, workspace=workspace))
-        expected = kept.half.copy()
-        for beta in (0.1, -0.5, 2.0):
-            later = evolve(g, schedule_of(1.1, beta), diag=diag, workspace=workspace)
-            assert not np.shares_memory(later.half, kept.half)
-        assert same_bits(kept.half, expected)
-        with pytest.raises(ValueError, match="current state"):
-            workspace.keep(kept)
+        for first in ([], [(0.4, 0.9)]):
+            def sched(gamma, beta, first=first):
+                return schedule_of([gm for gm, _ in first] + [gamma], [bt for _, bt in first] + [beta])
+
+            workspace = Workspace(15, 1 + len(first))
+            kept = workspace.keep(evolve(g, sched(0.4, 0.9), diag=diag, workspace=workspace))
+            expected = kept.half.copy()
+            for beta in (0.1, -0.5, 2.0):
+                later = evolve(g, sched(1.1, beta), diag=diag, workspace=workspace)
+                assert not np.shares_memory(later.half, kept.half)
+                assert same_bits(later.half, evolve(g, sched(1.1, beta), diag=diag).half)
+            assert same_bits(kept.half, expected)
+            with pytest.raises(ValueError, match="current state"):
+                workspace.keep(kept)
+
+    def test_workspace_mixer_allocates_less_than_a_piece(self):
+        # from n = 15 the pair step runs in pieces; a workspace mixer layer
+        # writes their factor into the workspace's one-piece buffer
+        g = gen_erdos_renyi(16, 0.5, seed=16)
+        workspace = Workspace(16, 1)
+        state = evolve(g, schedule_of(0.3, 0.7), workspace=workspace)
+        blocks = workspace.factors.build([0.2])[0]
+        tracemalloc.start()
+        try:
+            apply_mixer(state, 0.2, blocks)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < np.dtype(np.complex128).itemsize * engine._PAIR_PIECE, peak
 
     def test_workspace_of_another_size_is_refused(self):
         workspace = Workspace(3, 2)

@@ -11,9 +11,10 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from lotus_qaoa import harness, instance, optim
+from lotus_qaoa import engine, harness, instance, optim
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -35,6 +36,25 @@ def _span_counts(module) -> Counter:
     return Counter(module.NAMES[int(span[0])] for span in module.TRACER.spans)
 
 
+def _layers_run(calls) -> int:
+    """Layers that ``evolve`` runs for ``calls``, its (schedule, diag,
+    workspace) arguments in order: all p on a workspace's first circuit or
+    after a change of diagonal, else those from the first layer whose
+    angles differ in bits from the workspace's circuit before, and always
+    the last one."""
+    total, last = 0, {}
+    for sched, diag, workspace in calls:
+        bits = np.stack((sched.raw_gammas, sched.raw_betas)).view(np.int64)
+        p = bits.shape[1]
+        start = 0
+        if id(workspace) in last and last[id(workspace)][1] is diag:
+            changed = np.flatnonzero((bits != last[id(workspace)][0]).any(axis=0))
+            start = min(changed[0] if changed.size else p, p - 1)
+        total += p - start
+        last[id(workspace)] = bits, diag
+    return total
+
+
 @pytest.mark.parametrize("run, starts", [
     (lambda g: optim.lotus_optimize(g, 2, k_modes=1, init=optim.LotusInitConfig(n_restarts=2),
                                     shots=256, seed=1, budget=20), 2),
@@ -44,7 +64,17 @@ def _span_counts(module) -> Counter:
 def test_tracer_sees_the_run_path(tracer, run, starts):
     g = instance.gen_erdos_renyi(5, 0.8, seed=2)
     tracer.TRACER.reset()
-    _, outcome, _ = run(g)
+    calls, traced_evolve = [], engine.evolve
+
+    def recorded(g, sched, diag=None, workspace=None):
+        calls.append((sched, diag, workspace))
+        return traced_evolve(g, sched, diag=diag, workspace=workspace)
+
+    engine.evolve = recorded
+    try:
+        _, outcome, _ = run(g)
+    finally:
+        engine.evolve = traced_evolve
     counts = _span_counts(tracer)
     for name in ("optim.run", "optim.minimize", "schedule.generate", "engine.evolve",
                  "engine.phase", "engine.mixer"):
@@ -53,8 +83,13 @@ def test_tracer_sees_the_run_path(tracer, run, starts):
     assert counts["instance.cut_table"] == 1
     assert counts["optim.minimize"] == tracer.TRACER.minimize_calls == starts
     assert counts["engine.evolve"] == outcome.evaluations  # the readout reuses the best state
-    # p = 2: each evaluation runs each per-layer kernel once per layer
-    assert counts["engine.phase"] == counts["engine.mixer"] == 2 * outcome.evaluations
+    # each evaluation runs each per-layer kernel once per layer it runs:
+    # p = 2 from the first layer whose angles changed, an independent replay
+    # of the schedules handed to evolve (a Powell line search moves one
+    # angle; an HFA vertex that moves only an AR decay rate keeps layer 0)
+    assert len(calls) == outcome.evaluations
+    assert counts["engine.phase"] == counts["engine.mixer"] == _layers_run(calls)
+    assert _layers_run(calls) < 2 * outcome.evaluations
 
 
 @pytest.mark.parametrize("workers", [1, 2])
