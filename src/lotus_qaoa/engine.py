@@ -36,11 +36,11 @@ of one piece.
 Every circuit runs in a ``Workspace``, which holds the state buffers with
 their prebuilt mixer views, the phase rows and the mixer blocks; the
 sampling CDF and the exact expectation's product run in its spare buffer,
-and it keeps the best evaluation's state out of reuse. It also keeps the
-state after every layer of its last circuit, so ``evolve`` resumes at the
-first layer whose angles changed: a Powell line search or a
-finite-difference probe moves one angle and reruns only the layers from
-it on. An optimization run allocates its state-sized arrays once:
+and it keeps the best evaluation's state out of reuse. A circuit that
+shares its leading layers with the one before also leaves the state after
+each layer there, so the next point of a Powell line search or the next
+finite-difference probe, which moves one angle, resumes at the first layer
+whose angles changed. An optimization run allocates its state-sized arrays once:
 ``optim.optimize`` creates one workspace per run, owns it for the whole
 run and passes it to every ``evolve``; ``evolve`` without one creates its
 own. A state that ``evolve`` returns carries its workspace, so the kernels
@@ -209,8 +209,8 @@ def apply_cost_phase(state: MirroredHalf, diag: CostDiagonal, gamma: float,
     builds for the layers it runs at once; without it the row is built
     here. With ``out``, a kept-half array, the product is written there
     instead and the state moves to it, which leaves its old array as it
-    was: ``evolve`` runs each layer out of the snapshot of the layer
-    before.
+    was: a circuit that keeps snapshots runs each layer out of the
+    snapshot of the layer before.
     """
     amps = state.half
     if 2 * amps.size != diag.values.size:
@@ -461,7 +461,8 @@ def apply_mixer(state: MirroredHalf, beta: float,
 
 class Workspace:
     """The state-sized buffers every circuit at n qubits and depth p runs
-    in, allocated once, and the state after each layer of the last circuit.
+    in, allocated once, and the state after each layer of the last circuit
+    that kept its layers.
 
     ``optim.optimize`` creates one per run, owns it for the whole run and
     hands it to every ``evolve``, so no evaluation allocates a state-sized
@@ -478,13 +479,15 @@ class Workspace:
     takes it out of reuse. The buffers live as long as the workspace;
     nothing caches them across runs.
 
-    After every layer but the last, ``evolve`` swaps the state buffer with
-    that layer's snapshot buffer, so snapshot l holds the state after layer
-    l of the last circuit. Beside them the workspace keeps that circuit's
-    angles and the identity of its ``CostDiagonal``; ``_resume_layer``
-    compares a new circuit's angles with them bit for bit. The snapshots
-    are never handed out: ``keep``, the readouts and a mixer called on a
-    returned state touch only the state, spare and kept buffers.
+    The workspace keeps the angles of its last circuit and the identity of
+    its ``CostDiagonal``; ``_unchanged_layers`` compares a new circuit's
+    angles with them bit for bit. A circuit that shares its leading layers
+    with the one before, as a line search or a finite-difference probe
+    does, swaps the state buffer with each layer's snapshot buffer after
+    every layer but the last, so snapshot l holds its state after layer l
+    for the next circuit to resume from. The snapshots are never handed
+    out: ``keep``, the readouts and a mixer called on a returned state
+    touch only the state, spare and kept buffers.
 
     The 2p + 2 halves (state, spare, kept, p - 1 snapshots, p phase rows)
     are rows of one array: 48 MiB at n = 20, p = 2. Separate 8 MiB arrays
@@ -511,10 +514,12 @@ class Workspace:
         self.factors = _MixerFactors(n, p)
         self.pair_factor = (np.empty(_PAIR_PIECE, dtype=np.complex128)
                             if 1 << (n - 1) > _PAIR_PIECE else None)
-        # the last completed circuit: its diagonal and angles (python floats)
+        # the last completed circuit: its diagonal, its angles (python
+        # floats) and whether it left its layers in the snapshots
         self._diag: CostDiagonal | None = None
         self._gammas: list[float] = []
         self._betas: list[float] = []
+        self._snapshotted = False
 
     def plus_state(self) -> MirroredHalf:
         """|+>^n, as ``plus_state`` builds it, written into the state buffer."""
@@ -533,8 +538,9 @@ class Workspace:
         self.state, self._kept = self._kept, self.state
         return state
 
-    def _resume_layer(self, diag: CostDiagonal, gammas: list[float], betas: list[float]) -> int:
-        """The first layer whose (gamma, beta) differ in bits from the last
+    def _unchanged_layers(self, diag: CostDiagonal, gammas: list[float],
+                          betas: list[float]) -> int:
+        """How many leading layers have the (gamma, beta) bits of the last
         circuit's, which must have run with this ``diag``; at most p - 1, so
         the last layer always runs.
 
@@ -564,15 +570,26 @@ def evolve(g: WeightedGraph, sched: Schedule, diag: CostDiagonal | None = None,
     it keeps that workspace's 2p + 2 halves alive for as long as the caller
     holds it. Pass a prebuilt ``diag`` to skip rebuilding it in hot loops.
 
-    It resumes at the workspace's ``_resume_layer``: the first layer whose
-    angles changed since the last circuit run there with the same ``diag``
-    object, at most p - 1. The phase rows and mixer blocks are built once
-    for the layers from there on and handed to the per-layer kernels.
-    Layer 0 starts from |+> in the state buffer; every later layer writes
-    the product of the layer before's snapshot and its phase row into the
-    state buffer. Each element goes through the same operations on the same
+    A circuit whose leading layers have the angles of the workspace's last
+    circuit, run with the same ``diag`` object, shares them
+    (``Workspace._unchanged_layers``, at most p - 1). It keeps its layers
+    in the workspace's snapshots, and when the last circuit kept its own it
+    resumes after the layers they share. Phase rows and mixer blocks are
+    built once for the layers that run and handed to the per-layer kernels.
+    Layer 0 starts from |+> in the state buffer; a later layer multiplies
+    the state in place, or, when the circuit keeps snapshots, writes the
+    product of the layer before's snapshot and its phase row into the state
+    buffer. Each element goes through the same operations on the same
     inputs in the same order as in a circuit run from |+>, so a resumed
     state is bit for bit the one a fresh workspace gives.
+
+    A circuit that shares no layer, a Nelder-Mead or HFA step, runs in the
+    state and spare buffers alone, as without snapshots: keeping its
+    layers would add a third state-sized buffer to every layer's memory
+    traffic, which at n = 20 costs more than the rare resume after such a
+    step saves. Circuits that share layers come in runs (the points of a
+    line search, the probes of a gradient), so only the first of a run
+    misses its resume.
     """
     if diag is None:
         diag = build_cost_diagonal(g)
@@ -583,9 +600,10 @@ def evolve(g: WeightedGraph, sched: Schedule, diag: CostDiagonal | None = None,
         raise ValueError(f"workspace is for n={workspace.n}, p={workspace.p}; "
                          f"circuit has n={g.n}, p={sched.depth}")
     gamma_list, beta_list = gammas.tolist(), betas.tolist()
-    start = workspace._resume_layer(diag, gamma_list, beta_list)
-    workspace._diag = None  # the snapshots are stale until this circuit completes
-    snapshots, last = workspace.snapshots, workspace.p - 1
+    shared = workspace._unchanged_layers(diag, gamma_list, beta_list)
+    start = shared if workspace._snapshotted else 0
+    workspace._diag = None  # no circuit to compare with until this one completes
+    snapshots, last = workspace.snapshots if shared else None, workspace.p - 1
     if start:
         state = MirroredHalf(half=snapshots[start - 1].half, workspace=workspace)
     else:
@@ -594,11 +612,13 @@ def evolve(g: WeightedGraph, sched: Schedule, diag: CostDiagonal | None = None,
     workspace.factors.build(betas, start)
     rows, factors = workspace.rows, workspace.factors.layers
     for layer in range(start, last + 1):
-        apply_cost_phase(state, diag, gamma_list[layer], rows[layer], out=workspace.state.half)
+        apply_cost_phase(state, diag, gamma_list[layer], rows[layer],
+                         out=None if snapshots is None else workspace.state.half)
         apply_mixer(state, beta_list[layer], factors[layer])
-        if layer < last:  # the state becomes this layer's snapshot; the snapshot's buffer, the state
+        if snapshots is not None and layer < last:  # the state becomes the layer's snapshot
             snapshots[layer], workspace.state = workspace.state, snapshots[layer]
     workspace._diag, workspace._gammas, workspace._betas = diag, gamma_list, beta_list
+    workspace._snapshotted = snapshots is not None
     return state
 
 

@@ -660,7 +660,7 @@ def _check_workspace_reuse() -> CheckResult:
     # the schedule before. Random schedules run every layer; moving one
     # angle at a time, as Powell's line searches and the finite-difference
     # probes do, resumes each circuit from the snapshot of the last layer
-    # that stayed, and the last probe runs again on another graph's
+    # that stayed, and the last probe runs again, then on another graph's
     # diagonal. n = 8 and 12 run one pair-step piece, n = 15 two and n = 17
     # chunked blocks
     rng = np.random.default_rng(23)
@@ -675,7 +675,7 @@ def _check_workspace_reuse() -> CheckResult:
             for step in (1e-6, -1e-6):
                 probes.append(base.copy())
                 probes[-1][i] += step
-        xs = [*rng.uniform(-2 * np.pi, 2 * np.pi, (3, 6)), base, base, *probes, probes[-1]]
+        xs = [*rng.uniform(-2 * np.pi, 2 * np.pi, (3, 6)), base, base, *probes, *probes[-1:] * 2]
         for k, x in enumerate(xs):
             g, diag = graphs[k == len(xs) - 1], diags[k == len(xs) - 1]
             sched = schedule.standard_unpack(x, 3)

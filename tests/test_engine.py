@@ -603,23 +603,23 @@ def same_bits(a, b):
 
 
 def resume_sequence(rng, p):
-    """(diagonal index, gammas, betas) of circuits for one workspace whose
-    later runs share layers with the run before: repeated, with only the
-    last layer changed, with only layer 1 changed, with layer 0 from +0.0
-    to -0.0, and with a second diagonal of the same n, then the first again."""
+    """(diagonal index, gammas, betas) of circuits for one workspace. Each
+    schedule runs twice, so that its second run, which shares every layer
+    with the first, keeps snapshots, and the next ones share layers with
+    it: only the last layer changed, only layer 1 changed, layer 0 from
+    +0.0 to -0.0, and a second diagonal of the same n, then the first
+    again."""
     gammas, betas = rng.uniform(-7, 7, (2, p))
-    runs = [(0, gammas, betas), (0, gammas, betas)]
+    runs = [(0, gammas, betas)] * 2
     for layer in (p - 1, 1):
         gammas = gammas.copy()
         gammas[layer] += 0.25
         runs.append((0, gammas, betas))
-    gammas, betas = gammas.copy(), betas.copy()
-    gammas[0] = betas[0] = 0.0
-    runs.append((0, gammas, betas))
-    gammas, betas = gammas.copy(), betas.copy()
-    gammas[0] = betas[0] = -0.0
-    runs += [(0, gammas, betas), (1, gammas, betas), (0, gammas, betas)]
-    return runs
+    for zero in (0.0, -0.0):
+        gammas, betas = gammas.copy(), betas.copy()
+        gammas[0] = betas[0] = zero
+        runs += [(0, gammas, betas)] * 2
+    return runs + [(1, gammas, betas)] * 2 + [(0, gammas, betas)]
 
 
 class TestWorkspace:
@@ -649,17 +649,17 @@ class TestWorkspace:
                 assert np.array_equal(engine._sample_indices(reused, 256, np.random.default_rng(1)),
                                       engine._sample_indices(state, 256, np.random.default_rng(1)))
 
-    def test_resume_layer_compares_bits(self):
+    def test_unchanged_layers_compare_bits(self):
         workspace = Workspace(3, 3)
         diag = build_cost_diagonal(TRIANGLE)
         gammas, betas = [0.0, 0.5, 1.5], [0.25, 0.75, 1.25]
         evolve(TRIANGLE, schedule_of(gammas, betas), diag=diag, workspace=workspace)
-        resume = workspace._resume_layer
-        assert resume(diag, gammas, betas) == 2  # the last layer always runs
-        assert resume(diag, gammas, [0.25, 0.5, 1.25]) == 1
-        assert resume(diag, [-0.0, 0.5, 1.5], betas) == 0
-        assert resume(diag, [float("nan"), 0.5, 1.5], betas) == 0
-        assert resume(build_cost_diagonal(TRIANGLE), gammas, betas) == 0
+        unchanged = workspace._unchanged_layers
+        assert unchanged(diag, gammas, betas) == 2  # the last layer always runs
+        assert unchanged(diag, gammas, [0.25, 0.5, 1.25]) == 1
+        assert unchanged(diag, [-0.0, 0.5, 1.5], betas) == 0
+        assert unchanged(diag, [float("nan"), 0.5, 1.5], betas) == 0
+        assert unchanged(build_cost_diagonal(TRIANGLE), gammas, betas) == 0
 
     def test_standalone_evolves_share_no_memory(self):
         sched = schedule_of([0.3, -1.2], [0.7, 0.2])
