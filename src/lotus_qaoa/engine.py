@@ -603,7 +603,7 @@ def evolve(g: WeightedGraph, sched: Schedule, diag: CostDiagonal | None = None,
     shared = workspace._unchanged_layers(diag, gamma_list, beta_list)
     start = shared if workspace._snapshotted else 0
     workspace._diag = None  # no circuit to compare with until this one completes
-    snapshots, last = workspace.snapshots if shared else None, workspace.p - 1
+    snapshots, last = workspace.snapshots, workspace.p - 1
     if start:
         state = MirroredHalf(half=snapshots[start - 1].half, workspace=workspace)
     else:
@@ -612,13 +612,13 @@ def evolve(g: WeightedGraph, sched: Schedule, diag: CostDiagonal | None = None,
     workspace.factors.build(betas, start)
     rows, factors = workspace.rows, workspace.factors.layers
     for layer in range(start, last + 1):
-        apply_cost_phase(state, diag, gamma_list[layer], rows[layer],
-                         out=None if snapshots is None else workspace.state.half)
+        # in place unless the state is the snapshot of the layer before
+        apply_cost_phase(state, diag, gamma_list[layer], rows[layer], out=workspace.state.half)
         apply_mixer(state, beta_list[layer], factors[layer])
-        if snapshots is not None and layer < last:  # the state becomes the layer's snapshot
+        if shared and layer < last:  # the state becomes the layer's snapshot
             snapshots[layer], workspace.state = workspace.state, snapshots[layer]
     workspace._diag, workspace._gammas, workspace._betas = diag, gamma_list, beta_list
-    workspace._snapshotted = snapshots is not None
+    workspace._snapshotted = shared > 0
     return state
 
 

@@ -57,13 +57,13 @@ def _layers_run(calls) -> int:
     return total
 
 
-@pytest.mark.parametrize("run, starts", [
+@pytest.mark.parametrize("run, starts, resumes", [
     (lambda g: optim.lotus_optimize(g, 2, k_modes=1, init=optim.LotusInitConfig(n_restarts=2),
-                                    shots=256, seed=1, budget=20), 2),
+                                    shots=256, seed=1, budget=20), 2, False),
     (lambda g: optim.baseline_optimize(g, 2, method="powell", shots=256, seed=1,
-                                       budget=20), 1),
+                                       budget=20), 1, True),
 ], ids=["lotus", "baseline"])
-def test_tracer_sees_the_run_path(tracer, run, starts):
+def test_tracer_sees_the_run_path(tracer, run, starts, resumes):
     g = instance.gen_erdos_renyi(5, 0.8, seed=2)
     tracer.TRACER.reset()
     calls, traced_evolve = [], engine.evolve
@@ -86,10 +86,12 @@ def test_tracer_sees_the_run_path(tracer, run, starts):
     assert counts["optim.minimize"] == tracer.TRACER.minimize_calls == starts
     assert counts["engine.evolve"] == outcome.evaluations  # the readout reuses the best state
     # each evaluation runs each per-layer kernel once per layer it runs, as
-    # an independent replay of the schedules handed to evolve counts them
-    # (p = 2; a Powell line search moves one angle at a time)
+    # an independent replay of the schedules handed to evolve counts them:
+    # p = 2 for every HFA step, fewer once a Powell line search moves one
+    # angle at a time
     assert len(calls) == outcome.evaluations
     assert counts["engine.phase"] == counts["engine.mixer"] == _layers_run(calls)
+    assert (_layers_run(calls) < 2 * outcome.evaluations) == resumes
 
 
 @pytest.mark.parametrize("workers", [1, 2])
