@@ -603,12 +603,12 @@ def same_bits(a, b):
 
 
 def resume_sequence(rng, p):
-    """(diagonal index, gammas, betas) of circuits for one workspace. Each
-    schedule runs twice, so that its second run, which shares every layer
-    with the first, keeps snapshots, and the next ones share layers with
-    it: only the last layer changed, only layer 1 changed, layer 0 from
-    +0.0 to -0.0, and a second diagonal of the same n, then the first
-    again."""
+    """(diagonal index, gammas, betas) of circuits for one workspace. The
+    first schedule runs twice, so that its second run, which shares every
+    layer with the first, keeps snapshots; the next two share layers with
+    the one before: only the last layer changed, then only layer 1. Then
+    layer 0 at +0.0 and at -0.0 and a second diagonal of the same n run
+    twice each, and the first diagonal once more."""
     gammas, betas = rng.uniform(-7, 7, (2, p))
     runs = [(0, gammas, betas)] * 2
     for layer in (p - 1, 1):
@@ -671,7 +671,8 @@ class TestWorkspace:
 
     def test_kept_state_survives_later_evolves(self):
         # p = 1, and p = 2 with every later schedule sharing the kept one's
-        # first layer, so that each resumes from the snapshot of layer 0
+        # first layer, so that the later ones resume from the snapshot of
+        # layer 0
         g = gen_erdos_renyi(15, 0.5, seed=15)
         diag = build_cost_diagonal(g)
         for first in ([], [(0.4, 0.9)]):
