@@ -19,9 +19,11 @@ commutes with every cost phase and leaves every |amplitude|^2 unchanged,
 so the phase, the expectations and sampling are the same code as without
 it. Only ``MirroredHalf.amps`` untwists.
 
-``evolve`` builds the factors of the layers it runs once per schedule
-(phase rows from the split of the cut table in ``CostDiagonal``, real mixer
-blocks with one gather in ``_MixerFactors``) and hands each layer's to
+``evolve`` keeps each layer's factors in its workspace (phase rows from the
+split of the cut table in ``CostDiagonal``, real mixer blocks with one
+gather in ``_MixerFactors``), each with the angle it was built for, and
+rebuilds only those of the layers it runs whose angle changed, one call per
+run of consecutive such layers. It hands each layer's to
 ``apply_cost_phase`` and ``apply_mixer``, which build it themselves when
 called alone. The layer loop only multiplies and runs matmuls. Each mixer
 block is one matmul where its bits already lie, with nothing rotated: the
@@ -40,7 +42,9 @@ and it keeps the best evaluation's state out of reuse. A circuit that
 shares its leading layers with the one before also leaves the state after
 each layer there, so the next point of a Powell line search or the next
 finite-difference probe, which moves one angle, resumes at the first layer
-whose angles changed. An optimization run allocates its state-sized arrays once:
+whose angles changed, and of the layers after it rebuilds the phase row or
+mixer blocks of the one whose angle moved. An optimization run allocates its
+state-sized arrays once:
 ``optim.optimize`` creates one workspace per run, owns it for the whole
 run and passes it to every ``evolve``; ``evolve`` without one creates its
 own. A state that ``evolve`` returns carries its workspace, so the kernels
@@ -265,8 +269,9 @@ def _mixer_plan(n: int) -> tuple[np.ndarray, tuple[tuple[int, int, int], ...], i
 
 
 class _MixerFactors:
-    """The arrays the real mixer blocks of p layers are built in, at n, and
-    each layer's tuple of block views into them."""
+    """The arrays the real mixer blocks of p layers are built in, at n, each
+    layer's tuple of block views into them, and the beta each layer's blocks
+    were built for (``betas``; NaN, which no beta matches, before then)."""
 
     def __init__(self, n: int, p: int) -> None:
         self.index, spans, width = _mixer_plan(n)
@@ -276,29 +281,54 @@ class _MixerFactors:
         self.flat = np.empty((p, self.index.size))
         self.layers = list(zip(*[self.flat[:, start:end].reshape(-1, dim, dim)
                                  for start, end, dim in spans]))
-        # the arrays build writes, for the layers from each start on
-        self._from = [(self.powers[start:], self.table[start:], self.flat[start:])
-                      for start in range(p)]
+        self.betas = [math.nan] * p
 
-    def build(self, betas: np.ndarray, start: int = 0) -> list[tuple[np.ndarray, ...]]:
+    def build(self, betas: np.ndarray, start: int = 0,
+              stop: int | None = None) -> list[tuple[np.ndarray, ...]]:
         """Each layer's real mixer blocks for ``betas`` (p of them), lowest
         first (float64, (2^k, 2^k)), the lowest one transposed, for the
-        layers from ``start`` on.
+        layers from ``start`` up to ``stop`` (the last when None).
 
         The powers c^i and s^i are running products; one gather from their
         signed table builds the blocks of all those layers. A layer's
-        blocks do not depend on which other layers are built.
+        blocks do not depend on which other layers are built. The layers'
+        entries of ``betas`` are cleared first and record their betas once
+        the blocks are written, so a build that fails partway leaves none
+        of its layers marked as built.
         """
-        b = np.asarray(betas[start:], dtype=np.float64)[:, None, None]
-        powers, table, flat = self._from[start]
+        b = np.asarray(betas[start:stop], dtype=np.float64)
+        stop = start + b.size
+        self.betas[start:stop] = [math.nan] * b.size
+        powers, table, b = self.powers[start:stop], self.table[start:stop], b[:, None, None]
         powers[:, :1, 1:] = np.cos(b)
         powers[:, 1:, 1:] = np.sin(b)
         powers[:, 1:, -1] = 0.0
         np.multiply.accumulate(powers, axis=2, out=powers)
         np.multiply(powers[:, 0, :-1, None, None], powers[:, None, 1:], out=table)
         # mode="clip" writes straight into flat; the default mode buffers it
-        table.reshape(b.size, -1).take(self.index, axis=1, out=flat, mode="clip")
-        return self.layers[start:]
+        table.reshape(b.size, -1).take(self.index, axis=1, out=self.flat[start:stop], mode="clip")
+        self.betas[start:stop] = b.ravel().tolist()
+        return self.layers[start:stop]
+
+
+def _same_bits(a: float, b: float) -> bool:
+    """Whether two python floats are the same angle: equal, with the same
+    sign, so +-0.0 differ (equal floats have equal bits but for the sign
+    of zero); a NaN matches nothing, itself included."""
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+def _stale_runs(angles: list[float], keys: list[float], start: int) -> list[list[int]]:
+    """[start, stop) of each run of consecutive layers from ``start`` whose
+    angle does not have the bits of its key (``_same_bits``)."""
+    runs: list[list[int]] = []
+    for layer in range(start, len(angles)):
+        if not _same_bits(angles[layer], keys[layer]):
+            if runs and runs[-1][1] == layer:
+                runs[-1][1] = layer + 1
+            else:
+                runs.append([layer, layer + 1])
+    return runs
 
 
 @cache
@@ -479,10 +509,20 @@ class Workspace:
     takes it out of reuse. The buffers live as long as the workspace;
     nothing caches them across runs.
 
-    The workspace keeps the angles of its last circuit and the identity of
-    its ``CostDiagonal``; ``_unchanged_layers`` compares a new circuit's
-    angles with them bit for bit. A circuit that shares its leading layers
-    with the one before, as a line search or a finite-difference probe
+    Each phase row and each layer's mixer blocks carry a key, which lives
+    with the arrays it describes: the workspace records the diagonal its
+    rows were built for and each row's gamma (a circuit on another
+    diagonal clears every row's), and ``_MixerFactors.build`` the beta of
+    every layer it writes, so a build outside ``evolve`` leaves no stale
+    key. A key is cleared before its arrays are written and set after,
+    so a build that fails partway leaves nothing marked built. Angles
+    match by ``_same_bits``: +-0.0 differ and a NaN matches nothing.
+
+    The workspace also keeps the angles of its last circuit and the
+    identity of its ``CostDiagonal``; ``_unchanged_layers`` compares a new
+    circuit's angles with them by the same rule. A circuit that shares
+    its leading layers with the one before, as a line search or a
+    finite-difference probe
     does, swaps the state buffer with each layer's snapshot buffer after
     every layer but the last, so snapshot l holds its state after layer l
     for the next circuit to resume from. The snapshots are never handed
@@ -509,8 +549,10 @@ class Workspace:
         self.state, self.spare, self._kept, *self.snapshots = map(_Buffer, halves[:p + 2])
         rows = halves[p + 2:]
         self.rows = list(rows)  # each layer's phase row
-        # the (p - start, 2^a, 2^b) rows that _phase_rows fills from each start
-        self._rows_from = [rows[start:].reshape(-1, 1 << a, 1 << b) for start in range(p)]
+        self._rows = rows.reshape(p, 1 << a, 1 << b)  # as _phase_rows fills them
+        # the diagonal the rows were built for and each row's gamma (NaN: none)
+        self._rows_diag: CostDiagonal | None = None
+        self._row_gammas = [math.nan] * p
         self.factors = _MixerFactors(n, p)
         self.pair_factor = (np.empty(_PAIR_PIECE, dtype=np.complex128)
                             if 1 << (n - 1) > _PAIR_PIECE else None)
@@ -544,20 +586,27 @@ class Workspace:
         circuit's, which must have run with this ``diag``; at most p - 1, so
         the last layer always runs.
 
-        Equal floats have equal bits except +-0.0, which the signs tell
-        apart; a NaN never equals, so its layer runs again. Layer 0 is
-        checked first, so a circuit that changes it costs one comparison.
+        Angles compare by ``_same_bits``, so a NaN's layer runs again.
+        Layer 0 is checked first, so a circuit that changes it costs one
+        comparison.
         """
         if diag is not self._diag:
             return 0
         last_gammas, last_betas = self._gammas, self._betas
         for layer in range(self.p - 1):
-            g, b = gammas[layer], betas[layer]
-            last_g, last_b = last_gammas[layer], last_betas[layer]
-            if (g != last_g or b != last_b or math.copysign(1.0, g) != math.copysign(1.0, last_g)
-                    or math.copysign(1.0, b) != math.copysign(1.0, last_b)):
+            if not (_same_bits(gammas[layer], last_gammas[layer])
+                    and _same_bits(betas[layer], last_betas[layer])):
                 return layer
         return self.p - 1
+
+    def _build_rows(self, diag: CostDiagonal, gammas: np.ndarray, start: int, stop: int) -> None:
+        """Build the phase rows of layers ``start`` to ``stop`` for ``diag``,
+        the rows' diagonal, and their ``gammas`` (p of them), and record
+        the gammas as the rows' keys; the keys are cleared first, as
+        ``_MixerFactors.build`` clears its."""
+        self._row_gammas[start:stop] = [math.nan] * (stop - start)
+        _phase_rows(diag, gammas[start:stop], self._rows[start:stop])
+        self._row_gammas[start:stop] = gammas[start:stop].tolist()
 
 
 def evolve(g: WeightedGraph, sched: Schedule, diag: CostDiagonal | None = None,
@@ -574,8 +623,13 @@ def evolve(g: WeightedGraph, sched: Schedule, diag: CostDiagonal | None = None,
     circuit, run with the same ``diag`` object, shares them
     (``Workspace._unchanged_layers``, at most p - 1). It keeps its layers
     in the workspace's snapshots, and when the last circuit kept its own it
-    resumes after the layers they share. Phase rows and mixer blocks are
-    built once for the layers that run and handed to the per-layer kernels.
+    resumes after the layers they share. Of the layers that run, only
+    those whose phase row key (the ``diag`` object and the gamma) or
+    mixer block key (the beta) differs from the circuit's are rebuilt, in
+    one ``_phase_rows`` call or one gather per run of consecutive such
+    layers, so a step that moves every angle still makes one of each; an
+    element's or a layer's arithmetic does not depend on which other
+    layers are built. The rows and blocks go to the per-layer kernels.
     Layer 0 starts from |+> in the state buffer; a later layer multiplies
     the state in place, or, when the circuit keeps snapshots, writes the
     product of the layer before's snapshot and its phase row into the state
@@ -608,8 +662,12 @@ def evolve(g: WeightedGraph, sched: Schedule, diag: CostDiagonal | None = None,
         state = MirroredHalf(half=snapshots[start - 1].half, workspace=workspace)
     else:
         state = workspace.plus_state()
-    _phase_rows(diag, gammas[start:], workspace._rows_from[start])
-    workspace.factors.build(betas, start)
+    if workspace._rows_diag is not diag:  # rows of another diagonal match no gamma
+        workspace._rows_diag, workspace._row_gammas = diag, [math.nan] * workspace.p
+    for lo, hi in _stale_runs(gamma_list, workspace._row_gammas, start):
+        workspace._build_rows(diag, gammas, lo, hi)
+    for lo, hi in _stale_runs(beta_list, workspace.factors.betas, start):
+        workspace.factors.build(betas, lo, hi)
     rows, factors = workspace.rows, workspace.factors.layers
     for layer in range(start, last + 1):
         # in place unless the state is the snapshot of the layer before
@@ -689,7 +747,7 @@ def _sampled_mean(state: MirroredHalf, diag: CostDiagonal, shots: int,
         raise ValueError(f"need shots >= 1, got {shots}")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     vals = diag.values[_sample_indices(state, shots, rng)]
-    return float(vals.mean()), vals
+    return float(np.add.reduce(vals)) / shots, vals
 
 
 def sample_best_bitstring(

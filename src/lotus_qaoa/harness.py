@@ -9,12 +9,14 @@ latter inverted) and combined as alpha * E_norm + (1 - alpha) * I_norm.
 """
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import math
 import os
 import statistics
 import warnings
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from itertools import product
@@ -653,6 +655,30 @@ def _check_mixer_chunks() -> CheckResult:
                        f"n = 17 (3-bit top block) and n = 20 (4-bit top block)")
 
 
+@contextlib.contextmanager
+def _counting_builds():
+    """Count the phase rows (``engine._phase_rows``) and the layers of mixer
+    blocks (``engine._MixerFactors.build``) the engine builds while open."""
+    counts = Counter()
+    phase_rows, build = engine._phase_rows, engine._MixerFactors.build
+
+    def counted_rows(*args, **kwargs):
+        rows = phase_rows(*args, **kwargs)
+        counts["rows"] += len(rows)
+        return rows
+
+    def counted_build(self, *args, **kwargs):
+        layers = build(self, *args, **kwargs)
+        counts["blocks"] += len(layers)
+        return layers
+
+    engine._phase_rows, engine._MixerFactors.build = counted_rows, counted_build
+    try:
+        yield counts
+    finally:
+        engine._phase_rows, engine._MixerFactors.build = phase_rows, build
+
+
 def _check_workspace_reuse() -> CheckResult:
     # a run's evaluations share one workspace: every schedule it runs must
     # leave the state, and the readouts from its buffers, that a fresh
@@ -660,39 +686,61 @@ def _check_workspace_reuse() -> CheckResult:
     # the schedule before. Random schedules run every layer; moving one
     # angle at a time, as Powell's line searches and the finite-difference
     # probes do, resumes each circuit from the snapshot of the last layer
-    # that stayed, and the last probe runs again, then on another graph's
-    # diagonal. n = 8 and 12 run one pair-step piece, n = 15 two and n = 17
-    # chunked blocks
+    # that stayed and rebuilds only the phase rows and mixer blocks whose
+    # (diagonal, gamma) or beta key changed. Where a case names the rows
+    # and block layers its last circuit must build, the counts are checked
+    # too: a key that matched too often would leave a stale row, and one
+    # that matched too rarely (+-0.0 run bit for bit alike) would only
+    # cost time. n = 8 and 12 run one pair-step piece, n = 15 two and
+    # n = 17 chunked blocks
     rng = np.random.default_rng(23)
-    mismatches = total = 0
+    mismatches = miscounts = total = 0
     for n in (8, 12, 15, 17):
         graphs = [instance.gen_erdos_renyi(n, 0.5, seed) for seed in (30 + n, 60 + n)]
         diags = [engine.build_cost_diagonal(g) for g in graphs]
         workspace = engine.Workspace(n, 3)
         base = rng.uniform(-2 * np.pi, 2 * np.pi, 6)
-        probes = []
-        for i in (2, 5, 1, 4, 0):  # last layer first, then layer 1, then layer 0
-            for step in (1e-6, -1e-6):
-                probes.append(base.copy())
-                probes[-1][i] += step
-        xs = [*rng.uniform(-2 * np.pi, 2 * np.pi, (3, 6)), base, base, *probes, *probes[-1:] * 2]
-        for k, x in enumerate(xs):
-            g, diag = graphs[k == len(xs) - 1], diags[k == len(xs) - 1]
+
+        def moved(i, value):  # angles 0-2 are the layers' gammas, 3-5 their betas
+            x = base.copy()
+            x[i] = value
+            return x
+
+        probes = [moved(i, base[i] + step) for i in (2, 5, 1, 4, 0)  # last layer first
+                  for step in (1e-6, -1e-6)]
+        nan = moved(1, math.nan)
+        # (diagonal, angles, (rows, block layers) its circuit builds or None)
+        cases = [(0, x, None) for x in (*rng.uniform(-2 * np.pi, 2 * np.pi, (3, 6)), base, base,
+                                        *probes)]
+        cases += [(0, probes[-1], (0, 0)), (1, probes[-1], (3, 0)),  # second diagonal
+                  (0, base, None), (0, probes[0], (1, 0)), (0, base, (1, 0)),  # revisit
+                  (0, probes[0], (1, 0)), (0, moved(3, base[3] + 1e-6), (1, 1)),  # beta0, gamma2
+                  (0, nan, (1, 1)), (0, nan, (1, 0)), (0, base, (1, 0)),  # NaN
+                  (0, moved(3, 0.0), (0, 1)), (0, moved(3, -0.0), (0, 1))]  # signed zero
+        for which, x, builds in cases:
+            g, diag = graphs[which], diags[which]
             sched = schedule.standard_unpack(x, 3)
-            reused = engine.evolve(g, sched, diag=diag, workspace=workspace)
+            with _counting_builds() as counts:
+                reused = engine.evolve(g, sched, diag=diag, workspace=workspace)
             fresh = engine.evolve(g, sched, diag=diag)
+            exact = [np.float64(engine.expectation_exact(s, diag)).view(np.int64)
+                     for s in (reused, fresh)]
             same = (np.array_equal(reused.half.view(np.int64), fresh.half.view(np.int64))
-                    and engine.expectation_exact(reused, diag)
-                    == engine.expectation_exact(fresh, diag)
+                    and exact[0] == exact[1]
                     and np.array_equal(
                         engine._sample_indices(reused, 512, np.random.default_rng(n)),
                         engine._sample_indices(fresh, 512, np.random.default_rng(n))))
             mismatches += not same
+            miscounts += builds is not None and builds != (counts["rows"], counts["blocks"])
             total += 1
-    return CheckResult("workspace-reuse", mismatches == 0,
+    return CheckResult("workspace-reuse", mismatches == miscounts == 0,
                        f"{mismatches} of {total} schedules run in one reused workspace at "
-                       f"n = 8, 12, 15, 17 (random, then one angle moved at a time) "
-                       f"differ from a fresh evolve")
+                       f"n = 8, 12, 15, 17 differ from a fresh evolve and {miscounts} built "
+                       f"other phase rows or mixer blocks than their changed keys call for "
+                       f"(random; one angle moved at a time; a point revisited after a probe "
+                       f"moved its gamma 2; a beta-only probe of layer 0 after a gamma-only "
+                       f"probe of layer 2; a NaN gamma, twice; beta 0 at +0.0, then -0.0; the "
+                       f"same angles on a second diagonal)")
 
 
 def _check_cut_table_levels() -> CheckResult:

@@ -606,15 +606,18 @@ def resume_sequence(rng, p):
     """(diagonal index, gammas, betas) of circuits for one workspace. The
     first schedule runs twice, so that its second run, which shares every
     layer with the first, keeps snapshots; the next two share layers with
-    the one before: only the last layer changed, then only layer 1. Then
-    layer 0 at +0.0 and at -0.0 and a second diagonal of the same n run
-    twice each, and the first diagonal once more."""
+    the one before: only the last layer changed, then only layer 1. The
+    point before that probe is revisited, which rebuilds the row of layer 1
+    alone. Then layer 0 at +0.0 and at -0.0 and a second diagonal of the
+    same n run twice each, and the first diagonal once more."""
     gammas, betas = rng.uniform(-7, 7, (2, p))
     runs = [(0, gammas, betas)] * 2
     for layer in (p - 1, 1):
         gammas = gammas.copy()
         gammas[layer] += 0.25
         runs.append((0, gammas, betas))
+    runs.append(runs[-2])
+    gammas = runs[-1][1]
     for zero in (0.0, -0.0):
         gammas, betas = gammas.copy(), betas.copy()
         gammas[0] = betas[0] = zero
@@ -660,6 +663,95 @@ class TestWorkspace:
         assert unchanged(diag, [-0.0, 0.5, 1.5], betas) == 0
         assert unchanged(diag, [float("nan"), 0.5, 1.5], betas) == 0
         assert unchanged(build_cost_diagonal(TRIANGLE), gammas, betas) == 0
+
+    def test_each_probe_builds_only_the_rows_and_blocks_it_changed(self, monkeypatch):
+        # a probe of one angle rebuilds one phase row or one layer of mixer
+        # blocks, the layers after it reuse theirs; a step that moves every
+        # angle builds all p of each in one call each
+        calls, layers = Counter(), Counter()
+        phase_rows, build = engine._phase_rows, engine._MixerFactors.build
+
+        def counted_rows(diag, gammas, out=None):
+            calls["rows"] += 1
+            layers["rows"] += len(gammas)
+            return phase_rows(diag, gammas, out)
+
+        def counted_build(self, betas, start=0, stop=None):
+            built = build(self, betas, start, stop)
+            calls["blocks"] += 1
+            layers["blocks"] += len(built)
+            return built
+
+        monkeypatch.setattr(engine, "_phase_rows", counted_rows)
+        monkeypatch.setattr(engine._MixerFactors, "build", counted_build)
+        p, n = 4, 10
+        g = gen_erdos_renyi(n, 0.5, seed=4)
+        diag = build_cost_diagonal(g)
+        workspace = Workspace(n, p)
+        rng = np.random.default_rng(4)
+        x = rng.uniform(-3, 3, 2 * p)
+
+        def run(x):
+            calls.clear()
+            layers.clear()
+            return evolve(g, standard_unpack(x, p), diag=diag, workspace=workspace)
+
+        run(x)
+        assert calls == {"rows": 1, "blocks": 1} and layers == {"rows": p, "blocks": p}
+        for i, built in ((p + 1, {"blocks": 1}), (2, {"rows": 1}),  # beta 1, then gamma 2
+                         (p, {"blocks": 1}), (p - 1, {"rows": 1})):  # beta 0, last gamma
+            x = x.copy()
+            x[i] += 1e-3
+            reused = run(x)
+            assert layers == built, i
+            assert same_bits(reused.half, evolve(g, standard_unpack(x, p), diag=diag).half)
+        x = x + rng.uniform(-1e-3, 1e-3, 2 * p)  # an HFA or Nelder-Mead step
+        run(x)
+        assert calls == {"rows": 1, "blocks": 1} and layers == {"rows": p, "blocks": p}
+
+    def test_a_direct_block_build_leaves_no_stale_block(self):
+        # the blocks' beta keys live with them, so a build outside evolve
+        # makes the next evolve rebuild the layers it overwrote
+        g = gen_erdos_renyi(9, 0.5, seed=9)
+        diag = build_cost_diagonal(g)
+        sched = schedule_of([0.3, -1.2, 0.8], [0.7, 0.2, -0.4])
+        workspace = Workspace(9, 3)
+        evolve(g, sched, diag=diag, workspace=workspace)
+        workspace.factors.build([1.5, -2.5], 1)
+        reused = evolve(g, sched, diag=diag, workspace=workspace)
+        assert same_bits(reused.half, evolve(g, sched, diag=diag).half)
+
+    @pytest.mark.parametrize("n", [6, 12])
+    def test_a_failed_build_leaves_nothing_marked_built(self, monkeypatch, n):
+        # a phase row or block build that raises after writing part of its
+        # layers leaves their keys cleared, so the next evolve rebuilds them
+        g = gen_erdos_renyi(n, 0.5, seed=n)
+        diag = build_cost_diagonal(g)
+        p = 3
+        first = schedule_of([0.3, -1.2, 0.8], [0.7, 0.2, -0.4])
+        second = schedule_of([0.3, -1.0, 0.9], [0.7, 0.1, -0.5])
+        phase_rows, build = engine._phase_rows, engine._MixerFactors.build
+
+        def failing_rows(diag, gammas, out=None):
+            phase_rows(diag, gammas[:1], out[:1])  # the first row of the range is written
+            out[1:] = np.nan
+            raise MemoryError("phase rows")
+
+        def failing_build(self, betas, start=0, stop=None):
+            build(self, [0.0] * p, start, stop)
+            raise MemoryError("mixer blocks")
+
+        for target, name, failing in ((engine, "_phase_rows", failing_rows),
+                                      (engine._MixerFactors, "build", failing_build)):
+            workspace = Workspace(n, p)
+            evolve(g, first, diag=diag, workspace=workspace)
+            with monkeypatch.context() as patch:
+                patch.setattr(target, name, failing)
+                with pytest.raises(MemoryError):
+                    evolve(g, second, diag=diag, workspace=workspace)
+            for sched in (first, second):  # first: the keys the failed build found
+                reused = evolve(g, sched, diag=diag, workspace=workspace)
+                assert same_bits(reused.half, evolve(g, sched, diag=diag).half), (name, n)
 
     def test_standalone_evolves_share_no_memory(self):
         sched = schedule_of([0.3, -1.2], [0.7, 0.2])
