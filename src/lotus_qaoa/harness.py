@@ -688,11 +688,12 @@ def _check_workspace_reuse() -> CheckResult:
     # probes do, resumes each circuit from the snapshot of the last layer
     # that stayed and rebuilds only the phase rows and mixer blocks whose
     # (diagonal, gamma) or beta key changed. Where a case names the rows
-    # and block layers its last circuit must build, the counts are checked
-    # too: a key that matched too often would leave a stale row, and one
-    # that matched too rarely (+-0.0 run bit for bit alike) would only
-    # cost time. n = 8 and 12 run one pair-step piece, n = 15 two and
-    # n = 17 chunked blocks
+    # and block layers its circuit must build, the counts are checked too:
+    # a key that fails to match an angle with the same bits only costs
+    # time, and one that matches +0.0 to -0.0 leaves states bit for bit
+    # the same, so only the counts catch either. Expectations compare as
+    # bits, so that a NaN angle's NaN state compares equal. n = 8 and 12
+    # run one pair-step piece, n = 15 two and n = 17 chunked blocks
     rng = np.random.default_rng(23)
     mismatches = miscounts = total = 0
     for n in (8, 12, 15, 17):

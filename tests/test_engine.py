@@ -445,6 +445,17 @@ class TestSampledExpectation:
         err_big = np.mean([expectation_sampled(state, diag, 8192, seed=s)[1] for s in range(30)])
         assert 2.0 <= err_small / err_big <= 4.0  # ideal ratio sqrt(8) ~ 2.83
 
+    def test_mean_is_numpys_mean(self):
+        # the sampled mean is np.add.reduce over the draws divided by the
+        # shot count, the arithmetic of ndarray.mean without its wrapper
+        g = gen_erdos_renyi(9, 0.6, seed=15)
+        diag = build_cost_diagonal(g)
+        state = evolve(g, schedule_of([0.4, 0.7], [0.3, 0.1]), diag=diag)
+        for shots in (1, 2, 7, 1000, 1024, 8191, 8192):
+            mean, vals = engine._sampled_mean(state, diag, shots, seed=shots)
+            assert mean == float(vals.mean()), shots
+            assert mean == expectation_sampled(state, diag, shots, seed=shots)[0]
+
     def test_shot_count_validation(self):
         for shots in (0, -1):  # exact mode is expectation_exact, not a shot count
             with pytest.raises(ValueError, match=f"need shots >= 1, got {shots}"):
