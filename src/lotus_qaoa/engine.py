@@ -69,6 +69,11 @@ DEFAULT_QUBIT_CAP = 20
 ENGINE_VERSION = 5
 _MIXER_BLOCK = 4  # index bits fused per mixer matmul
 _MIXER_CHUNK = 1 << 16  # floats (512 KiB) of the half that the low mixer blocks run on at once
+# Most rows per matmul of the lowest mixer block, which runs as a stack of
+# such calls: OpenBLAS (0.3.31, one thread) ran a (rows, 16) @ (16, 16)
+# product of up to 2048 rows at the speed of a 16 x 16 block's flops and
+# one of 4096 rows, a whole chunk's at n >= 17, about 1.7x slower.
+_LOW_ROWS = 256
 _PAIR_PIECE = 1 << 13  # amplitudes (128 KiB) of the half that the pair step runs on at once
 _POPCOUNT = np.array([bin(v).count("1") for v in range(1 << _MIXER_BLOCK)])
 _POWER_SIGNS = np.array([[1.0], [1.0], [-1.0]])  # rows c^i, s^i, -s^i
@@ -140,15 +145,12 @@ def _twist_bits(bits: int, scale: float = 1.0) -> np.ndarray:
     return twist
 
 
-def _twist(n: int, scale: float = 1.0, out: np.ndarray | None = None) -> np.ndarray:
-    """scale * i^popcount(z) over the kept half, written into ``out`` when
-    given: the outer product of the twists of its high (n - 1) // 2 bits
-    and of its other bits, exact since the parts of every factor are 0 or
-    +-1 (+-scale)."""
+def _twist(n: int, scale: float = 1.0) -> np.ndarray:
+    """scale * i^popcount(z) over the kept half: the outer product of the
+    twists of its high (n - 1) // 2 bits and of its other bits, exact since
+    the parts of every factor are 0 or +-1 (+-scale)."""
     hi = (n - 1) // 2
-    if out is not None:
-        out = out.reshape(1 << hi, -1)
-    return np.multiply(_twist_bits(hi)[:, None], _twist_bits(n - 1 - hi, scale), out=out).ravel()
+    return np.multiply(_twist_bits(hi)[:, None], _twist_bits(n - 1 - hi, scale)).ravel()
 
 
 def _split_bits(n: int) -> tuple[int, int]:
@@ -177,14 +179,18 @@ def plus_state(n: int) -> MirroredHalf:
 
 
 def _phase_rows(diag: CostDiagonal, gammas: np.ndarray,
-                out: np.ndarray | None = None) -> np.ndarray:
+                out: np.ndarray | None = None, from_plus: bool = False) -> np.ndarray:
     """Each layer's phases exp(-i*gamma*values) over the kept half, (p, half),
     written into ``out`` ((p, 2^a, 2^b)) when given.
 
     One exp over the (p, levels) outer product; for each high bit i, the
     rows with it set are the rows below times exp(-i*gamma*C_i); last, each
     row times its high column entry: a + 3 numpy calls for all p layers.
-    An element's operations do not depend on p.
+    An element's operations do not depend on p. With ``from_plus`` the
+    first row is layer 0's, which starts from |+>^n: its high column is
+    first multiplied by i^popcount(hi), the twist of |+> on the high bits,
+    which is exact, since those factors are +-1 and +-i
+    (``apply_cost_phase`` multiplies in the rest of |+>).
     """
     a, b = _split_bits(diag.n)
     width = 1 << b
@@ -194,18 +200,21 @@ def _phase_rows(diag: CostDiagonal, gammas: np.ndarray,
                       out=None if out is None else out.reshape(gammas.size, width))
     e = np.exp(np.multiply.outer(-1j * gammas, diag.levels))
     cross = e[:, :(a + 1) * width].reshape(gammas.size, a + 1, width)
+    high = e[:, (a + 1) * width:]
+    if from_plus:
+        high[0] *= _twist_bits(a)
     rows = np.empty((gammas.size, 1 << a, width), dtype=np.complex128) if out is None else out
     rows[:, 0] = cross[:, 0]
     for i in range(a):
         h = 1 << i
         np.multiply(rows[:, :h], cross[:, i + 1, None], out=rows[:, h:2 * h])
-    rows *= e[:, (a + 1) * width:, None]
+    rows *= high[:, :, None]
     return rows.reshape(gammas.size, -1)
 
 
 def apply_cost_phase(state: MirroredHalf, diag: CostDiagonal, gamma: float,
-                     phases: np.ndarray | None = None,
-                     out: np.ndarray | None = None) -> MirroredHalf:
+                     phases: np.ndarray | None = None, out: np.ndarray | None = None,
+                     from_plus: bool = False) -> MirroredHalf:
     """In-place amps[z] *= exp(-i*gamma*values[z]); returns the same state.
 
     The kept half reads the first half of the flip-invariant diagonal.
@@ -215,13 +224,32 @@ def apply_cost_phase(state: MirroredHalf, diag: CostDiagonal, gamma: float,
     instead and the state moves to it, which leaves its old array as it
     was: a circuit that keeps snapshots runs each layer out of the
     snapshot of the layer before.
+
+    With ``from_plus`` the state's amplitudes are not read: the layer runs
+    on |+>^n, layer 0 of a circuit. Its ``phases`` are then the row that
+    ``_phase_rows(..., from_plus=True)`` builds first, which carries |+>'s
+    twist on the high bits, and one broadcast product multiplies in the
+    rest, 2^(-n/2) i^popcount(lo) over the low bits. That writes the
+    product of ``plus_state`` and the plain row without writing |+> first,
+    bit for bit in every part but an exact zero, whose sign may differ
+    (gamma = +-0.0 or a cut value of 0 leaves one). Adding and
+    multiplying keep such a difference to the sign of a zero, and every
+    readout squares magnitudes.
     """
     amps = state.half
     if 2 * amps.size != diag.values.size:
         raise ValueError("state and diagonal dimensions differ")
     if phases is None:
-        phases = _phase_rows(diag, [gamma])[0]
-    state.half = np.multiply(amps, phases, out=amps if out is None else out)
+        phases = _phase_rows(diag, [gamma], from_plus=from_plus)[0]
+    if out is None:
+        out = amps
+    if from_plus:
+        _, b = _split_bits(diag.n)
+        np.multiply(phases.reshape(-1, 1 << b), _twist_bits(b, (1 << diag.n) ** -0.5),
+                    out=out.reshape(-1, 1 << b))
+        state.half = out
+    else:
+        state.half = np.multiply(amps, phases, out=out)
     return state
 
 
@@ -312,23 +340,32 @@ class _MixerFactors:
 
 
 def _same_bits(a: float, b: float) -> bool:
-    """Whether two python floats are the same angle: equal, with the same
-    sign, so +-0.0 differ (equal floats have equal bits but for the sign
-    of zero); a NaN matches nothing, itself included."""
-    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+    """Whether two python floats are the same angle: equal, and for zeros
+    with the same sign, so +-0.0 differ (equal floats have equal bits but
+    for the sign of zero); a NaN matches nothing, itself included."""
+    return a == b and (a != 0.0 or math.copysign(1.0, a) == math.copysign(1.0, b))
 
 
-def _stale_runs(angles: list[float], keys: list[float], start: int) -> list[list[int]]:
+def _stale_runs(start: int, gammas: list[float], row_keys: list[float], betas: list[float],
+                block_keys: list[float]) -> tuple[list[list[int]], list[list[int]]]:
     """[start, stop) of each run of consecutive layers from ``start`` whose
-    angle does not have the bits of its key (``_same_bits``)."""
-    runs: list[list[int]] = []
-    for layer in range(start, len(angles)):
-        if not _same_bits(angles[layer], keys[layer]):
-            if runs and runs[-1][1] == layer:
-                runs[-1][1] = layer + 1
+    gamma does not have the bits of its phase row's key (``_same_bits``),
+    and of each whose beta does not have those of its mixer blocks' key,
+    found in one pass over the layers."""
+    rows: list[list[int]] = []
+    blocks: list[list[int]] = []
+    for layer in range(start, len(gammas)):
+        if not _same_bits(gammas[layer], row_keys[layer]):
+            if rows and rows[-1][1] == layer:
+                rows[-1][1] = layer + 1
             else:
-                runs.append([layer, layer + 1])
-    return runs
+                rows.append([layer, layer + 1])
+        if not _same_bits(betas[layer], block_keys[layer]):
+            if blocks and blocks[-1][1] == layer:
+                blocks[-1][1] = layer + 1
+            else:
+                blocks.append([layer, layer + 1])
+    return rows, blocks
 
 
 @cache
@@ -374,13 +411,15 @@ def _mixer_views(n: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, 
     first: those of the blocks that act within a chunk of ``_MIXER_CHUNK``,
     then those of the blocks above it.
 
-    The lowest block's view is (rest, 2^k), with its bits as columns; a
-    block at bit offset o has the (pieces, 2^k, 2^o) view, its bits as the
-    middle axis.
+    The lowest block's view is (pieces, rows, 2^k), its bits as columns,
+    with at most ``_LOW_ROWS`` rows, so that its matmul is a stack of
+    small BLAS calls; a block at bit offset o has the (pieces, 2^k, 2^o)
+    view, its bits as the middle axis.
     """
     low, high, offset = [], [], 0
+    floats = min(1 << n, _MIXER_CHUNK)
     for k in _mixer_block_sizes(n):
-        shape = (-1, 1 << k, 1 << offset) if offset else (-1, 1 << k)
+        shape = (-1, 1 << k, 1 << offset) if offset else (-1, min(_LOW_ROWS, floats >> k), 1 << k)
         offset += k
         (low if 1 << offset <= _MIXER_CHUNK else high).append(shape)
     return tuple(low), tuple(high)
@@ -563,12 +602,6 @@ class Workspace:
         self._betas: list[float] = []
         self._snapshotted = False
 
-    def plus_state(self) -> MirroredHalf:
-        """|+>^n, as ``plus_state`` builds it, written into the state buffer."""
-        half = self.state.half
-        _twist(self.n, (1 << self.n) ** -0.5, out=half)
-        return MirroredHalf(half=half, workspace=self)
-
     def keep(self, state: MirroredHalf) -> MirroredHalf:
         """Take ``state``, the last one ``evolve`` returned here, out of reuse.
 
@@ -605,7 +638,7 @@ class Workspace:
         the gammas as the rows' keys; the keys are cleared first, as
         ``_MixerFactors.build`` clears its."""
         self._row_gammas[start:stop] = [math.nan] * (stop - start)
-        _phase_rows(diag, gammas[start:stop], self._rows[start:stop])
+        _phase_rows(diag, gammas[start:stop], self._rows[start:stop], from_plus=not start)
         self._row_gammas[start:stop] = gammas[start:stop].tolist()
 
 
@@ -658,20 +691,22 @@ def evolve(g: WeightedGraph, sched: Schedule, diag: CostDiagonal | None = None,
     start = shared if workspace._snapshotted else 0
     workspace._diag = None  # no circuit to compare with until this one completes
     snapshots, last = workspace.snapshots, workspace.p - 1
-    if start:
-        state = MirroredHalf(half=snapshots[start - 1].half, workspace=workspace)
-    else:
-        state = workspace.plus_state()
+    # layer 0 writes its product with |+> into the state buffer
+    state = MirroredHalf(half=(snapshots[start - 1] if start else workspace.state).half,
+                         workspace=workspace)
     if workspace._rows_diag is not diag:  # rows of another diagonal match no gamma
         workspace._rows_diag, workspace._row_gammas = diag, [math.nan] * workspace.p
-    for lo, hi in _stale_runs(gamma_list, workspace._row_gammas, start):
+    stale_rows, stale_blocks = _stale_runs(start, gamma_list, workspace._row_gammas,
+                                           beta_list, workspace.factors.betas)
+    for lo, hi in stale_rows:
         workspace._build_rows(diag, gammas, lo, hi)
-    for lo, hi in _stale_runs(beta_list, workspace.factors.betas, start):
+    for lo, hi in stale_blocks:
         workspace.factors.build(betas, lo, hi)
     rows, factors = workspace.rows, workspace.factors.layers
     for layer in range(start, last + 1):
         # in place unless the state is the snapshot of the layer before
-        apply_cost_phase(state, diag, gamma_list[layer], rows[layer], out=workspace.state.half)
+        apply_cost_phase(state, diag, gamma_list[layer], rows[layer], out=workspace.state.half,
+                         from_plus=not layer)
         apply_mixer(state, beta_list[layer], factors[layer])
         if shared and layer < last:  # the state becomes the layer's snapshot
             snapshots[layer], workspace.state = workspace.state, snapshots[layer]

@@ -23,7 +23,6 @@ from itertools import product
 
 import numpy as np
 from scipy.linalg import expm
-from scipy.stats import wilcoxon
 
 from . import engine, instance, optim, schedule
 from .records import RunRecord, append_record, resume_records, write_csv
@@ -385,6 +384,10 @@ class SignificanceMatrix:
 
 
 def significance_matrix(records: list[RunRecord], alpha: float = 0.05) -> SignificanceMatrix:
+    # imported here: scipy.stats takes about a third of a second to load,
+    # which every other use of the package would pay
+    from scipy.stats import wilcoxon
+
     by_label: dict[str, dict[tuple, float]] = {}
     for r in records:
         by_label.setdefault(optimizer_label(r), {})[r.cell_key()] = r.expectation

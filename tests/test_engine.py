@@ -262,6 +262,32 @@ class TestMixer:
             apply_mixer(state, beta)
             assert np.max(np.abs(state.amps - expected)) <= 1e-12
 
+    @pytest.mark.parametrize("n", [15, 16, 17, 20])
+    def test_stacked_lowest_block_equals_one_matmul(self, n):
+        # the lowest block runs as a stack of matmuls of at most _LOW_ROWS
+        # rows, 8 of them at n = 15 and 16 per chunk from n = 16; each row
+        # must come out with the bits that one matmul over all rows gives
+        rng = np.random.default_rng(n)
+        block = engine._MixerFactors(n, 1).build([rng.uniform(-7, 7)])[0][0]
+        view = engine._mixer_views(n)[0][0]
+        for part in rng.normal(size=1 << n).reshape(-1, min(1 << n, engine._MIXER_CHUNK)):
+            single = np.matmul(part.reshape(-1, block.shape[0]), block)
+            stacked = np.matmul(part.reshape(view), block)
+            assert stacked.shape[0] > 1
+            assert same_bits(stacked.reshape(single.shape), single), n
+
+    def test_lowest_block_views_have_at_most_low_rows(self):
+        # every BLAS call of the lowest block gets at most _LOW_ROWS rows;
+        # up to n = 12 the view holds no more, so it stays one call
+        for n in range(1, 21):
+            buf = engine._Buffer(np.empty(1 << (n - 1), dtype=np.complex128))
+            k = engine._mixer_block_sizes(n)[0]
+            for chunk in buf.chunks:
+                pieces, rows, width = chunk[0].shape
+                assert rows <= engine._LOW_ROWS and width == 1 << k, n
+                assert pieces * rows * width == chunk[-1].size, n
+                assert pieces == 1 or n > 12, n
+
     @pytest.mark.parametrize("beta", EXTREME_BETAS)
     def test_chunked_pair_step_at_extreme_angles(self, beta):
         state = random_kept_half(17, np.random.default_rng(11))
@@ -538,6 +564,23 @@ class TestKeptHalf:
                 state = MirroredHalf(half=np.ones(1 << (n - 1), dtype=complex))
                 assert np.array_equal(apply_cost_phase(state, diag, gamma).half, row), (n, gamma)
 
+    def test_layer_0_from_plus_equals_plus_state_times_its_row(self):
+        # layer 0 folds |+> into its phase product: the row's high column
+        # carries the high bits' twist and one broadcast product the rest,
+        # which must give the bits of plus_state times the plain row in
+        # every nonzero part; a part that is an exact zero, which z = 0,
+        # gamma = +-0.0 or an edgeless graph leaves, may differ in its sign
+        for n in range(1, 21):
+            g = WeightedGraph(n=1, edges=()) if n == 1 else gen_erdos_renyi(n, 0.5, seed=n)
+            diag = build_cost_diagonal(g)
+            for gamma in (0.0, -0.0, 0.37, -2.1, 25.0):
+                expected = apply_cost_phase(plus_state(n), diag, gamma).half.view(np.float64)
+                state = MirroredHalf(half=np.full(1 << (n - 1), np.nan, dtype=np.complex128))
+                folded = apply_cost_phase(state, diag, gamma, from_plus=True).half.view(np.float64)
+                nonzero = expected != 0.0
+                assert np.array_equal(folded, expected), (n, gamma)
+                assert same_bits(folded[nonzero], expected[nonzero]), (n, gamma)
+
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(n=st.integers(1, 12), quarters=st.lists(st.integers(0, 12), min_size=66, max_size=66))
     @example(n=1, quarters=[0] * 66)
@@ -682,10 +725,10 @@ class TestWorkspace:
         calls, layers = Counter(), Counter()
         phase_rows, build = engine._phase_rows, engine._MixerFactors.build
 
-        def counted_rows(diag, gammas, out=None):
+        def counted_rows(diag, gammas, out=None, from_plus=False):
             calls["rows"] += 1
             layers["rows"] += len(gammas)
-            return phase_rows(diag, gammas, out)
+            return phase_rows(diag, gammas, out, from_plus)
 
         def counted_build(self, betas, start=0, stop=None):
             built = build(self, betas, start, stop)
@@ -720,6 +763,38 @@ class TestWorkspace:
         run(x)
         assert calls == {"rows": 1, "blocks": 1} and layers == {"rows": p, "blocks": p}
 
+    @pytest.mark.parametrize("n", [8, 9, 12, 20])
+    def test_folded_row_0_is_built_once_for_every_probe(self, monkeypatch, n):
+        # row 0 carries |+>'s high twist and serves layer 0 alone, since a
+        # circuit resumes at layer 1 or later: built once, it stays valid
+        # through probes of beta 0, which rerun layer 0 from |+>, and of
+        # later angles, which resume after it
+        p = 3
+        built = Counter()
+        phase_rows = engine._phase_rows
+
+        def counted_rows(diag, gammas, out=None, from_plus=False):
+            built["row 0"] += from_plus
+            built["rows"] += len(gammas)
+            return phase_rows(diag, gammas, out, from_plus)
+
+        g = gen_erdos_renyi(n, 0.5, seed=n)
+        diag = build_cost_diagonal(g)
+        workspace = Workspace(n, p)
+        x = np.random.default_rng(n).uniform(-3, 3, 2 * p)
+        points = [x, x]  # the second run shares every layer and keeps snapshots
+        for i in (p, 2, p + 1, p, 2 * p - 1, 1):  # beta 0, gamma 2, beta 1, beta 0, last beta, gamma 1
+            x = x.copy()
+            x[i] += 1e-3
+            points.append(x)
+        for x in points:
+            sched = standard_unpack(x, p)
+            with monkeypatch.context() as patch:
+                patch.setattr(engine, "_phase_rows", counted_rows)
+                reused = evolve(g, sched, diag=diag, workspace=workspace)
+            assert same_bits(reused.half, evolve(g, sched, diag=diag).half), (n, x)
+        assert built == {"row 0": 1, "rows": p + 2}
+
     def test_a_direct_block_build_leaves_no_stale_block(self):
         # the blocks' beta keys live with them, so a build outside evolve
         # makes the next evolve rebuild the layers it overwrote
@@ -743,8 +818,8 @@ class TestWorkspace:
         second = schedule_of([0.3, -1.0, 0.9], [0.7, 0.1, -0.5])
         phase_rows, build = engine._phase_rows, engine._MixerFactors.build
 
-        def failing_rows(diag, gammas, out=None):
-            phase_rows(diag, gammas[:1], out[:1])  # the first row of the range is written
+        def failing_rows(diag, gammas, out=None, from_plus=False):
+            phase_rows(diag, gammas[:1], out[:1], from_plus)  # the first row of the range is written
             out[1:] = np.nan
             raise MemoryError("phase rows")
 

@@ -1,6 +1,8 @@
 import dataclasses
 import json
 import os
+import subprocess
+import sys
 import tempfile
 import warnings
 
@@ -300,6 +302,16 @@ class TestSignificance:
         matrix = significance_matrix(records)
         assert np.isnan(matrix.p_values).all()
         assert not matrix.significant.any()
+
+    def test_package_import_leaves_scipy_stats_unloaded(self):
+        # significance_matrix loads scipy.stats when it runs, so a fresh
+        # interpreter that imports the package (a CLI start, a benchmark's
+        # setup) does not pay for it
+        src = os.path.dirname(os.path.dirname(harness.__file__))
+        code = "import sys, lotus_qaoa; print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
+        out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
 
     def test_lotus_label_carries_mode_count(self):
         assert optimizer_label(make_record(optimizer="lotus", k_modes=3)) == "lotus[K=3]"
