@@ -25,10 +25,13 @@ gather in ``_MixerFactors``), each with the angle it was built for, and
 rebuilds only those of the layers it runs whose angle changed, one call per
 run of consecutive such layers. It hands each layer's to
 ``apply_cost_phase`` and ``apply_mixer``, which build it themselves when
-called alone. The layer loop only multiplies and runs matmuls. Each mixer
-block is one matmul where its bits already lie, with nothing rotated: the
-lowest block right-multiplies the (rest, 2^k) view and every other block
-left-multiplies the (pieces, 2^k, 2^offset) view at its bit offset,
+called alone. The layer loop only multiplies and runs matmuls. Layer 0
+writes no |+> first: its phase row carries |+>'s twist on the high bits,
+and one broadcast product with the scaled low-bit twist writes its state.
+Each mixer block is one matmul where its bits already lie, with nothing
+rotated: the lowest block right-multiplies the (pieces, rows, 2^k) view,
+a stack of BLAS calls of at most ``_LOW_ROWS`` rows, and every other
+block left-multiplies the (pieces, 2^k, 2^offset) view at its bit offset,
 alternating between the state's array and one spare. From n = 17 the
 blocks within a 2^16-float chunk run chunk by chunk, in cache, and the top
 block over the whole half; the dropped top qubit is one pair step, run
@@ -462,9 +465,10 @@ def apply_mixer(state: MirroredHalf, beta: float,
     built here, by the same builder for one layer.
 
     Each block runs as one matmul where its k bits already lie, so no bits
-    move: the lowest block right-multiplies the view as a (rest, 2^k)
-    matrix (``_MixerFactors`` holds it transposed), and the block at bit
-    offset o left-multiplies every piece of the (pieces, 2^k, 2^o) view.
+    move: the lowest block right-multiplies the view as a stack of
+    (rows, 2^k) matrices of at most ``_LOW_ROWS`` rows, one BLAS call each
+    (``_MixerFactors`` holds it transposed), and the block at bit offset o
+    left-multiplies every piece of the (pieces, 2^k, 2^o) view.
     Since the lowest block carries cos(beta), that leaves
     u = cos(beta) Q^(x)(n-1) h. A block whose bits lie within the low
     ``_MIXER_CHUNK`` floats acts within each chunk of that size, so a half
@@ -537,8 +541,9 @@ class Workspace:
     hands it to every ``evolve``, so no evaluation allocates a state-sized
     array or rebuilds a view; ``evolve`` without one creates its own. It
     holds kept-half buffers with their mixer views (``_Buffer``):
-    ``state``, which each layer writes its phase product into and runs its
-    mixer on, ``spare``, which the mixer's blocks alternate with it, one
+    ``state``, which each layer writes its phase product into (layer 0
+    its product with |+>, which no buffer holds) and runs its mixer on,
+    ``spare``, which the mixer's blocks alternate with it, one
     kept buffer and p - 1 ``snapshots``; the p phase ``rows`` that
     ``_phase_rows`` fills; the ``_MixerFactors`` of p layers; and, from
     n = 15, the one-piece ``pair_factor`` of ``_pair_pieces``. Between mixer
@@ -551,7 +556,8 @@ class Workspace:
     Each phase row and each layer's mixer blocks carry a key, which lives
     with the arrays it describes: the workspace records the diagonal its
     rows were built for and each row's gamma (a circuit on another
-    diagonal clears every row's), and ``_MixerFactors.build`` the beta of
+    diagonal clears every row's); row 0 also carries |+>'s high twist,
+    which needs no key, since it only ever serves layer 0; and ``_MixerFactors.build`` the beta of
     every layer it writes, so a build outside ``evolve`` leaves no stale
     key. A key is cleared before its arrays are written and set after,
     so a build that fails partway leaves nothing marked built. Angles
@@ -660,15 +666,20 @@ def evolve(g: WeightedGraph, sched: Schedule, diag: CostDiagonal | None = None,
     those whose phase row key (the ``diag`` object and the gamma) or
     mixer block key (the beta) differs from the circuit's are rebuilt, in
     one ``_phase_rows`` call or one gather per run of consecutive such
-    layers, so a step that moves every angle still makes one of each; an
-    element's or a layer's arithmetic does not depend on which other
-    layers are built. The rows and blocks go to the per-layer kernels.
-    Layer 0 starts from |+> in the state buffer; a later layer multiplies
-    the state in place, or, when the circuit keeps snapshots, writes the
-    product of the layer before's snapshot and its phase row into the state
-    buffer. Each element goes through the same operations on the same
-    inputs in the same order as in a circuit run from |+>, so a resumed
-    state is bit for bit the one a fresh workspace gives.
+    layers, found in one pass over the layers (``_stale_runs``), so a step
+    that moves every angle still makes one of each; an element's or a
+    layer's arithmetic does not depend on which other layers are built.
+    The rows and blocks go to the per-layer kernels, one
+    ``apply_cost_phase`` and one ``apply_mixer`` call per layer run.
+    Layer 0 starts from |+>, which its phase call folds in
+    (``from_plus``): row 0 carries |+>'s twist on the high bits and one
+    broadcast product writes the layer's state into the state buffer. A
+    later layer multiplies the state in place, or, when the circuit keeps
+    snapshots, writes the product of the layer before's snapshot and its
+    phase row into the state buffer. Each element goes through the same
+    operations on the same inputs in the same order as in a circuit run
+    from |+>, so a resumed state is bit for bit the one a fresh workspace
+    gives.
 
     A circuit that shares no layer, a Nelder-Mead or HFA step, runs in the
     state and spare buffers alone, as without snapshots: keeping its

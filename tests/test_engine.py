@@ -285,7 +285,7 @@ class TestMixer:
             for chunk in buf.chunks:
                 pieces, rows, width = chunk[0].shape
                 assert rows <= engine._LOW_ROWS and width == 1 << k, n
-                assert pieces * rows * width == chunk[-1].size, n
+                assert pieces * rows * width == min(1 << n, engine._MIXER_CHUNK), n
                 assert pieces == 1 or n > 12, n
 
     @pytest.mark.parametrize("beta", EXTREME_BETAS)
