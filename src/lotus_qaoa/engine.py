@@ -250,9 +250,9 @@ def apply_cost_phase(state: MirroredHalf, diag: CostDiagonal, gamma: float,
         _, b = _split_bits(diag.n)
         np.multiply(phases.reshape(-1, 1 << b), _twist_bits(b, (1 << diag.n) ** -0.5),
                     out=out.reshape(-1, 1 << b))
-        state.half = out
     else:
-        state.half = np.multiply(amps, phases, out=out)
+        np.multiply(amps, phases, out=out)
+    state.half = out
     return state
 
 
@@ -556,10 +556,10 @@ class Workspace:
     Each phase row and each layer's mixer blocks carry a key, which lives
     with the arrays it describes: the workspace records the diagonal its
     rows were built for and each row's gamma (a circuit on another
-    diagonal clears every row's); row 0 also carries |+>'s high twist,
-    which needs no key, since it only ever serves layer 0; and ``_MixerFactors.build`` the beta of
+    diagonal clears every row's), and ``_MixerFactors.build`` the beta of
     every layer it writes, so a build outside ``evolve`` leaves no stale
-    key. A key is cleared before its arrays are written and set after,
+    key. Row 0 also carries |+>'s twist on the high bits, which needs no
+    key of its own: it only ever serves layer 0. A key is cleared before its arrays are written and set after,
     so a build that fails partway leaves nothing marked built. Angles
     match by ``_same_bits``: +-0.0 differ and a NaN matches nothing.
 

@@ -783,7 +783,8 @@ class TestWorkspace:
         workspace = Workspace(n, p)
         x = np.random.default_rng(n).uniform(-3, 3, 2 * p)
         points = [x, x]  # the second run shares every layer and keeps snapshots
-        for i in (p, 2, p + 1, p, 2 * p - 1, 1):  # beta 0, gamma 2, beta 1, beta 0, last beta, gamma 1
+        # beta 0, gamma 2, beta 1, beta 0 again, the last beta, gamma 1
+        for i in (p, 2, p + 1, p, 2 * p - 1, 1):
             x = x.copy()
             x[i] += 1e-3
             points.append(x)
@@ -819,7 +820,8 @@ class TestWorkspace:
         phase_rows, build = engine._phase_rows, engine._MixerFactors.build
 
         def failing_rows(diag, gammas, out=None, from_plus=False):
-            phase_rows(diag, gammas[:1], out[:1], from_plus)  # the first row of the range is written
+            # the first row of the range is written
+            phase_rows(diag, gammas[:1], out[:1], from_plus)
             out[1:] = np.nan
             raise MemoryError("phase rows")
 

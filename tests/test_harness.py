@@ -308,7 +308,8 @@ class TestSignificance:
         # interpreter that imports the package (a CLI start, a benchmark's
         # setup) does not pay for it
         src = os.path.dirname(os.path.dirname(harness.__file__))
-        code = "import sys, lotus_qaoa; print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
+        code = ("import sys, lotus_qaoa; "
+                "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))")
         out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
                              capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "[]"
