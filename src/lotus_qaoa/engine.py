@@ -33,10 +33,11 @@ rotated: the lowest block right-multiplies the (pieces, rows, 2^k) view,
 a stack of BLAS calls of at most ``_LOW_ROWS`` rows, and every other
 block left-multiplies the (pieces, 2^k, 2^offset) view at its bit offset,
 alternating between the state's array and one spare. From n = 17 the
-blocks within a 2^16-float chunk run chunk by chunk, in cache, and the top
-block over the whole half; the dropped top qubit is one pair step, run
-from n = 15 on mirrored pairs of 2^13-amplitude pieces with a sign table
-of one piece.
+blocks within a 2^16-float chunk run chunk by chunk, in cache, their
+intermediates in two chunks of the spare that every chunk reuses, and the
+top block over the whole half; the dropped top qubit is one pair step,
+run from n = 15 on mirrored pairs of 2^13-amplitude pieces, with a sign
+table of one piece and two pieces of the spare for the mirrored rows.
 
 Every circuit runs in a ``Workspace``, which holds the state buffers with
 their prebuilt mixer views, the phase rows and the mixer blocks; the
@@ -136,6 +137,29 @@ class MirroredHalf:
 
     def norm_sq(self) -> float:
         return 2.0 * float(np.sum(np.abs(self.half) ** 2))
+
+    def _cdf(self) -> np.ndarray:
+        """The running sum of |half|^2, which sampling draws from, built in
+        one array: the workspace's spare if there is one."""
+        cdf = np.abs(self.half, out=None if self.workspace is None
+                     else self.workspace.spare.half.view(np.float64)[:self.half.size])
+        np.square(cdf, out=cdf)
+        return np.cumsum(cdf, out=cdf)
+
+
+@dataclass
+class _Readout(MirroredHalf):
+    """A state whose draws all read one CDF, built by the first: the
+    readout of a run, whose draws (each with its own generator) follow one
+    another with nothing written to the state or its workspace's spare in
+    between."""
+
+    cdf: np.ndarray | None = field(default=None, repr=False, compare=False)
+
+    def _cdf(self) -> np.ndarray:
+        if self.cdf is None:
+            self.cdf = super()._cdf()
+        return self.cdf
 
 
 @cache
@@ -386,26 +410,28 @@ def _pair_pieces(pieces: np.ndarray, rows: np.ndarray, kappa: complex,
                  factor: np.ndarray | None = None) -> None:
     """In place u += kappa * sigma * u[::-1], sigma(z) = (-1)^popcount(z),
     on a half u of more than one ``_PAIR_PIECE``, given as its
-    (pieces, ``_PAIR_PIECE``) view; ``rows``, a spare of the same shape, is
+    (pieces, ``_PAIR_PIECE``) view; ``rows``, two pieces of a spare, is
     scratch, and so is ``factor``, one piece, when given (a workspace's),
     else the factor is allocated here.
 
     Output piece c reads piece C - 1 - c reversed, and sigma(c * P + r) =
     (-1)^popcount(c) sigma(r), so every piece takes the one factor
     kappa * sigma[:P], its row subtracted where popcount(c) is odd. Both
-    pieces of a pair are read into the spare before either is written, so
-    each pair stays in cache. Bit for bit the whole-half formula: sigma
-    times kappa is exact, and a - x is a + (-x).
+    mirrored rows of a pair are written into ``rows`` before either piece
+    is, so each pair stays in cache, and every pair reuses the same two
+    rows, which stay there too: nothing else is written that memory would
+    have to take back. Bit for bit the whole-half formula: sigma times
+    kappa is exact, and a - x is a + (-x).
     """
     factor = np.multiply(_parity_signs(_PAIR_PIECE.bit_length() - 1), kappa, out=factor)
     last = len(pieces) - 1
     for c in range(len(pieces) // 2):
         d = last - c
-        np.multiply(pieces[d, ::-1], factor, out=rows[c])
-        np.multiply(pieces[c, ::-1], factor, out=rows[d])
-        for e in (c, d):
+        np.multiply(pieces[d, ::-1], factor, out=rows[0])
+        np.multiply(pieces[c, ::-1], factor, out=rows[1])
+        for e, row in ((c, rows[0]), (d, rows[1])):
             combine = np.subtract if bin(e).count("1") % 2 else np.add
-            combine(pieces[e], rows[e], out=pieces[e])
+            combine(pieces[e], row, out=pieces[e])
 
 
 @cache
@@ -436,8 +462,10 @@ class _Buffer:
     shapes of ``_mixer_views``; ``top`` the whole-half view of each block
     above the chunk (none when the half fits in one); ``pieces`` the
     (pieces, ``_PAIR_PIECE``) view of a half of more than one piece, else
-    None. A standalone mixer call builds two, so construction does little
-    beyond making the views.
+    None. When the buffer is the spare, the views of its first two chunks
+    hold the in-chunk blocks' intermediates and its first two pieces the
+    pair step's mirrored rows. A standalone mixer call builds two, so
+    construction does little beyond making the views.
     """
 
     __slots__ = ("half", "chunks", "top", "pieces")
@@ -470,12 +498,17 @@ def apply_mixer(state: MirroredHalf, beta: float,
     (``_MixerFactors`` holds it transposed), and the block at bit offset o
     left-multiplies every piece of the (pieces, 2^k, 2^o) view.
     Since the lowest block carries cos(beta), that leaves
-    u = cos(beta) Q^(x)(n-1) h. A block whose bits lie within the low
-    ``_MIXER_CHUNK`` floats acts within each chunk of that size, so a half
-    of more than one chunk (n >= 17) runs those blocks chunk by chunk,
-    each chunk and its slice of the spare staying in cache; the blocks
-    above it (the top one) then run once over the whole half, in the same
-    form. A half of one chunk runs every block once over the whole half.
+    u = cos(beta) Q^(x)(n-1) h. A half of one chunk runs every block once
+    over the whole half, alternating between the state's array and the
+    spare. A block whose bits lie within the low ``_MIXER_CHUNK`` floats
+    acts within each chunk of that size, so a half of more than one chunk
+    (n >= 17, four such blocks) runs those blocks chunk by chunk: the
+    first reads the chunk, the intermediates alternate between the spare's
+    first two chunks, which every chunk reuses, and the last writes the
+    chunk back. Those two regions stay in cache, so no intermediate, which
+    nothing reads after its chunk, is written back to memory. The blocks
+    above the chunk (the top one) then run once over the whole half, in
+    the same form, into the spare.
 
     The dropped top qubit adds -i sin(beta) times the rotation of the
     mirrored half. Untwisted that is u[::-1] times -i tan(beta) (the
@@ -483,11 +516,12 @@ def apply_mixer(state: MirroredHalf, beta: float,
     times i^-popcount(~z) leaves (-1)^popcount(z) i^-(n-1), so
     half = u + kappa * sigma * u[::-1] with sigma = (-1)^popcount and
     kappa = tan(beta) (-i)^n, one pair step (cos(beta) of a finite double
-    is never 0, so tan(beta) is finite). Each block writes into one spare
-    array, which then swaps with the state's; the pair step builds
-    kappa * sigma * u[::-1] in the spare and adds it to u. Above one
-    ``_PAIR_PIECE`` it runs on mirrored pairs of pieces
-    (``_pair_pieces``), so the sign table holds one piece. It uses numpy,
+    is never 0, so tan(beta) is finite). A whole-half block writes into
+    the spare, which then swaps with the state's array; the pair step
+    builds kappa * sigma * u[::-1] in the spare and adds it to u. Above
+    one ``_PAIR_PIECE`` it runs on mirrored pairs of pieces
+    (``_pair_pieces``), so the sign table holds one piece, and builds
+    every pair's rows in the spare's first two pieces. It uses numpy,
     not a BLAS axpy: with OpenBLAS's default threads a threaded axpy per
     layer made sweeps at n = 16 several times slower.
 
@@ -495,7 +529,9 @@ def apply_mixer(state: MirroredHalf, beta: float,
     A state that ``evolve`` runs, always in a ``Workspace``, takes both,
     prebuilt, from the workspace, and leaves the two swapped there as the
     blocks left them; only a bare state, the mixer called alone, gets its
-    views and a new spare built here.
+    views and a new spare built here. Every matmul has the shape and
+    operands it would have with a whole spare per block, so where the
+    intermediates live changes no bit.
     """
     ws = state.workspace
     if ws is not None and state.half is ws.state.half:
@@ -507,20 +543,28 @@ def apply_mixer(state: MirroredHalf, beta: float,
     n = buf.half.size.bit_length()
     if blocks is None:
         blocks = _MixerFactors(n, 1).build([beta])[0]
-    for a, s in zip(buf.chunks, spare.chunks):
+    inner = len(buf.chunks[0])
+    if len(buf.chunks) == 1:  # the blocks alternate between the state's array and the spare
+        a, s = buf.chunks[0], spare.chunks[0]
         np.matmul(a[0], blocks[0], out=s[0])
-        for j in range(1, len(a)):
+        for j in range(1, inner):
             a, s = s, a
             np.matmul(blocks[j], a[j], out=s[j])
-    inner = len(buf.chunks[0])
-    if inner % 2:
-        buf, spare = spare, buf
+        if inner % 2:
+            buf, spare = spare, buf
+    else:  # every chunk's intermediates alternate between the spare's first two chunks
+        regions = spare.chunks[:2]
+        for chunk in buf.chunks:
+            np.matmul(chunk[0], blocks[0], out=regions[0][0])
+            for j in range(1, inner - 1):
+                np.matmul(blocks[j], regions[1 - j % 2][j], out=regions[j % 2][j])
+            np.matmul(blocks[inner - 1], regions[inner % 2][inner - 1], out=chunk[inner - 1])
     for j in range(len(buf.top)):
         np.matmul(blocks[inner + j], buf.top[j], out=spare.top[j])
         buf, spare = spare, buf
     kappa = math.tan(beta) * _MINUS_I_POWERS[n]
     if buf.pieces is not None:
-        _pair_pieces(buf.pieces, spare.pieces, kappa, None if ws is None else ws.pair_factor)
+        _pair_pieces(buf.pieces, spare.pieces[:2], kappa, None if ws is None else ws.pair_factor)
     else:  # one piece: three calls on the cached table, no per-call factor
         mirrored = spare.half
         np.multiply(buf.half[::-1], _parity_signs(n - 1), out=mirrored)
@@ -543,12 +587,14 @@ class Workspace:
     holds kept-half buffers with their mixer views (``_Buffer``):
     ``state``, which each layer writes its phase product into (layer 0
     its product with |+>, which no buffer holds) and runs its mixer on,
-    ``spare``, which the mixer's blocks alternate with it, one
-    kept buffer and p - 1 ``snapshots``; the p phase ``rows`` that
-    ``_phase_rows`` fills; the ``_MixerFactors`` of p layers; and, from
-    n = 15, the one-piece ``pair_factor`` of ``_pair_pieces``. Between mixer
-    calls the spare is free, so the product of ``expectation_exact`` and
-    the float CDF of ``_sample_indices`` run in its memory. A state that
+    ``spare``, which the mixer's whole-half blocks alternate with it and
+    whose first two chunks and first two pieces hold the in-chunk blocks'
+    intermediates and the pair step's mirrored rows, one kept buffer and
+    p - 1 ``snapshots``; the p phase ``rows`` that ``_phase_rows`` fills;
+    the ``_MixerFactors`` of p layers; and, from n = 15, the one-piece
+    ``pair_factor`` of ``_pair_pieces``. Between mixer calls the spare is
+    free, so the product of ``expectation_exact`` and the float CDF of
+    ``_sample_indices`` run in its memory. A state that
     ``evolve`` returns is overwritten by the next ``evolve`` unless ``keep``
     takes it out of reuse. The buffers live as long as the workspace;
     nothing caches them across runs.
@@ -559,8 +605,9 @@ class Workspace:
     diagonal clears every row's), and ``_MixerFactors.build`` the beta of
     every layer it writes, so a build outside ``evolve`` leaves no stale
     key. Row 0 also carries |+>'s twist on the high bits, which needs no
-    key of its own: it only ever serves layer 0. A key is cleared before its arrays are written and set after,
-    so a build that fails partway leaves nothing marked built. Angles
+    key of its own: it only ever serves layer 0. A key is cleared before
+    its arrays are written and set after, so a build that fails partway
+    leaves nothing marked built. Angles
     match by ``_same_bits``: +-0.0 differ and a NaN matches nothing.
 
     The workspace also keeps the angles of its last circuit and the
@@ -751,11 +798,7 @@ def _sample_indices(state: MirroredHalf, shots: int, rng: np.random.Generator) -
     searched in sorted order, which keeps the search's branches predictable,
     and each result goes back to its draw's position.
     """
-    # |h|^2, then its running sum, in one array: the workspace's spare if there is one
-    cdf = np.abs(state.half, out=None if state.workspace is None
-                 else state.workspace.spare.half.view(np.float64)[:state.half.size])
-    np.square(cdf, out=cdf)
-    np.cumsum(cdf, out=cdf)
+    cdf = state._cdf()
     total = cdf[-1]
     u = rng.random(shots)
     upper = u >= total

@@ -10,7 +10,9 @@ latter inverted) and combined as alpha * E_norm + (1 - alpha) * I_norm.
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import dataclasses
+import glob
 import json
 import math
 import os
@@ -37,6 +39,39 @@ def default_workers() -> int:
         return max(1, int(value))
     except ValueError:
         return 1
+
+
+def _numpy_openblas() -> ctypes.CDLL | None:
+    """numpy's bundled OpenBLAS (``numpy.libs/libscipy_openblas64_*``),
+    the library numpy has loaded, with its thread-count symbols; None when
+    numpy was built against another BLAS or the symbols are missing."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas64_*.so*"))):
+        try:
+            lib = ctypes.CDLL(path)
+            lib.scipy_openblas_get_num_threads64_.restype = ctypes.c_int
+            lib.scipy_openblas_set_num_threads64_.argtypes = [ctypes.c_int]
+        except (OSError, AttributeError):
+            continue
+        return lib
+    return None
+
+
+def _pin_blas_threads(workers: int) -> None:
+    """Pool initializer: at most (usable CPUs) // ``workers`` BLAS threads,
+    and at least one, in this worker, never more than it already has.
+
+    Forked workers keep the thread count numpy's OpenBLAS read from the
+    environment when it loaded, one per core by default, so ``workers``
+    processes would run ``workers`` times as many threads as there are
+    cores. Without the bundled OpenBLAS the count stays as it is.
+    """
+    lib = _numpy_openblas()
+    if lib is None:
+        return
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    threads = max(1, min(lib.scipy_openblas_get_num_threads64_(), (cpus or 1) // workers))
+    lib.scipy_openblas_set_num_threads64_(threads)
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +263,9 @@ def run_sweep(cfg: SweepConfig, workers: int | None = None) -> list[RunRecord]:
     ``ResumeRefused``; a torn final line left by a crash mid-append is cut
     off and its run redone. Record content is independent of the worker
     count (all randomness is derived from cell-local seeds); only completion
-    order may differ.
+    order may differ. Each worker runs at most (usable CPUs) // ``workers``
+    BLAS threads (``_pin_blas_threads``); the caller's process keeps its
+    own count.
     """
     workers = default_workers() if workers is None else max(1, workers)
     sidecar = cfg.out + ".config.json"
@@ -244,7 +281,9 @@ def run_sweep(cfg: SweepConfig, workers: int | None = None) -> list[RunRecord]:
             fh.write(json.dumps(marks, sort_keys=True) + "\n")
 
     error: Exception | None = None
-    with ProcessPoolExecutor(max_workers=workers) as pool:  # starts workers on first submit
+    # starts workers on first submit
+    with ProcessPoolExecutor(max_workers=workers, initializer=_pin_blas_threads,
+                             initargs=(workers,)) as pool:
         futures = {pool.submit(_sweep_task, task): task[1:]
                    for task in _sweep_tasks(cfg) if task[1:] not in done}
         for future in as_completed(futures):

@@ -278,7 +278,7 @@ def optimize(g: WeightedGraph, p: int, method: str,
     array. The record's readout (exact and 8192-shot expectation, best
     bitstring) reads the state of the evaluation that set the best
     objective, which the workspace keeps out of reuse; it is not simulated
-    again.
+    again, and its two 8192-shot draws read one CDF of it.
     """
     started = time.perf_counter()
     tol = DEFAULT_TOL_EXACT if shots == 0 else DEFAULT_TOL_SAMPLED
@@ -316,11 +316,13 @@ def optimize(g: WeightedGraph, p: int, method: str,
     # state is the evolved best.x_best
     sched = to_schedule(best.x_best)
     exact = engine.expectation_exact(state, diag)
+    readout = engine._Readout(half=state.half, workspace=state.workspace)  # one CDF for both
     if shots == 0:
         expectation = exact
     else:
-        expectation, _ = engine.expectation_sampled(state, diag, VERIFY_SHOTS, _seed_rng(seed, 90))
-    best_cut = engine.sample_best_bitstring(state, diag, VERIFY_SHOTS, _seed_rng(seed, 91))
+        expectation, _ = engine.expectation_sampled(readout, diag, VERIFY_SHOTS,
+                                                    _seed_rng(seed, 90))
+    best_cut = engine.sample_best_bitstring(readout, diag, VERIFY_SHOTS, _seed_rng(seed, 91))
     record = RunRecord(
         seed=seed,
         optimizer=method,
@@ -381,6 +383,7 @@ def baseline_optimize(
     The start point is uniform in [0, 2*pi]^(2p); the shot protocol and
     final verification match the HFA loop.
     """
-    starts = [(_seed_rng(seed, 20).uniform(0.0, 2.0 * np.pi, standard_dimension(p)), _seed_rng(seed, 21))]
+    starts = [(_seed_rng(seed, 20).uniform(0.0, 2.0 * np.pi, standard_dimension(p)),
+               _seed_rng(seed, 21))]
     outcome, sched, record = optimize(g, p, method, starts, shots, seed, budget, 0)
     return sched, outcome, record

@@ -225,7 +225,8 @@ class TestUsageErrors:
                                         "out": str(tmp_path / "r.ndjson")}))
         assert run_cli("run", "--config", str(cfg_path)) == 2
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and "budget 5 below 10, the least a depth-4 baseline run accepts" in err[0]
+        assert len(err) == 1
+        assert "budget 5 below 10, the least a depth-4 baseline run accepts" in err[0]
         assert list(tmp_path.iterdir()) == [cfg_path]
 
     @pytest.mark.parametrize("field, value, flags, message", [

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from collections import Counter
 from functools import reduce
@@ -448,8 +449,8 @@ class TestSampledExpectation:
     def test_exact_mode_sentinel(self):
         # shots=0 is the run driver's exact mode: no noise stream, no sampling,
         # every readout is expectation_exact (expectation_sampled takes >= 1 shot).
-        outcome, sched, record = optimize(TRIANGLE, 1, "nelder-mead", [(np.array([0.4, 0.3]), None)],
-                                          0, 0, 40, 0)
+        outcome, sched, record = optimize(TRIANGLE, 1, "nelder-mead",
+                                          [(np.array([0.4, 0.3]), None)], 0, 0, 40, 0)
         diag = build_cost_diagonal(TRIANGLE)
         exact = expectation_exact(evolve(TRIANGLE, sched, diag=diag), diag)
         assert record.expectation == record.expectation_exact == exact
@@ -590,7 +591,8 @@ class TestKeptHalf:
         # weights in quarters keep every sum exact, so the split must rebuild
         # the kept half bit for bit; pairs (i, n - 1) are edges to the top node
         pairs = [(i, j) for j in range(n) for i in range(j)]
-        g = WeightedGraph(n=n, edges=tuple((i, j, q / 4) for (i, j), q in zip(pairs, quarters) if q))
+        g = WeightedGraph(n=n, edges=tuple((i, j, q / 4)
+                                           for (i, j), q in zip(pairs, quarters) if q))
         diag = build_cost_diagonal(g)
         a, b = engine._split_bits(n)
         lo, cross, hi = np.split(diag.levels, [1 << b, (a + 1) << b])
@@ -654,6 +656,35 @@ class TestKeptHalf:
 def same_bits(a, b):
     """Equal as int64 views: every bit, signed zeros included."""
     return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def ping_pong_mixer(u, beta, blocks):
+    """The mixer with a whole spare: each in-chunk block writes into the
+    other of two state-sized arrays, chunk by chunk, and the pair step
+    writes piece c's mirrored row into piece c of the spare. The same
+    matmuls and products as ``apply_mixer``, into other memory."""
+    buf, spare = engine._Buffer(u.copy()), engine._Buffer(np.empty_like(u))
+    for a, s in zip(buf.chunks, spare.chunks):
+        np.matmul(a[0], blocks[0], out=s[0])
+        for j in range(1, len(a)):
+            a, s = s, a
+            np.matmul(blocks[j], a[j], out=s[j])
+    inner = len(buf.chunks[0])
+    if inner % 2:
+        buf, spare = spare, buf
+    for j in range(len(buf.top)):
+        np.matmul(blocks[inner + j], buf.top[j], out=spare.top[j])
+        buf, spare = spare, buf
+    kappa = math.tan(beta) * (-1j) ** u.size.bit_length()
+    factor = engine._parity_signs(engine._PAIR_PIECE.bit_length() - 1) * kappa
+    pieces, rows = buf.pieces, spare.pieces
+    for c in range(len(pieces) // 2):
+        d = len(pieces) - 1 - c
+        np.multiply(pieces[d, ::-1], factor, out=rows[c])
+        np.multiply(pieces[c, ::-1], factor, out=rows[d])
+        for e in (c, d):
+            (np.subtract if bin(e).count("1") % 2 else np.add)(pieces[e], rows[e], out=pieces[e])
+    return buf.half
 
 
 def resume_sequence(rng, p):
@@ -857,7 +888,8 @@ class TestWorkspace:
         diag = build_cost_diagonal(g)
         for first in ([], [(0.4, 0.9)]):
             def sched(gamma, beta, first=first):
-                return schedule_of([gm for gm, _ in first] + [gamma], [bt for _, bt in first] + [beta])
+                return schedule_of([gm for gm, _ in first] + [gamma],
+                                   [bt for _, bt in first] + [beta])
 
             workspace = Workspace(15, 1 + len(first))
             kept = workspace.keep(evolve(g, sched(0.4, 0.9), diag=diag, workspace=workspace))
@@ -870,11 +902,48 @@ class TestWorkspace:
             with pytest.raises(ValueError, match="current state"):
                 workspace.keep(kept)
 
-    def test_workspace_mixer_allocates_less_than_a_piece(self):
+    @pytest.mark.parametrize("n", range(15, 21))
+    def test_workspace_mixer_equals_a_whole_spare(self, n):
+        # the in-chunk intermediates (n >= 17) and the pair step's rows
+        # (n >= 15) run in two chunks and two pieces of the spare; every
+        # amplitude must keep the bits a whole spare gives
+        rng = np.random.default_rng(n)
+        g = gen_erdos_renyi(n, 0.5, seed=n)
+        workspace = Workspace(n, 1)
+        state = evolve(g, schedule_of(0.3, 0.7), workspace=workspace)
+        for beta in EXTREME_BETAS + list(rng.uniform(-7, 7, 2)):
+            blocks = workspace.factors.build([beta])[0]
+            u = rng.normal(size=1 << (n - 1)) + 1j * rng.normal(size=1 << (n - 1))
+            expected = ping_pong_mixer(u, beta, blocks)
+            state.half[:] = u
+            assert same_bits(apply_mixer(state, beta, blocks).half, expected), (n, beta)
+
+    @pytest.mark.parametrize("n", [15, 17, 18])
+    def test_workspace_layer_leaves_kept_state_and_snapshots(self, n):
+        # the mixer's scratch lies in the spare alone: a layer run on the
+        # current state leaves the kept state and every snapshot as they were
+        g = gen_erdos_renyi(n, 0.5, seed=n)
+        diag = build_cost_diagonal(g)
+        sched = schedule_of([0.3, -0.8, 1.1], [0.7, 0.2, -0.4])
+        workspace = Workspace(n, 3)
+        kept = workspace.keep(evolve(g, sched, diag=diag, workspace=workspace))
+        state = evolve(g, sched, diag=diag, workspace=workspace)  # shares every layer
+        assert workspace._snapshotted
+        before = [kept.half.copy()] + [s.half.copy() for s in workspace.snapshots]
+        expected = apply_mixer(apply_cost_phase(MirroredHalf(half=state.half.copy()), diag, 0.5),
+                               0.9)
+        apply_mixer(apply_cost_phase(state, diag, 0.5), 0.9)
+        assert same_bits(state.half, expected.half)
+        after = [kept.half] + [s.half for s in workspace.snapshots]
+        assert all(same_bits(x, y) for x, y in zip(after, before))
+
+    @pytest.mark.parametrize("n", [16, 18])
+    def test_workspace_mixer_allocates_less_than_a_piece(self, n):
         # from n = 15 the pair step runs in pieces; a workspace mixer layer
-        # writes their factor into the workspace's one-piece buffer
-        g = gen_erdos_renyi(16, 0.5, seed=16)
-        workspace = Workspace(16, 1)
+        # writes their factor into the workspace's one-piece buffer, and
+        # from n = 17 its in-chunk blocks run in the spare's chunks
+        g = gen_erdos_renyi(n, 0.5, seed=n)
+        workspace = Workspace(n, 1)
         state = evolve(g, schedule_of(0.3, 0.7), workspace=workspace)
         blocks = workspace.factors.build([0.2])[0]
         tracemalloc.start()

@@ -60,6 +60,14 @@ def _key_record(task):
                                      depth=p, p_graph=density)
 
 
+def _threads_record(task):
+    """Stand-in for ``harness._sweep_task`` whose record counts, as its
+    evaluations, the BLAS threads of the worker that ran it."""
+    record = _key_record(task)
+    threads = harness._numpy_openblas().scipy_openblas_get_num_threads64_()
+    return dataclasses.replace(record, evaluations=threads)
+
+
 TINY_CFG = dict(qubits=(4,), depths=(2,), densities=(0.9,), modes=(1,),
                 seeds=2, optimizers=("lotus", "nelder-mead"), shots=0,
                 base_seed=3, budget=40, lotus_budget=30)
@@ -409,6 +417,25 @@ class TestSweep:
         records = run_sweep(cfg, workers=workers)  # resumes: retries the failed run only
         assert len(records) == len(load_records(cfg.out)) == 4
         assert load_records(cfg.out)[:3] == survivors
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_workers_pin_their_blas_threads(self, tmp_path, monkeypatch, workers):
+        # each worker runs at most (usable CPUs) // workers threads, never
+        # more than numpy loaded with; the caller keeps its own count
+        lib = harness._numpy_openblas()
+        if lib is None:
+            pytest.skip("numpy has no bundled OpenBLAS")
+        before = lib.scipy_openblas_get_num_threads64_()
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        monkeypatch.setattr(harness, "_sweep_task", _threads_record)
+        cfg = SweepConfig(**{**TINY_CFG, "seeds": 3}, out=str(tmp_path / "r.ndjson"))
+        records = run_sweep(cfg, workers=workers)
+        assert {r.evaluations for r in records} == {max(1, min(before, cpus // workers))}
+        assert lib.scipy_openblas_get_num_threads64_() == before
+
+    def test_pinning_without_the_bundled_openblas_does_nothing(self, monkeypatch):
+        monkeypatch.setattr(harness, "_numpy_openblas", lambda: None)
+        harness._pin_blas_threads(2)
 
     def test_config_mismatch_rejected(self, tmp_path):
         cfg = SweepConfig(**TINY_CFG, out=str(tmp_path / "r.ndjson"))

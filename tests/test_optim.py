@@ -222,6 +222,24 @@ def test_readout_equals_a_fresh_evolve(run, n, shots):
         state, diag, optim.VERIFY_SHOTS, optim._seed_rng(3, 91))
 
 
+@pytest.mark.parametrize("shots", [0, 256])
+def test_readout_builds_one_cdf(monkeypatch, shots):
+    """The record's 8192-shot expectation and its best cut draw from one
+    CDF of the winning state, built once (the evaluations' sampled
+    objectives build their own)."""
+    built = []
+    cdf = engine.MirroredHalf._cdf
+
+    def counted(self):
+        built.append(type(self))
+        return cdf(self)
+
+    monkeypatch.setattr(engine.MirroredHalf, "_cdf", counted)
+    _baseline_run(gen_erdos_renyi(6, 0.7, seed=4), shots)
+    assert built.count(engine._Readout) == 1
+    assert len(built) == 1 + (25 if shots else 0)
+
+
 @pytest.mark.parametrize("shots", [0, 1024])
 def test_later_evaluations_allocate_no_state_sized_array(monkeypatch, shots):
     """After the first evaluation a run reuses its workspace: no evaluation
