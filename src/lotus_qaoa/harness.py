@@ -49,10 +49,11 @@ def _numpy_openblas() -> ctypes.CDLL | None:
     for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas64_*.so*"))):
         try:
             lib = ctypes.CDLL(path)
-            lib.scipy_openblas_get_num_threads64_.restype = ctypes.c_int
-            lib.scipy_openblas_set_num_threads64_.argtypes = [ctypes.c_int]
+            get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
         except (OSError, AttributeError):
             continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
         return lib
     return None
 
