@@ -12,16 +12,16 @@ alternate which setting runs first, so slow drift of the host falls on
 both alike. The script prints, and writes to ``--out`` when given, each
 setting's wall times and median, the median ratio unset / pinned, and
 whether every sweep's records equal the first's (``wall_time`` zeroed,
-compared as JSON text). It exits 1 when any records differ.
+as ``compare_records.py`` reads them). It exits 1 when any records differ.
 
-The package's pool pins its workers' BLAS threads itself, so the two
-settings should time alike; without that pinning two workers on two cores
-ran four OpenBLAS threads and the unset sweep was many times slower.
+The package's pool gives each worker one BLAS thread itself, so the two
+settings should time alike and give the same records; without that, two
+workers on two cores ran four OpenBLAS threads, the unset sweep was many
+times slower, and its exact expectations differed in the last bits.
 """
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import platform
@@ -62,15 +62,6 @@ def _sweep(setting: str, out: str) -> float:
     return float(done.stdout.strip().splitlines()[-1])
 
 
-def _rows(path: str) -> list[str]:
-    """The file's records in run-key order, as JSON text with wall time 0."""
-    sys.path.insert(0, os.path.join(ROOT, "src"))
-    from lotus_qaoa.records import RunRecord, load_records
-
-    records = sorted(load_records(path), key=RunRecord.run_key)
-    return [dataclasses.replace(r, wall_time=0.0).to_json() for r in records]
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--rounds", type=int, default=3, help="sweeps per setting")
@@ -80,6 +71,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.child:
         _child(args.child)
         return 0
+    sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+    from compare_records import _rows  # run-key order, wall time zeroed
     times: dict[str, list[float]] = {name: [] for name in SETTINGS}
     first_rows, same = None, True
     with tempfile.TemporaryDirectory() as tmp:

@@ -594,10 +594,10 @@ class Workspace:
     the ``_MixerFactors`` of p layers; and, from n = 15, the one-piece
     ``pair_factor`` of ``_pair_pieces``. Between mixer calls the spare is
     free, so the product of ``expectation_exact`` and the float CDF of
-    ``_sample_indices`` run in its memory. A state that
-    ``evolve`` returns is overwritten by the next ``evolve`` unless ``keep``
-    takes it out of reuse. The buffers live as long as the workspace;
-    nothing caches them across runs.
+    ``_sample_indices`` run in its memory. A state that ``evolve`` returns
+    is overwritten by the next ``evolve`` unless ``keep`` takes it out of
+    reuse. The buffers live as long as the workspace; nothing caches them
+    across runs.
 
     Each phase row and each layer's mixer blocks carry a key, which lives
     with the arrays it describes: the workspace records the diagonal its
@@ -607,8 +607,8 @@ class Workspace:
     key. Row 0 also carries |+>'s twist on the high bits, which needs no
     key of its own: it only ever serves layer 0. A key is cleared before
     its arrays are written and set after, so a build that fails partway
-    leaves nothing marked built. Angles
-    match by ``_same_bits``: +-0.0 differ and a NaN matches nothing.
+    leaves nothing marked built. Angles match by ``_same_bits``: +-0.0
+    differ and a NaN matches nothing.
 
     The workspace also keeps the angles of its last circuit and the
     identity of its ``CostDiagonal``; ``_unchanged_layers`` compares a new

@@ -12,7 +12,6 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import dataclasses
-import glob
 import json
 import math
 import os
@@ -45,6 +44,8 @@ def _numpy_openblas() -> ctypes.CDLL | None:
     """numpy's bundled OpenBLAS (``numpy.libs/libscipy_openblas64_*``),
     the library numpy has loaded, with its thread-count symbols; None when
     numpy was built against another BLAS or the symbols are missing."""
+    import glob  # here, so that importing the package loads no more modules
+
     libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
     for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas64_*.so*"))):
         try:
@@ -58,21 +59,21 @@ def _numpy_openblas() -> ctypes.CDLL | None:
     return None
 
 
-def _pin_blas_threads(workers: int) -> None:
-    """Pool initializer: at most (usable CPUs) // ``workers`` BLAS threads,
-    and at least one, in this worker, never more than it already has.
+def _pin_blas_threads() -> None:
+    """Pool initializer: one BLAS thread in this worker.
 
-    Forked workers keep the thread count numpy's OpenBLAS read from the
-    environment when it loaded, one per core by default, so ``workers``
-    processes would run ``workers`` times as many threads as there are
-    cores. Without the bundled OpenBLAS the count stays as it is.
+    A forked worker keeps the thread count numpy's OpenBLAS read from the
+    environment when it loaded, one per core by default, so two workers on
+    two cores would run four threads. The pool's processes are the sweep's
+    parallelism, and one thread each also keeps records independent of the
+    worker count and the host: a threaded BLAS reduction, such as the
+    ``np.vdot`` of ``engine.expectation_exact`` above about 10^4
+    amplitudes, sums in an order that depends on its thread count. Without
+    the bundled OpenBLAS the count stays as it is.
     """
     lib = _numpy_openblas()
-    if lib is None:
-        return
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    threads = max(1, min(lib.scipy_openblas_get_num_threads64_(), (cpus or 1) // workers))
-    lib.scipy_openblas_set_num_threads64_(threads)
+    if lib is not None:
+        lib.scipy_openblas_set_num_threads64_(1)
 
 
 # ---------------------------------------------------------------------------
@@ -264,9 +265,8 @@ def run_sweep(cfg: SweepConfig, workers: int | None = None) -> list[RunRecord]:
     ``ResumeRefused``; a torn final line left by a crash mid-append is cut
     off and its run redone. Record content is independent of the worker
     count (all randomness is derived from cell-local seeds); only completion
-    order may differ. Each worker runs at most (usable CPUs) // ``workers``
-    BLAS threads (``_pin_blas_threads``); the caller's process keeps its
-    own count.
+    order may differ. Each worker runs one BLAS thread
+    (``_pin_blas_threads``); the caller's process keeps its own count.
     """
     workers = default_workers() if workers is None else max(1, workers)
     sidecar = cfg.out + ".config.json"
@@ -283,8 +283,7 @@ def run_sweep(cfg: SweepConfig, workers: int | None = None) -> list[RunRecord]:
 
     error: Exception | None = None
     # starts workers on first submit
-    with ProcessPoolExecutor(max_workers=workers, initializer=_pin_blas_threads,
-                             initargs=(workers,)) as pool:
+    with ProcessPoolExecutor(max_workers=workers, initializer=_pin_blas_threads) as pool:
         futures = {pool.submit(_sweep_task, task): task[1:]
                    for task in _sweep_tasks(cfg) if task[1:] not in done}
         for future in as_completed(futures):

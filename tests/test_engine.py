@@ -937,22 +937,22 @@ class TestWorkspace:
         after = [kept.half] + [s.half for s in workspace.snapshots]
         assert all(same_bits(x, y) for x, y in zip(after, before))
 
-    @pytest.mark.parametrize("n", [16, 18])
-    def test_workspace_mixer_allocates_less_than_a_piece(self, n):
+    def test_workspace_mixer_allocates_less_than_a_piece(self):
         # from n = 15 the pair step runs in pieces; a workspace mixer layer
         # writes their factor into the workspace's one-piece buffer, and
         # from n = 17 its in-chunk blocks run in the spare's chunks
-        g = gen_erdos_renyi(n, 0.5, seed=n)
-        workspace = Workspace(n, 1)
-        state = evolve(g, schedule_of(0.3, 0.7), workspace=workspace)
-        blocks = workspace.factors.build([0.2])[0]
-        tracemalloc.start()
-        try:
-            apply_mixer(state, 0.2, blocks)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < np.dtype(np.complex128).itemsize * engine._PAIR_PIECE, peak
+        for n in (16, 18):
+            g = gen_erdos_renyi(n, 0.5, seed=n)
+            workspace = Workspace(n, 1)
+            state = evolve(g, schedule_of(0.3, 0.7), workspace=workspace)
+            blocks = workspace.factors.build([0.2])[0]
+            tracemalloc.start()
+            try:
+                apply_mixer(state, 0.2, blocks)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < np.dtype(np.complex128).itemsize * engine._PAIR_PIECE, (n, peak)
 
     def test_workspace_of_another_size_is_refused(self):
         workspace = Workspace(3, 2)
