@@ -33,11 +33,11 @@ rotated: the lowest block right-multiplies the (pieces, rows, 2^k) view,
 a stack of BLAS calls of at most ``_LOW_ROWS`` rows, and every other
 block left-multiplies the (pieces, 2^k, 2^offset) view at its bit offset,
 alternating between the state's array and one spare. From n = 17 the
-blocks within a 2^16-float chunk run chunk by chunk, in cache, their
-intermediates in two chunks of the spare that every chunk reuses, and the
-top block over the whole half; the dropped top qubit is one pair step,
-run from n = 15 on mirrored pairs of 2^13-amplitude pieces, with a sign
-table of one piece and two pieces of the spare for the mirrored rows.
+blocks within a 2^16-float chunk run chunk by chunk, in cache, every
+chunk alternating with the spare's first chunk, and the top block over
+the whole half; the dropped top qubit is one pair step, run from n = 15
+on mirrored pairs of 2^13-amplitude pieces, with a sign table of one
+piece and two pieces of the spare for the mirrored rows.
 
 Every circuit runs in a ``Workspace``, which holds the state buffers with
 their prebuilt mixer views, the phase rows and the mixer blocks; the
@@ -462,7 +462,7 @@ class _Buffer:
     shapes of ``_mixer_views``; ``top`` the whole-half view of each block
     above the chunk (none when the half fits in one); ``pieces`` the
     (pieces, ``_PAIR_PIECE``) view of a half of more than one piece, else
-    None. When the buffer is the spare, the views of its first two chunks
+    None. When the buffer is the spare, the views of its first chunk
     hold the in-chunk blocks' intermediates and its first two pieces the
     pair step's mirrored rows. A standalone mixer call builds two, so
     construction does little beyond making the views.
@@ -498,17 +498,16 @@ def apply_mixer(state: MirroredHalf, beta: float,
     (``_MixerFactors`` holds it transposed), and the block at bit offset o
     left-multiplies every piece of the (pieces, 2^k, 2^o) view.
     Since the lowest block carries cos(beta), that leaves
-    u = cos(beta) Q^(x)(n-1) h. A half of one chunk runs every block once
-    over the whole half, alternating between the state's array and the
-    spare. A block whose bits lie within the low ``_MIXER_CHUNK`` floats
-    acts within each chunk of that size, so a half of more than one chunk
-    (n >= 17, four such blocks) runs those blocks chunk by chunk: the
-    first reads the chunk, the intermediates alternate between the spare's
-    first two chunks, which every chunk reuses, and the last writes the
-    chunk back. Those two regions stay in cache, so no intermediate, which
-    nothing reads after its chunk, is written back to memory. The blocks
-    above the chunk (the top one) then run once over the whole half, in
-    the same form, into the spare.
+    u = cos(beta) Q^(x)(n-1) h. A block whose bits lie within the low
+    ``_MIXER_CHUNK`` floats acts within each chunk of that size, so those
+    blocks run chunk by chunk, alternating between the chunk and the
+    spare's first chunk, which every chunk reuses; a half of one chunk
+    (n <= 16) is that one chunk. Above one chunk (n >= 17) there are four
+    such blocks, so each chunk ends back in itself, and the chunk and that
+    one spare region (1 MiB) stay in cache: no intermediate, which nothing
+    reads after its chunk, is written back to memory. The blocks above the
+    chunk (the top one) then run once over the whole half, in the same
+    form, into the spare.
 
     The dropped top qubit adds -i sin(beta) times the rotation of the
     mirrored half. Untwisted that is u[::-1] times -i tan(beta) (the
@@ -543,22 +542,17 @@ def apply_mixer(state: MirroredHalf, beta: float,
     n = buf.half.size.bit_length()
     if blocks is None:
         blocks = _MixerFactors(n, 1).build([beta])[0]
-    inner = len(buf.chunks[0])
-    if len(buf.chunks) == 1:  # the blocks alternate between the state's array and the spare
-        a, s = buf.chunks[0], spare.chunks[0]
+    # every chunk alternates with the spare's first chunk; a half of more
+    # than one chunk has four in-chunk blocks, so each chunk ends in itself
+    for a in buf.chunks:
+        s = spare.chunks[0]
         np.matmul(a[0], blocks[0], out=s[0])
-        for j in range(1, inner):
+        for j in range(1, len(a)):
             a, s = s, a
             np.matmul(blocks[j], a[j], out=s[j])
-        if inner % 2:
-            buf, spare = spare, buf
-    else:  # every chunk's intermediates alternate between the spare's first two chunks
-        regions = spare.chunks[:2]
-        for chunk in buf.chunks:
-            np.matmul(chunk[0], blocks[0], out=regions[0][0])
-            for j in range(1, inner - 1):
-                np.matmul(blocks[j], regions[1 - j % 2][j], out=regions[j % 2][j])
-            np.matmul(blocks[inner - 1], regions[inner % 2][inner - 1], out=chunk[inner - 1])
+    inner = len(buf.chunks[0])
+    if inner % 2:
+        buf, spare = spare, buf
     for j in range(len(buf.top)):
         np.matmul(blocks[inner + j], buf.top[j], out=spare.top[j])
         buf, spare = spare, buf
@@ -588,7 +582,7 @@ class Workspace:
     ``state``, which each layer writes its phase product into (layer 0
     its product with |+>, which no buffer holds) and runs its mixer on,
     ``spare``, which the mixer's whole-half blocks alternate with it and
-    whose first two chunks and first two pieces hold the in-chunk blocks'
+    whose first chunk and first two pieces hold the in-chunk blocks'
     intermediates and the pair step's mirrored rows, one kept buffer and
     p - 1 ``snapshots``; the p phase ``rows`` that ``_phase_rows`` fills;
     the ``_MixerFactors`` of p layers; and, from n = 15, the one-piece

@@ -905,7 +905,7 @@ class TestWorkspace:
     @pytest.mark.parametrize("n", range(15, 21))
     def test_workspace_mixer_equals_a_whole_spare(self, n):
         # the in-chunk intermediates (n >= 17) and the pair step's rows
-        # (n >= 15) run in two chunks and two pieces of the spare; every
+        # (n >= 15) run in one chunk and two pieces of the spare; every
         # amplitude must keep the bits a whole spare gives
         rng = np.random.default_rng(n)
         g = gen_erdos_renyi(n, 0.5, seed=n)
