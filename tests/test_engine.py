@@ -940,7 +940,7 @@ class TestWorkspace:
     def test_workspace_mixer_allocates_less_than_a_piece(self):
         # from n = 15 the pair step runs in pieces; a workspace mixer layer
         # writes their factor into the workspace's one-piece buffer, and
-        # from n = 17 its in-chunk blocks run in the spare's chunks
+        # from n = 17 its in-chunk blocks run in the spare's first chunk
         for n in (16, 18):
             g = gen_erdos_renyi(n, 0.5, seed=n)
             workspace = Workspace(n, 1)
