@@ -1,12 +1,15 @@
+import contextlib
 import math
 import tracemalloc
 from collections import Counter
 from functools import reduce
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from lotus_qaoa import engine, instance
 from lotus_qaoa.engine import DEFAULT_QUBIT_CAP
@@ -710,6 +713,27 @@ def resume_sequence(rng, p):
     return runs + [(1, gammas, betas)] * 2 + [(0, gammas, betas)]
 
 
+_PHASE_ROWS, _BUILD = engine._phase_rows, engine._MixerFactors.build
+
+
+def failing_rows(diag, gammas, out=None, from_plus=False):
+    """A phase-row build that writes the first row of its range, fills the
+    others with NaN and raises."""
+    _PHASE_ROWS(diag, gammas[:1], out[:1], from_plus)
+    out[1:] = np.nan
+    raise MemoryError("phase rows")
+
+
+def failing_build(self, betas, start=0, stop=None):
+    """A mixer-block build that writes its layers for beta 0.0 and raises."""
+    _BUILD(self, [0.0] * len(betas), start, stop)
+    raise MemoryError("mixer blocks")
+
+
+def failing_mixer(state, beta, blocks=None):
+    raise MemoryError("mixer")
+
+
 class TestWorkspace:
     @pytest.mark.parametrize("n", range(1, 21))
     def test_reused_workspace_equals_the_standalone_kernels(self, n):
@@ -845,24 +869,11 @@ class TestWorkspace:
         # layers leaves their keys cleared, so the next evolve rebuilds them
         g = gen_erdos_renyi(n, 0.5, seed=n)
         diag = build_cost_diagonal(g)
-        p = 3
         first = schedule_of([0.3, -1.2, 0.8], [0.7, 0.2, -0.4])
         second = schedule_of([0.3, -1.0, 0.9], [0.7, 0.1, -0.5])
-        phase_rows, build = engine._phase_rows, engine._MixerFactors.build
-
-        def failing_rows(diag, gammas, out=None, from_plus=False):
-            # the first row of the range is written
-            phase_rows(diag, gammas[:1], out[:1], from_plus)
-            out[1:] = np.nan
-            raise MemoryError("phase rows")
-
-        def failing_build(self, betas, start=0, stop=None):
-            build(self, [0.0] * p, start, stop)
-            raise MemoryError("mixer blocks")
-
         for target, name, failing in ((engine, "_phase_rows", failing_rows),
                                       (engine._MixerFactors, "build", failing_build)):
-            workspace = Workspace(n, p)
+            workspace = Workspace(n, 3)
             evolve(g, first, diag=diag, workspace=workspace)
             with monkeypatch.context() as patch:
                 patch.setattr(target, name, failing)
@@ -871,6 +882,40 @@ class TestWorkspace:
             for sched in (first, second):  # first: the keys the failed build found
                 reused = evolve(g, sched, diag=diag, workspace=workspace)
                 assert same_bits(reused.half, evolve(g, sched, diag=diag).half), (name, n)
+
+    def test_a_direct_build_leaves_no_snapshot_to_resume_from(self):
+        # after a circuit that kept snapshots, a build of layer 0's blocks for
+        # the next circuit's beta 0 gives that circuit every key it needs,
+        # but the snapshots hold the layers of the old beta 0: the next
+        # circuit must run from |+>
+        g = gen_erdos_renyi(9, 0.5, seed=9)
+        diag = build_cost_diagonal(g)
+        gammas, betas = [0.3, -1.2, 0.8], [0.7, 0.2, -0.4]
+        workspace = Workspace(9, 3)
+        for _ in range(2):  # the second run shares every layer and keeps snapshots
+            evolve(g, schedule_of(gammas, betas), diag=diag, workspace=workspace)
+        following = schedule_of(gammas, [1.5] + betas[1:])
+        workspace.factors.build([1.5], 0)
+        reused = evolve(g, following, diag=diag, workspace=workspace)
+        assert same_bits(reused.half, evolve(g, following, diag=diag).half)
+
+    def test_a_failed_evolve_leaves_no_snapshot_to_resume_from(self, monkeypatch):
+        # a circuit that moves gamma 1 rebuilds row 1 and raises in its first
+        # mixer layer: the keys then match it, but snapshot 1 still holds
+        # the layer of the old gamma 1, so its rerun must not resume there
+        g = gen_erdos_renyi(9, 0.5, seed=9)
+        diag = build_cost_diagonal(g)
+        betas = [0.7, 0.2, -0.4]
+        workspace = Workspace(9, 3)
+        for _ in range(2):
+            evolve(g, schedule_of([0.3, -1.2, 0.8], betas), diag=diag, workspace=workspace)
+        moved = schedule_of([0.3, -1.0, 0.8], betas)
+        with monkeypatch.context() as patch:
+            patch.setattr(engine, "apply_mixer", failing_mixer)
+            with pytest.raises(MemoryError):
+                evolve(g, moved, diag=diag, workspace=workspace)
+        reused = evolve(g, moved, diag=diag, workspace=workspace)
+        assert same_bits(reused.half, evolve(g, moved, diag=diag).half)
 
     def test_standalone_evolves_share_no_memory(self):
         sched = schedule_of([0.3, -1.2], [0.7, 0.2])
@@ -962,3 +1007,157 @@ class TestWorkspace:
             evolve(SINGLE_EDGE, schedule_of([0.1, 0.2], [0.3, 0.4]), workspace=workspace)
         with pytest.raises(ValueError):
             Workspace(DEFAULT_QUBIT_CAP + 1, 1)
+
+
+def float_bits(x):
+    """A float's bits, so that NaNs and signed zeros compare as they are."""
+    return int(np.float64(x).view(np.int64))
+
+
+def stale(angle, key):
+    """Whether a layer's factor, built for ``key``, must be rebuilt for
+    ``angle``: their bits differ, or the angle is NaN, which matches nothing."""
+    return math.isnan(angle) or float_bits(angle) != float_bits(key)
+
+
+@contextlib.contextmanager
+def counting_layers():
+    """Count the phase rows and the layers of mixer blocks built, and the
+    mixer layers run, while open."""
+    counts = Counter()
+    mixer = engine.apply_mixer
+
+    def rows(diag, gammas, out=None, from_plus=False):
+        counts["rows"] += len(gammas)
+        return _PHASE_ROWS(diag, gammas, out, from_plus)
+
+    def blocks(self, betas, start=0, stop=None):
+        built = _BUILD(self, betas, start, stop)
+        counts["blocks"] += len(built)
+        return built
+
+    def layer(state, beta, blocks=None):
+        counts["layers"] += 1
+        return mixer(state, beta, blocks)
+
+    with (mock.patch.object(engine, "_phase_rows", rows),
+          mock.patch.object(engine._MixerFactors, "build", blocks),
+          mock.patch.object(engine, "apply_mixer", layer)):
+        yield counts
+
+
+ANGLE_STEPS = (1e-6, -1e-6)
+
+
+class WorkspaceMachine(RuleBasedStateMachine):
+    """One workspace through the circuits a run's evaluations give it, in
+    any order: fresh points, one angle moved by 1e-6, angles at +-0.0 and
+    NaN, revisited points, a second diagonal, kept states, block builds
+    outside ``evolve`` and circuits that raise partway. Every circuit must
+    give the state, exact expectation and sampled indices of a fresh
+    ``evolve`` bit for bit and build exactly the phase rows and block
+    layers whose keys are stale among the layers it runs; a kept state
+    must stay as it was."""
+
+    def __init__(self):
+        super().__init__()
+        self.kept = None  # a kept state and a copy of its amplitudes
+
+    @initialize(n=st.sampled_from((2, 3, 8, 9, 9, 9, 17)), p=st.integers(1, 4),
+                seed=st.integers(0, 1 << 16))
+    def setup(self, n, p, seed):
+        self.rng = np.random.default_rng(seed)
+        self.graphs = [gen_erdos_renyi(n, 0.5, seed=seed + k) for k in (0, 1)]
+        self.diags = [build_cost_diagonal(g) for g in self.graphs]
+        self.which, self.p = 0, p
+        self.workspace = Workspace(n, p)
+        self.visited = []
+        self.run(self.rng.uniform(-7, 7, 2 * p))
+
+    def schedule(self, x):
+        return self.graphs[self.which], self.diags[self.which], standard_unpack(x, self.p)
+
+    def run(self, x):
+        self.x = x
+        self.visited.append(x)
+        g, diag, sched = self.schedule(x)
+        ws = self.workspace
+        stale_rows = [diag is not ws._rows_diag or stale(gamma, key)
+                      for gamma, key in zip(sched.raw_gammas.tolist(), ws._row_gammas)]
+        stale_blocks = [stale(beta, key)
+                        for beta, key in zip(sched.raw_betas.tolist(), ws.factors.betas)]
+        with counting_layers() as counts:
+            self.state = evolve(g, sched, diag=diag, workspace=ws)
+        fresh = evolve(g, sched, diag=diag)
+        assert same_bits(self.state.half, fresh.half)
+        assert (float_bits(expectation_exact(self.state, diag))
+                == float_bits(expectation_exact(fresh, diag)))
+        assert np.array_equal(engine._sample_indices(self.state, 64, np.random.default_rng(0)),
+                              engine._sample_indices(fresh, 64, np.random.default_rng(0)))
+        first = self.p - counts["layers"]  # the first layer run
+        assert (counts["rows"], counts["blocks"]) == (sum(stale_rows[first:]),
+                                                      sum(stale_blocks[first:]))
+
+    def moved(self, i, value):
+        x = self.x.copy()
+        x[i % x.size] = value
+        return x
+
+    @rule(seed=st.integers(0, 1 << 16))
+    def fresh_point(self, seed):
+        self.run(np.random.default_rng(seed).uniform(-7, 7, 2 * self.p))
+
+    @rule(i=st.integers(0, 7), step=st.sampled_from(ANGLE_STEPS))
+    def probe(self, i, step):
+        self.run(self.moved(i, self.x[i % self.x.size] + step))
+
+    @rule(i=st.integers(0, 7), value=st.sampled_from((0.0, -0.0, math.nan)))
+    def special_angle(self, i, value):
+        self.run(self.moved(i, value))
+
+    @rule(back=st.integers(0, 6))
+    def revisit(self, back):
+        self.run(self.visited[-1 - back % len(self.visited)])
+
+    @rule()
+    def other_diagonal(self):
+        self.which ^= 1
+        self.run(self.x)
+
+    @rule()
+    def keep(self):
+        if self.state is not None:
+            self.workspace.keep(self.state)
+            self.kept, self.state = (self.state, self.state.half.copy()), None
+
+    @rule(layer=st.integers(0, 3), step=st.sampled_from((0.0,) + ANGLE_STEPS))
+    def direct_build(self, layer, step):
+        # the blocks of a probe's beta: the next probe of it finds its key
+        layer %= self.p
+        betas = self.x[self.p:].copy()
+        betas[layer] += step
+        self.workspace.factors.build(betas, layer, layer + 1)
+
+    @rule(i=st.integers(0, 7), failure=st.sampled_from(("rows", "blocks", "mixer")))
+    def failed_circuit(self, i, failure):
+        # moves a gamma for a failing row build, else a beta
+        i = i % self.p + (failure != "rows") * self.p
+        x = self.moved(i, self.x[i] + 0.5)
+        target, name, fake = {"rows": (engine, "_phase_rows", failing_rows),
+                              "blocks": (engine._MixerFactors, "build", failing_build),
+                              "mixer": (engine, "apply_mixer", failing_mixer)}[failure]
+        g, diag, sched = self.schedule(x)
+        with mock.patch.object(target, name, fake), pytest.raises(MemoryError):
+            evolve(g, sched, diag=diag, workspace=self.workspace)
+        self.state, self.x = None, x
+        self.visited.append(x)
+
+    @invariant()
+    def kept_state_is_unchanged(self):
+        if self.kept is not None:
+            assert same_bits(self.kept[0].half, self.kept[1])
+
+
+TestWorkspaceMachine = WorkspaceMachine.TestCase
+TestWorkspaceMachine.settings = settings(max_examples=60, stateful_step_count=12,
+                                         derandomize=True, deadline=None)
