@@ -734,6 +734,44 @@ def failing_mixer(state, beta, blocks=None):
     raise MemoryError("mixer")
 
 
+def float_bits(x):
+    """A float's bits, so that NaNs and signed zeros compare as they are."""
+    return int(np.float64(x).view(np.int64))
+
+
+def stale(angle, key):
+    """Whether a layer's factor, built for ``key``, must be rebuilt for
+    ``angle``: their bits differ, or the angle is NaN, which matches nothing."""
+    return math.isnan(angle) or float_bits(angle) != float_bits(key)
+
+
+@contextlib.contextmanager
+def counting_layers():
+    """Count the phase rows and the layers of mixer blocks built, and the
+    mixer layers run, while open."""
+    counts = Counter()
+    mixer = engine.apply_mixer
+
+    def rows(diag, gammas, out=None, from_plus=False):
+        counts["rows"] += len(gammas)
+        return _PHASE_ROWS(diag, gammas, out, from_plus)
+
+    def blocks(self, betas, start=0, stop=None):
+        built = _BUILD(self, betas, start, stop)
+        counts["blocks"] += len(built)
+        return built
+
+    def layer(state, beta, blocks=None):
+        counts["layers"] += 1
+        return mixer(state, beta, blocks)
+
+    with (mock.patch.object(engine, "_phase_rows", rows),
+          mock.patch.object(engine._MixerFactors, "build", blocks),
+          mock.patch.object(engine, "apply_mixer", layer)):
+        yield counts
+
+
+
 class TestWorkspace:
     @pytest.mark.parametrize("n", range(1, 21))
     def test_reused_workspace_equals_the_standalone_kernels(self, n):
@@ -1009,43 +1047,6 @@ class TestWorkspace:
             Workspace(DEFAULT_QUBIT_CAP + 1, 1)
 
 
-def float_bits(x):
-    """A float's bits, so that NaNs and signed zeros compare as they are."""
-    return int(np.float64(x).view(np.int64))
-
-
-def stale(angle, key):
-    """Whether a layer's factor, built for ``key``, must be rebuilt for
-    ``angle``: their bits differ, or the angle is NaN, which matches nothing."""
-    return math.isnan(angle) or float_bits(angle) != float_bits(key)
-
-
-@contextlib.contextmanager
-def counting_layers():
-    """Count the phase rows and the layers of mixer blocks built, and the
-    mixer layers run, while open."""
-    counts = Counter()
-    mixer = engine.apply_mixer
-
-    def rows(diag, gammas, out=None, from_plus=False):
-        counts["rows"] += len(gammas)
-        return _PHASE_ROWS(diag, gammas, out, from_plus)
-
-    def blocks(self, betas, start=0, stop=None):
-        built = _BUILD(self, betas, start, stop)
-        counts["blocks"] += len(built)
-        return built
-
-    def layer(state, beta, blocks=None):
-        counts["layers"] += 1
-        return mixer(state, beta, blocks)
-
-    with (mock.patch.object(engine, "_phase_rows", rows),
-          mock.patch.object(engine._MixerFactors, "build", blocks),
-          mock.patch.object(engine, "apply_mixer", layer)):
-        yield counts
-
-
 ANGLE_STEPS = (1e-6, -1e-6)
 
 
@@ -1063,7 +1064,7 @@ class WorkspaceMachine(RuleBasedStateMachine):
         super().__init__()
         self.kept = None  # a kept state and a copy of its amplitudes
 
-    @initialize(n=st.sampled_from((2, 3, 8, 9, 9, 9, 17)), p=st.integers(1, 4),
+    @initialize(n=st.sampled_from((2, 3, 8, 9, 9, 9, 17)), p=st.sampled_from((1, 2, 3, 3, 4)),
                 seed=st.integers(0, 1 << 16))
     def setup(self, n, p, seed):
         self.rng = np.random.default_rng(seed)
@@ -1072,7 +1073,9 @@ class WorkspaceMachine(RuleBasedStateMachine):
         self.which, self.p = 0, p
         self.workspace = Workspace(n, p)
         self.visited = []
-        self.run(self.rng.uniform(-7, 7, 2 * p))
+        x = self.rng.uniform(-7, 7, 2 * p)
+        self.run(x)
+        self.run(x)  # shares every layer with the first, so keeps snapshots
 
     def schedule(self, x):
         return self.graphs[self.which], self.diags[self.which], standard_unpack(x, self.p)
@@ -1115,7 +1118,7 @@ class WorkspaceMachine(RuleBasedStateMachine):
     def special_angle(self, i, value):
         self.run(self.moved(i, value))
 
-    @rule(back=st.integers(0, 6))
+    @rule(back=st.integers(0, 3))
     def revisit(self, back):
         self.run(self.visited[-1 - back % len(self.visited)])
 
@@ -1130,19 +1133,22 @@ class WorkspaceMachine(RuleBasedStateMachine):
             self.workspace.keep(self.state)
             self.kept, self.state = (self.state, self.state.half.copy()), None
 
-    @rule(layer=st.integers(0, 3), step=st.sampled_from((0.0,) + ANGLE_STEPS))
-    def direct_build(self, layer, step):
-        # the blocks of a probe's beta: the next probe of it finds its key
+    @rule(layer=st.integers(0, 3), step=st.sampled_from(ANGLE_STEPS), then_run=st.booleans())
+    def direct_build(self, layer, step, then_run):
+        # builds the blocks of a probe of one beta, which then finds its key
         layer %= self.p
-        betas = self.x[self.p:].copy()
-        betas[layer] += step
-        self.workspace.factors.build(betas, layer, layer + 1)
+        x = self.moved(self.p + layer, self.x[self.p + layer] + step)
+        self.workspace.factors.build(x[self.p:], layer, layer + 1)
+        if then_run:
+            self.run(x)
 
-    @rule(i=st.integers(0, 7), failure=st.sampled_from(("rows", "blocks", "mixer")))
-    def failed_circuit(self, i, failure):
-        # moves a gamma for a failing row build, else a beta
-        i = i % self.p + (failure != "rows") * self.p
-        x = self.moved(i, self.x[i] + 0.5)
+    @rule(i=st.integers(0, 7), failure=st.sampled_from(("rows", "blocks", "mixer")),
+          then=st.sampled_from((None, "rerun", "return")))
+    def failed_circuit(self, i, failure, then):
+        # moves a beta for a failing block build, else a gamma; then maybe
+        # reruns the point that failed, or returns to the one before
+        i = i % self.p + (failure == "blocks") * self.p
+        before, x = self.x, self.moved(i, self.x[i] + 0.5)
         target, name, fake = {"rows": (engine, "_phase_rows", failing_rows),
                               "blocks": (engine._MixerFactors, "build", failing_build),
                               "mixer": (engine, "apply_mixer", failing_mixer)}[failure]
@@ -1151,6 +1157,8 @@ class WorkspaceMachine(RuleBasedStateMachine):
             evolve(g, sched, diag=diag, workspace=self.workspace)
         self.state, self.x = None, x
         self.visited.append(x)
+        if then:
+            self.run(x if then == "rerun" else before)
 
     @invariant()
     def kept_state_is_unchanged(self):
@@ -1159,5 +1167,5 @@ class WorkspaceMachine(RuleBasedStateMachine):
 
 
 TestWorkspaceMachine = WorkspaceMachine.TestCase
-TestWorkspaceMachine.settings = settings(max_examples=60, stateful_step_count=12,
+TestWorkspaceMachine.settings = settings(max_examples=150, stateful_step_count=20,
                                          derandomize=True, deadline=None)
