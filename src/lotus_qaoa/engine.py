@@ -19,42 +19,12 @@ commutes with every cost phase and leaves every |amplitude|^2 unchanged,
 so the phase, the expectations and sampling are the same code as without
 it. Only ``MirroredHalf.amps`` untwists.
 
-``evolve`` keeps each layer's factors in its workspace (phase rows from the
-split of the cut table in ``CostDiagonal``, real mixer blocks with one
-gather in ``_MixerFactors``), each with the angle it was built for, and
-rebuilds only those of the layers it runs whose angle changed, one call per
-run of consecutive such layers. It hands each layer's to
-``apply_cost_phase`` and ``apply_mixer``, which build it themselves when
-called alone. The layer loop only multiplies and runs matmuls. Layer 0
-writes no |+> first: its phase row carries |+>'s twist on the high bits,
-and one broadcast product with the scaled low-bit twist writes its state.
-Each mixer block is one matmul where its bits already lie, with nothing
-rotated: the lowest block right-multiplies the (pieces, rows, 2^k) view,
-a stack of BLAS calls of at most ``_LOW_ROWS`` rows, and every other
-block left-multiplies the (pieces, 2^k, 2^offset) view at its bit offset,
-alternating between the state's array and one spare. From n = 17 the
-blocks within a 2^16-float chunk run chunk by chunk, in cache, every
-chunk alternating with the spare's first chunk, and the top block over
-the whole half; the dropped top qubit is one pair step, run from n = 15
-on mirrored pairs of 2^13-amplitude pieces, with a sign table of one
-piece and two pieces of the spare for the mirrored rows.
-
-Every circuit runs in a ``Workspace``, which holds the state buffers with
-their prebuilt mixer views, the phase rows and the mixer blocks; the
-sampling CDF and the exact expectation's product run in its spare buffer,
-and it keeps the best evaluation's state out of reuse. A circuit that
-shares its leading layers with the one before also leaves the state after
-each layer there, so the next point of a Powell line search or the next
-finite-difference probe, which moves one angle, resumes at the first layer
-whose angles changed, and of the layers after it rebuilds the phase row or
-mixer blocks of the one whose angle moved. An optimization run allocates its
-state-sized arrays once:
-``optim.optimize`` creates one workspace per run, owns it for the whole
-run and passes it to every ``evolve``; ``evolve`` without one creates its
-own. A state that ``evolve`` returns carries its workspace, so the kernels
-and readouts find those buffers through it. Only the kernels called alone
-on a bare state build their arrays and views as they go. Nothing caches a
-buffer beyond its run.
+Each layer's factors, a phase row (``_phase_rows``, from the split of the
+cut table in ``CostDiagonal``) and real mixer blocks (``_MixerFactors``),
+are built by ``evolve`` for several layers at once and handed to the
+per-layer kernels ``apply_cost_phase`` and ``apply_mixer``, which build
+their own when called alone. Every circuit runs in a ``Workspace``, which
+holds its buffers, its factors with their keys and its layer snapshots.
 """
 from __future__ import annotations
 
@@ -325,8 +295,10 @@ def _mixer_plan(n: int) -> tuple[np.ndarray, tuple[tuple[int, int, int], ...], i
 
 class _MixerFactors:
     """The arrays the real mixer blocks of p layers are built in, at n, each
-    layer's tuple of block views into them, and the beta each layer's blocks
-    were built for (``betas``; NaN, which no beta matches, before then)."""
+    layer's tuple of block views into them, the beta each layer's blocks
+    were built for (``betas``; NaN, which no beta matches, before then), and
+    whether a ``Workspace``'s snapshots hold the layers that these keys and
+    its phase rows' describe (``snapshotted``, which ``evolve`` sets)."""
 
     def __init__(self, n: int, p: int) -> None:
         self.index, spans, width = _mixer_plan(n)
@@ -337,6 +309,7 @@ class _MixerFactors:
         self.layers = list(zip(*[self.flat[:, start:end].reshape(-1, dim, dim)
                                  for start, end, dim in spans]))
         self.betas = [math.nan] * p
+        self.snapshotted = False
 
     def build(self, betas: np.ndarray, start: int = 0,
               stop: int | None = None) -> list[tuple[np.ndarray, ...]]:
@@ -349,8 +322,10 @@ class _MixerFactors:
         blocks do not depend on which other layers are built. The layers'
         entries of ``betas`` are cleared first and record their betas once
         the blocks are written, so a build that fails partway leaves none
-        of its layers marked as built.
+        of its layers marked as built. Every build clears ``snapshotted``:
+        snapshots of other blocks' layers are nothing to resume from.
         """
+        self.snapshotted = False
         b = np.asarray(betas[start:stop], dtype=np.float64)
         stop = start + b.size
         self.betas[start:stop] = [math.nan] * b.size
@@ -373,15 +348,16 @@ def _same_bits(a: float, b: float) -> bool:
     return a == b and (a != 0.0 or math.copysign(1.0, a) == math.copysign(1.0, b))
 
 
-def _stale_runs(start: int, gammas: list[float], row_keys: list[float], betas: list[float],
-                block_keys: list[float]) -> tuple[list[list[int]], list[list[int]]]:
-    """[start, stop) of each run of consecutive layers from ``start`` whose
-    gamma does not have the bits of its phase row's key (``_same_bits``),
-    and of each whose beta does not have those of its mixer blocks' key,
-    found in one pass over the layers."""
+def _stale_runs(gammas: list[float], row_keys: list[float], betas: list[float],
+                block_keys: list[float]) -> tuple[int, list[list[int]], list[list[int]]]:
+    """The first layer whose phase row or mixer blocks are stale, at most
+    p - 1, and [start, stop) of each run of consecutive layers whose gamma
+    does not have the bits of its phase row's key (``_same_bits``) and of
+    each whose beta does not have those of its blocks' key, found in one
+    pass over the layers."""
     rows: list[list[int]] = []
     blocks: list[list[int]] = []
-    for layer in range(start, len(gammas)):
+    for layer in range(len(gammas)):
         if not _same_bits(gammas[layer], row_keys[layer]):
             if rows and rows[-1][1] == layer:
                 rows[-1][1] = layer + 1
@@ -392,7 +368,7 @@ def _stale_runs(start: int, gammas: list[float], row_keys: list[float], betas: l
                 blocks[-1][1] = layer + 1
             else:
                 blocks.append([layer, layer + 1])
-    return rows, blocks
+    return min([runs[0][0] for runs in (rows, blocks) if runs] + [len(gammas) - 1]), rows, blocks
 
 
 @cache
@@ -488,9 +464,8 @@ def apply_mixer(state: MirroredHalf, beta: float,
     a kept qubit is the real rotation Q = [[c, -s], [s, c]], so the blocks
     of ``_MixerFactors`` act on the half's float64 view, whose index has
     the real/imaginary bit lowest and the kept qubits above it.
-    ``blocks`` is the layer's entry of ``_MixerFactors.build``, which
-    ``evolve`` runs for all layers at once; without it the blocks are
-    built here, by the same builder for one layer.
+    ``blocks`` is the layer's entry of ``_MixerFactors.build``; without
+    it the blocks are built here, by the same builder for one layer.
 
     Each block runs as one matmul where its k bits already lie, so no bits
     move: the lowest block right-multiplies the view as a stack of
@@ -525,12 +500,11 @@ def apply_mixer(state: MirroredHalf, beta: float,
     layer made sweeps at n = 16 several times slower.
 
     The state's array and the spare come with their views (``_Buffer``).
-    A state that ``evolve`` runs, always in a ``Workspace``, takes both,
-    prebuilt, from the workspace, and leaves the two swapped there as the
-    blocks left them; only a bare state, the mixer called alone, gets its
-    views and a new spare built here. Every matmul has the shape and
-    operands it would have with a whole spare per block, so where the
-    intermediates live changes no bit.
+    A state in its workspace's state buffer takes both, prebuilt, from the
+    workspace, and leaves the two swapped there as the blocks left them;
+    any other state gets its views and a new spare built here. Every
+    matmul has the shape and operands it would have with a whole spare per
+    block, so where the intermediates live changes no bit.
     """
     ws = state.workspace
     if ws is not None and state.half is ws.state.half:
@@ -572,13 +546,11 @@ def apply_mixer(state: MirroredHalf, beta: float,
 
 class Workspace:
     """The state-sized buffers every circuit at n qubits and depth p runs
-    in, allocated once, and the state after each layer of the last circuit
-    that kept its layers.
+    in, allocated once, with each layer's factors and snapshot.
 
-    ``optim.optimize`` creates one per run, owns it for the whole run and
-    hands it to every ``evolve``, so no evaluation allocates a state-sized
-    array or rebuilds a view; ``evolve`` without one creates its own. It
-    holds kept-half buffers with their mixer views (``_Buffer``):
+    ``optim.optimize`` creates one per run and hands it to every
+    ``evolve``, so no evaluation allocates a state-sized array or rebuilds
+    a view. It holds kept-half buffers with their mixer views (``_Buffer``):
     ``state``, which each layer writes its phase product into (layer 0
     its product with |+>, which no buffer holds) and runs its mixer on,
     ``spare``, which the mixer's whole-half blocks alternate with it and
@@ -588,32 +560,21 @@ class Workspace:
     the ``_MixerFactors`` of p layers; and, from n = 15, the one-piece
     ``pair_factor`` of ``_pair_pieces``. Between mixer calls the spare is
     free, so the product of ``expectation_exact`` and the float CDF of
-    ``_sample_indices`` run in its memory. A state that ``evolve`` returns
-    is overwritten by the next ``evolve`` unless ``keep`` takes it out of
-    reuse. The buffers live as long as the workspace; nothing caches them
-    across runs.
+    ``_sample_indices`` run in its memory. The buffers live as long as the
+    workspace; nothing caches them across runs.
 
     Each phase row and each layer's mixer blocks carry a key, which lives
     with the arrays it describes: the workspace records the diagonal its
-    rows were built for and each row's gamma (a circuit on another
-    diagonal clears every row's), and ``_MixerFactors.build`` the beta of
-    every layer it writes, so a build outside ``evolve`` leaves no stale
-    key. Row 0 also carries |+>'s twist on the high bits, which needs no
-    key of its own: it only ever serves layer 0. A key is cleared before
-    its arrays are written and set after, so a build that fails partway
-    leaves nothing marked built. Angles match by ``_same_bits``: +-0.0
-    differ and a NaN matches nothing.
+    rows were built for and each row's gamma, and ``_MixerFactors.build``
+    the beta of every layer it writes. Row 0 also carries |+>'s twist on
+    the high bits, which needs no key of its own: it only ever serves
+    layer 0. A key is cleared before its arrays are written and set after,
+    so a build that fails partway leaves nothing marked built.
 
-    The workspace also keeps the angles of its last circuit and the
-    identity of its ``CostDiagonal``; ``_unchanged_layers`` compares a new
-    circuit's angles with them by the same rule. A circuit that shares
-    its leading layers with the one before, as a line search or a
-    finite-difference probe
-    does, swaps the state buffer with each layer's snapshot buffer after
-    every layer but the last, so snapshot l holds its state after layer l
-    for the next circuit to resume from. The snapshots are never handed
-    out: ``keep``, the readouts and a mixer called on a returned state
-    touch only the state, spare and kept buffers.
+    Snapshot l holds a state after layer l, for a later circuit to resume
+    from (see ``evolve``). The snapshots are never handed out: ``keep``,
+    the readouts and a mixer called on a returned state touch only the
+    state, spare and kept buffers.
 
     The 2p + 2 halves (state, spare, kept, p - 1 snapshots, p phase rows)
     are rows of one array: 48 MiB at n = 20, p = 2. Separate 8 MiB arrays
@@ -642,12 +603,6 @@ class Workspace:
         self.factors = _MixerFactors(n, p)
         self.pair_factor = (np.empty(_PAIR_PIECE, dtype=np.complex128)
                             if 1 << (n - 1) > _PAIR_PIECE else None)
-        # the last completed circuit: its diagonal, its angles (python
-        # floats) and whether it left its layers in the snapshots
-        self._diag: CostDiagonal | None = None
-        self._gammas: list[float] = []
-        self._betas: list[float] = []
-        self._snapshotted = False
 
     def keep(self, state: MirroredHalf) -> MirroredHalf:
         """Take ``state``, the last one ``evolve`` returned here, out of reuse.
@@ -659,25 +614,6 @@ class Workspace:
             raise ValueError("state is not this workspace's current state")
         self.state, self._kept = self._kept, self.state
         return state
-
-    def _unchanged_layers(self, diag: CostDiagonal, gammas: list[float],
-                          betas: list[float]) -> int:
-        """How many leading layers have the (gamma, beta) bits of the last
-        circuit's, which must have run with this ``diag``; at most p - 1, so
-        the last layer always runs.
-
-        Angles compare by ``_same_bits``, so a NaN's layer runs again.
-        Layer 0 is checked first, so a circuit that changes it costs one
-        comparison.
-        """
-        if diag is not self._diag:
-            return 0
-        last_gammas, last_betas = self._gammas, self._betas
-        for layer in range(self.p - 1):
-            if not (_same_bits(gammas[layer], last_gammas[layer])
-                    and _same_bits(betas[layer], last_betas[layer])):
-                return layer
-        return self.p - 1
 
     def _build_rows(self, diag: CostDiagonal, gammas: np.ndarray, start: int, stop: int) -> None:
         """Build the phase rows of layers ``start`` to ``stop`` for ``diag``,
@@ -694,33 +630,32 @@ def evolve(g: WeightedGraph, sched: Schedule, diag: CostDiagonal | None = None,
     """Run the full circuit: |+>^n, then p cost-phase + mixer layers.
 
     The circuit runs in ``workspace``, which must be of this n and p, and
-    the returned state lives there (see ``Workspace``). Without one,
-    ``evolve`` creates a new workspace, so the state is the caller's alone;
-    it keeps that workspace's 2p + 2 halves alive for as long as the caller
-    holds it. Pass a prebuilt ``diag`` to skip rebuilding it in hot loops.
+    the returned state lives there until the next ``evolve`` overwrites it
+    (``Workspace.keep`` takes it out of reuse). Without one, ``evolve``
+    creates a new workspace, so the state is the caller's alone; it keeps
+    that workspace's 2p + 2 halves alive for as long as the caller holds
+    it. Pass a prebuilt ``diag`` to skip rebuilding it in hot loops.
 
-    A circuit whose leading layers have the angles of the workspace's last
-    circuit, run with the same ``diag`` object, shares them
-    (``Workspace._unchanged_layers``, at most p - 1). It keeps its layers
-    in the workspace's snapshots, and when the last circuit kept its own it
-    resumes after the layers they share. Of the layers that run, only
-    those whose phase row key (the ``diag`` object and the gamma) or
-    mixer block key (the beta) differs from the circuit's are rebuilt, in
-    one ``_phase_rows`` call or one gather per run of consecutive such
-    layers, found in one pass over the layers (``_stale_runs``), so a step
-    that moves every angle still makes one of each; an element's or a
-    layer's arithmetic does not depend on which other layers are built.
-    The rows and blocks go to the per-layer kernels, one
-    ``apply_cost_phase`` and one ``apply_mixer`` call per layer run.
-    Layer 0 starts from |+>, which its phase call folds in
-    (``from_plus``): row 0 carries |+>'s twist on the high bits and one
-    broadcast product writes the layer's state into the state buffer. A
-    later layer multiplies the state in place, or, when the circuit keeps
-    snapshots, writes the product of the layer before's snapshot and its
-    phase row into the state buffer. Each element goes through the same
-    operations on the same inputs in the same order as in a circuit run
-    from |+>, so a resumed state is bit for bit the one a fresh workspace
-    gives.
+    A layer's phase row is stale unless its key has this ``diag`` object
+    and the bits of its gamma (``_same_bits``), and its mixer blocks are
+    stale unless their key has the bits of its beta. One pass over the
+    keys (``_stale_runs``) finds the first stale layer, at most p - 1,
+    and the runs of consecutive stale layers; each run is rebuilt in one
+    ``_phase_rows`` call or one gather, so a step that moves every angle
+    makes one of each. An element's or a layer's arithmetic does not
+    depend on which other layers are built.
+
+    A circuit whose first stale layer is not 0 shares its leading layers
+    with the circuit the keys were built for: it keeps its layers, each
+    layer after the first writing the product of the snapshot before and
+    its phase row into the state buffer, which then swaps with the layer's
+    snapshot (all but the last). When the snapshots hold the keys' layers
+    (``_MixerFactors.snapshotted``, which every build and the start of
+    every ``evolve`` clear and a completed circuit that kept its layers
+    sets), it resumes at its first stale layer from the snapshot of the
+    layer before. Each element goes through the same operations on the
+    same inputs in the same order as in a circuit run from |+>, so a
+    resumed state is bit for bit the one a fresh workspace gives.
 
     A circuit that shares no layer, a Nelder-Mead or HFA step, runs in the
     state and spare buffers alone, as without snapshots: keeping its
@@ -738,32 +673,30 @@ def evolve(g: WeightedGraph, sched: Schedule, diag: CostDiagonal | None = None,
     elif (workspace.n, workspace.p) != (g.n, sched.depth):
         raise ValueError(f"workspace is for n={workspace.n}, p={workspace.p}; "
                          f"circuit has n={g.n}, p={sched.depth}")
-    gamma_list, beta_list = gammas.tolist(), betas.tolist()
-    shared = workspace._unchanged_layers(diag, gamma_list, beta_list)
-    start = shared if workspace._snapshotted else 0
-    workspace._diag = None  # no circuit to compare with until this one completes
+    gamma_list, beta_list, factors = gammas.tolist(), betas.tolist(), workspace.factors
+    if workspace._rows_diag is not diag:  # rows of another diagonal match no gamma
+        workspace._rows_diag, workspace._row_gammas = diag, [math.nan] * workspace.p
+    resume, stale_rows, stale_blocks = _stale_runs(gamma_list, workspace._row_gammas,
+                                                   beta_list, factors.betas)
+    start = resume if factors.snapshotted else 0
+    factors.snapshotted = False  # until this circuit's layers are in the snapshots
     snapshots, last = workspace.snapshots, workspace.p - 1
     # layer 0 writes its product with |+> into the state buffer
     state = MirroredHalf(half=(snapshots[start - 1] if start else workspace.state).half,
                          workspace=workspace)
-    if workspace._rows_diag is not diag:  # rows of another diagonal match no gamma
-        workspace._rows_diag, workspace._row_gammas = diag, [math.nan] * workspace.p
-    stale_rows, stale_blocks = _stale_runs(start, gamma_list, workspace._row_gammas,
-                                           beta_list, workspace.factors.betas)
     for lo, hi in stale_rows:
         workspace._build_rows(diag, gammas, lo, hi)
     for lo, hi in stale_blocks:
-        workspace.factors.build(betas, lo, hi)
-    rows, factors = workspace.rows, workspace.factors.layers
+        factors.build(betas, lo, hi)
+    rows, blocks = workspace.rows, factors.layers
     for layer in range(start, last + 1):
         # in place unless the state is the snapshot of the layer before
         apply_cost_phase(state, diag, gamma_list[layer], rows[layer], out=workspace.state.half,
                          from_plus=not layer)
-        apply_mixer(state, beta_list[layer], factors[layer])
-        if shared and layer < last:  # the state becomes the layer's snapshot
+        apply_mixer(state, beta_list[layer], blocks[layer])
+        if resume and layer < last:  # the state becomes the layer's snapshot
             snapshots[layer], workspace.state = workspace.state, snapshots[layer]
-    workspace._diag, workspace._gammas, workspace._betas = diag, gamma_list, beta_list
-    workspace._snapshotted = shared > 0
+    factors.snapshotted = resume > 0
     return state
 
 

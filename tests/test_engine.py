@@ -799,17 +799,27 @@ class TestWorkspace:
                 assert np.array_equal(engine._sample_indices(reused, 256, np.random.default_rng(1)),
                                       engine._sample_indices(state, 256, np.random.default_rng(1)))
 
-    def test_unchanged_layers_compare_bits(self):
+    def test_stale_runs_compare_key_bits(self):
+        # the keys a circuit leaves are its angles; the first layer whose
+        # key a later circuit's angle lacks the bits of is where it resumes
         workspace = Workspace(3, 3)
         diag = build_cost_diagonal(TRIANGLE)
         gammas, betas = [0.0, 0.5, 1.5], [0.25, 0.75, 1.25]
         evolve(TRIANGLE, schedule_of(gammas, betas), diag=diag, workspace=workspace)
-        unchanged = workspace._unchanged_layers
-        assert unchanged(diag, gammas, betas) == 2  # the last layer always runs
-        assert unchanged(diag, gammas, [0.25, 0.5, 1.25]) == 1
-        assert unchanged(diag, [-0.0, 0.5, 1.5], betas) == 0
-        assert unchanged(diag, [float("nan"), 0.5, 1.5], betas) == 0
-        assert unchanged(build_cost_diagonal(TRIANGLE), gammas, betas) == 0
+
+        def stale_runs(gammas, betas):
+            return engine._stale_runs(gammas, workspace._row_gammas, betas,
+                                      workspace.factors.betas)
+
+        assert stale_runs(gammas, betas) == (2, [], [])  # the last layer always runs
+        assert stale_runs(gammas, [0.25, 0.5, 1.25]) == (1, [], [[1, 2]])
+        assert stale_runs([-0.0, 0.5, 1.5], betas) == (0, [[0, 1]], [])
+        assert stale_runs([float("nan"), 0.5, 1.5], betas) == (0, [[0, 1]], [])
+        # the same angles on another diagonal object rebuild every row
+        with counting_layers() as counts:
+            evolve(TRIANGLE, schedule_of(gammas, betas), diag=build_cost_diagonal(TRIANGLE),
+                   workspace=workspace)
+        assert counts == {"rows": 3, "layers": 3}
 
     def test_each_probe_builds_only_the_rows_and_blocks_it_changed(self, monkeypatch):
         # a probe of one angle rebuilds one phase row or one layer of mixer
@@ -1011,7 +1021,7 @@ class TestWorkspace:
         workspace = Workspace(n, 3)
         kept = workspace.keep(evolve(g, sched, diag=diag, workspace=workspace))
         state = evolve(g, sched, diag=diag, workspace=workspace)  # shares every layer
-        assert workspace._snapshotted
+        assert workspace.factors.snapshotted
         before = [kept.half.copy()] + [s.half.copy() for s in workspace.snapshots]
         expected = apply_mixer(apply_cost_phase(MirroredHalf(half=state.half.copy()), diag, 0.5),
                                0.9)
