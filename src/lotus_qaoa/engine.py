@@ -368,7 +368,8 @@ def _stale_runs(gammas: list[float], row_keys: list[float], betas: list[float],
                 blocks[-1][1] = layer + 1
             else:
                 blocks.append([layer, layer + 1])
-    return min([runs[0][0] for runs in (rows, blocks) if runs] + [len(gammas) - 1]), rows, blocks
+    resume = min([runs[0][0] for runs in (rows, blocks) if runs], default=len(gammas) - 1)
+    return resume, rows, blocks
 
 
 @cache

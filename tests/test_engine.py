@@ -771,7 +771,6 @@ def counting_layers():
         yield counts
 
 
-
 class TestWorkspace:
     @pytest.mark.parametrize("n", range(1, 21))
     def test_reused_workspace_equals_the_standalone_kernels(self, n):
@@ -800,8 +799,8 @@ class TestWorkspace:
                                       engine._sample_indices(state, 256, np.random.default_rng(1)))
 
     def test_stale_runs_compare_key_bits(self):
-        # the keys a circuit leaves are its angles; the first layer whose
-        # key a later circuit's angle lacks the bits of is where it resumes
+        # the keys a circuit leaves are its angles: a later circuit resumes
+        # at its first layer whose angles lack the bits of these keys
         workspace = Workspace(3, 3)
         diag = build_cost_diagonal(TRIANGLE)
         gammas, betas = [0.0, 0.5, 1.5], [0.25, 0.75, 1.25]
@@ -1077,13 +1076,12 @@ class WorkspaceMachine(RuleBasedStateMachine):
     @initialize(n=st.sampled_from((2, 3, 8, 9, 9, 9, 17)), p=st.sampled_from((1, 2, 3, 3, 4)),
                 seed=st.integers(0, 1 << 16))
     def setup(self, n, p, seed):
-        self.rng = np.random.default_rng(seed)
         self.graphs = [gen_erdos_renyi(n, 0.5, seed=seed + k) for k in (0, 1)]
         self.diags = [build_cost_diagonal(g) for g in self.graphs]
         self.which, self.p = 0, p
         self.workspace = Workspace(n, p)
         self.visited = []
-        x = self.rng.uniform(-7, 7, 2 * p)
+        x = np.random.default_rng(seed).uniform(-7, 7, 2 * p)
         self.run(x)
         self.run(x)  # shares every layer with the first, so keeps snapshots
 
