@@ -297,8 +297,8 @@ class _MixerFactors:
     """The arrays the real mixer blocks of p layers are built in, at n, each
     layer's tuple of block views into them, the beta each layer's blocks
     were built for (``betas``; NaN, which no beta matches, before then), and
-    whether a ``Workspace``'s snapshots hold the layers that these keys and
-    its phase rows' describe (``snapshotted``, which ``evolve`` sets)."""
+    whether a ``Workspace``'s snapshots hold the layers that its phase-row
+    keys and these block keys describe (``snapshotted``, set by ``evolve``)."""
 
     def __init__(self, n: int, p: int) -> None:
         self.index, spans, width = _mixer_plan(n)
@@ -350,11 +350,11 @@ def _same_bits(a: float, b: float) -> bool:
 
 def _stale_runs(gammas: list[float], row_keys: list[float], betas: list[float],
                 block_keys: list[float]) -> tuple[int, list[list[int]], list[list[int]]]:
-    """The first layer whose phase row or mixer blocks are stale, at most
-    p - 1, and [start, stop) of each run of consecutive layers whose gamma
-    does not have the bits of its phase row's key (``_same_bits``) and of
-    each whose beta does not have those of its blocks' key, found in one
-    pass over the layers."""
+    """The first layer whose phase row or mixer blocks are stale (p - 1,
+    the last, when none is), and [start, stop) of each run of consecutive
+    layers whose gamma does not have the bits of its phase row's key
+    (``_same_bits``) and of each whose beta does not have those of its
+    blocks' key, found in one pass over the layers."""
     rows: list[list[int]] = []
     blocks: list[list[int]] = []
     for layer in range(len(gammas)):
@@ -640,8 +640,8 @@ def evolve(g: WeightedGraph, sched: Schedule, diag: CostDiagonal | None = None,
     A layer's phase row is stale unless its key has this ``diag`` object
     and the bits of its gamma (``_same_bits``), and its mixer blocks are
     stale unless their key has the bits of its beta. One pass over the
-    keys (``_stale_runs``) finds the first stale layer, at most p - 1,
-    and the runs of consecutive stale layers; each run is rebuilt in one
+    keys (``_stale_runs``) finds the first stale layer (p - 1 when none
+    is) and the runs of consecutive stale layers; each run is rebuilt in one
     ``_phase_rows`` call or one gather, so a step that moves every angle
     makes one of each. An element's or a layer's arithmetic does not
     depend on which other layers are built.
