@@ -23,7 +23,7 @@ Each layer's factors, a phase row (``_phase_rows``, from the split of the
 cut table in ``CostDiagonal``) and real mixer blocks (``_MixerFactors``),
 are built by ``evolve`` for several layers at once and handed to the
 per-layer kernels ``apply_cost_phase`` and ``apply_mixer``, which build
-their own when called alone. Every circuit runs in a ``Workspace``, which
+their own when called alone. Every state lives in a ``Workspace``, which
 holds its buffers, its factors with their keys and its layer snapshots.
 """
 from __future__ import annotations
@@ -89,12 +89,12 @@ class MirroredHalf:
     cost phases and leaves every |amplitude|^2 as it is: the phase, the
     expectations and sampling read ``half`` directly. ``amps`` untwists
     and forms the full 2^n vector on each access. ``workspace`` is the
-    ``Workspace`` whose buffer holds ``half``, which every state that
-    ``evolve`` returns has; a bare state (``plus_state``) has None.
+    ``Workspace`` whose buffer holds ``half``: every state lives in one,
+    and the kernels write only its state and spare buffers.
     """
 
     half: np.ndarray
-    workspace: Workspace | None = field(default=None, repr=False, compare=False)
+    workspace: Workspace = field(repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -110,9 +110,8 @@ class MirroredHalf:
 
     def _cdf(self) -> np.ndarray:
         """The running sum of |half|^2, which sampling draws from, built in
-        one array: the workspace's spare if there is one."""
-        cdf = np.abs(self.half, out=None if self.workspace is None
-                     else self.workspace.spare.half.view(np.float64)[:self.half.size])
+        one array: the workspace's spare."""
+        cdf = np.abs(self.half, out=self.workspace.spare.half.view(np.float64)[:self.half.size])
         np.square(cdf, out=cdf)
         return np.cumsum(cdf, out=cdf)
 
@@ -169,10 +168,11 @@ def build_cost_diagonal(g: WeightedGraph) -> CostDiagonal:
 
 
 def plus_state(n: int) -> MirroredHalf:
-    """Uniform superposition |+>^n, twisted: half[z] = i^popcount(z) 2^(-n/2)."""
-    if not (1 <= n <= DEFAULT_QUBIT_CAP):
-        raise ValueError(f"need 1 <= n <= {DEFAULT_QUBIT_CAP}, got {n}")
-    return MirroredHalf(half=_twist(n, (1 << n) ** -0.5))
+    """Uniform superposition |+>^n, twisted: half[z] = i^popcount(z) 2^(-n/2),
+    the current state of a new one-layer ``Workspace``."""
+    workspace = Workspace(n, 1)
+    workspace.state.half[:] = _twist(n, (1 << n) ** -0.5)
+    return MirroredHalf(half=workspace.state.half, workspace=workspace)
 
 
 def _phase_rows(diag: CostDiagonal, gammas: np.ndarray,
@@ -210,17 +210,16 @@ def _phase_rows(diag: CostDiagonal, gammas: np.ndarray,
 
 
 def apply_cost_phase(state: MirroredHalf, diag: CostDiagonal, gamma: float,
-                     phases: np.ndarray | None = None, out: np.ndarray | None = None,
-                     from_plus: bool = False) -> MirroredHalf:
-    """In-place amps[z] *= exp(-i*gamma*values[z]); returns the same state.
+                     phases: np.ndarray | None = None, from_plus: bool = False) -> MirroredHalf:
+    """amps[z] *= exp(-i*gamma*values[z]); returns the same state.
 
     The kept half reads the first half of the flip-invariant diagonal.
     ``phases`` is the layer's row of ``_phase_rows``, which ``evolve``
     builds for the layers it runs at once; without it the row is built
-    here. With ``out``, a kept-half array, the product is written there
-    instead and the state moves to it, which leaves its old array as it
-    was: a circuit that keeps snapshots runs each layer out of the
-    snapshot of the layer before.
+    here. The product is written into the workspace's state buffer and
+    the state moves there: in place for the current state, while a kept
+    state or a snapshot is left as it was, so a circuit that keeps
+    snapshots runs each layer out of the snapshot of the layer before.
 
     With ``from_plus`` the state's amplitudes are not read: the layer runs
     on |+>^n, layer 0 of a circuit. Its ``phases`` are then the row that
@@ -233,13 +232,11 @@ def apply_cost_phase(state: MirroredHalf, diag: CostDiagonal, gamma: float,
     multiplying keep such a difference to the sign of a zero, and every
     readout squares magnitudes.
     """
-    amps = state.half
+    amps, out = state.half, state.workspace.state.half
     if 2 * amps.size != diag.values.size:
         raise ValueError("state and diagonal dimensions differ")
     if phases is None:
         phases = _phase_rows(diag, [gamma], from_plus=from_plus)[0]
-    if out is None:
-        out = amps
     if from_plus:
         _, b = _split_bits(diag.n)
         np.multiply(phases.reshape(-1, 1 << b), _twist_bits(b, (1 << diag.n) ** -0.5),
@@ -384,12 +381,11 @@ def _parity_signs(bits: int) -> np.ndarray:
 
 
 def _pair_pieces(pieces: np.ndarray, rows: np.ndarray, kappa: complex,
-                 factor: np.ndarray | None = None) -> None:
+                 factor: np.ndarray) -> None:
     """In place u += kappa * sigma * u[::-1], sigma(z) = (-1)^popcount(z),
     on a half u of more than one ``_PAIR_PIECE``, given as its
-    (pieces, ``_PAIR_PIECE``) view; ``rows``, two pieces of a spare, is
-    scratch, and so is ``factor``, one piece, when given (a workspace's),
-    else the factor is allocated here.
+    (pieces, ``_PAIR_PIECE``) view; ``rows``, two pieces of a spare, and
+    ``factor``, one piece (a workspace's), are scratch.
 
     Output piece c reads piece C - 1 - c reversed, and sigma(c * P + r) =
     (-1)^popcount(c) sigma(r), so every piece takes the one factor
@@ -441,8 +437,8 @@ class _Buffer:
     (pieces, ``_PAIR_PIECE``) view of a half of more than one piece, else
     None. When the buffer is the spare, the views of its first chunk
     hold the in-chunk blocks' intermediates and its first two pieces the
-    pair step's mirrored rows. A standalone mixer call builds two, so
-    construction does little beyond making the views.
+    pair step's mirrored rows. Every buffer is a ``Workspace``'s, built
+    once with it; the kernels write only its state and spare buffers.
     """
 
     __slots__ = ("half", "chunks", "top", "pieces")
@@ -500,21 +496,17 @@ def apply_mixer(state: MirroredHalf, beta: float,
     not a BLAS axpy: with OpenBLAS's default threads a threaded axpy per
     layer made sweeps at n = 16 several times slower.
 
-    The state's array and the spare come with their views (``_Buffer``).
-    A state in its workspace's state buffer takes both, prebuilt, from the
-    workspace, and leaves the two swapped there as the blocks left them;
-    any other state gets its views and a new spare built here. Every
-    matmul has the shape and operands it would have with a whole spare per
-    block, so where the intermediates live changes no bit.
+    The state must be its workspace's current state (else ``ValueError``,
+    as ``Workspace.keep``). It runs in the workspace's state and spare
+    buffers with their prebuilt views (``_Buffer``), and leaves the two
+    swapped there as the blocks left them. Every matmul has the shape and
+    operands it would have with a whole spare per block, so where the
+    intermediates live changes no bit.
     """
     ws = state.workspace
-    if ws is not None and state.half is ws.state.half:
-        buf, spare = ws.state, ws.spare
-    else:  # standalone: views of this state and of one new spare
-        ws = None
-        u = np.ascontiguousarray(state.half, dtype=np.complex128)
-        buf, spare = _Buffer(u), _Buffer(np.empty_like(u))
-    n = buf.half.size.bit_length()
+    if state.half is not ws.state.half:
+        raise ValueError("state is not its workspace's current state")
+    buf, spare, n = ws.state, ws.spare, ws.n
     if blocks is None:
         blocks = _MixerFactors(n, 1).build([beta])[0]
     # every chunk alternates with the spare's first chunk; a half of more
@@ -533,14 +525,13 @@ def apply_mixer(state: MirroredHalf, beta: float,
         buf, spare = spare, buf
     kappa = math.tan(beta) * _MINUS_I_POWERS[n]
     if buf.pieces is not None:
-        _pair_pieces(buf.pieces, spare.pieces[:2], kappa, None if ws is None else ws.pair_factor)
+        _pair_pieces(buf.pieces, spare.pieces[:2], kappa, ws.pair_factor)
     else:  # one piece: three calls on the cached table, no per-call factor
         mirrored = spare.half
         np.multiply(buf.half[::-1], _parity_signs(n - 1), out=mirrored)
         np.multiply(mirrored, kappa, out=mirrored)  # half the cost of *= with a python scalar
         buf.half += mirrored
-    if ws is not None:
-        ws.state, ws.spare = buf, spare
+    ws.state, ws.spare = buf, spare
     state.half = buf.half
     return state
 
@@ -572,10 +563,11 @@ class Workspace:
     layer 0. A key is cleared before its arrays are written and set after,
     so a build that fails partway leaves nothing marked built.
 
+    Every state lives in a workspace (``plus_state`` makes one of a
+    single layer), and the kernels write only its state and spare buffers.
     Snapshot l holds a state after layer l, for a later circuit to resume
-    from (see ``evolve``). The snapshots are never handed out: ``keep``,
-    the readouts and a mixer called on a returned state touch only the
-    state, spare and kept buffers.
+    from (see ``evolve``). The snapshots are never handed out: ``keep``
+    and the readouts touch only the state, spare and kept buffers.
 
     The 2p + 2 halves (state, spare, kept, p - 1 snapshots, p phase rows)
     are rows of one array: 48 MiB at n = 20, p = 2. Separate 8 MiB arrays
@@ -692,8 +684,7 @@ def evolve(g: WeightedGraph, sched: Schedule, diag: CostDiagonal | None = None,
     rows, blocks = workspace.rows, factors.layers
     for layer in range(start, last + 1):
         # in place unless the state is the snapshot of the layer before
-        apply_cost_phase(state, diag, gamma_list[layer], rows[layer], out=workspace.state.half,
-                         from_plus=not layer)
+        apply_cost_phase(state, diag, gamma_list[layer], rows[layer], from_plus=not layer)
         apply_mixer(state, beta_list[layer], blocks[layer])
         if resume and layer < last:  # the state becomes the layer's snapshot
             snapshots[layer], workspace.state = workspace.state, snapshots[layer]
@@ -704,14 +695,13 @@ def evolve(g: WeightedGraph, sched: Schedule, diag: CostDiagonal | None = None,
 def expectation_exact(state: MirroredHalf, diag: CostDiagonal) -> float:
     """Sum_z |amps[z]|^2 * values[z]: twice the sum over the kept half.
 
-    The product runs in the workspace's spare when the state has one.
+    The product runs in the workspace's spare.
     """
     amps = state.half
     if 2 * amps.size != diag.values.size:
         raise ValueError("state and diagonal dimensions differ")
-    product = None if state.workspace is None else state.workspace.spare.half
-    return 2.0 * float(np.vdot(amps, np.multiply(diag.values[:amps.size], amps,
-                                                 out=product)).real)
+    product = np.multiply(diag.values[:amps.size], amps, out=state.workspace.spare.half)
+    return 2.0 * float(np.vdot(amps, product).real)
 
 
 def _sample_indices(state: MirroredHalf, shots: int, rng: np.random.Generator) -> np.ndarray:

@@ -680,8 +680,8 @@ def _check_mixer_chunks() -> CheckResult:
     rng = np.random.default_rng(19)
     worst = 0.0
     for n in (12, 15, 17, 20):
-        state = engine.MirroredHalf(half=rng.normal(size=1 << (n - 1))
-                                    + 1j * rng.normal(size=1 << (n - 1)))
+        state = engine.plus_state(n)
+        state.half[:] = rng.normal(size=1 << (n - 1)) + 1j * rng.normal(size=1 << (n - 1))
         beta = float(rng.uniform(-np.pi, np.pi))
         c, s = math.cos(beta), math.sin(beta)
         full = state.amps

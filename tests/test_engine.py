@@ -7,14 +7,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from lotus_qaoa import engine, instance
 from lotus_qaoa.engine import DEFAULT_QUBIT_CAP
 from lotus_qaoa.engine import (
-    MirroredHalf,
     Workspace,
     apply_cost_phase,
     apply_mixer,
@@ -39,17 +38,25 @@ def schedule_of(gammas, betas):
     return standard_unpack(v, v.size // 2)
 
 
+def state_of(half):
+    """The state whose kept half is ``half``, a copy in the state buffer of
+    a one-layer workspace (``plus_state``'s)."""
+    state = plus_state(half.size.bit_length())
+    state.half[:] = half
+    return state
+
+
 def paired_basis_state(n, z):
     """(|z> + |~z>)/sqrt(2), the flip-symmetric form of basis state z."""
     half = np.zeros(1 << (n - 1), dtype=np.complex128)
     half[min(z, z ^ ((1 << n) - 1))] = 2 ** -0.5
-    return MirroredHalf(half=half)
+    return state_of(half)
 
 
 def random_kept_half(n, rng):
     """A normalized random flip-symmetric state."""
     half = rng.normal(size=1 << (n - 1)) + 1j * rng.normal(size=1 << (n - 1))
-    return MirroredHalf(half=half / np.linalg.norm(half) / np.sqrt(2))
+    return state_of(half / np.linalg.norm(half) / np.sqrt(2))
 
 
 # A full-vector reference that shares no kernel with the engine: one
@@ -311,7 +318,7 @@ class TestMixer:
         for beta in EXTREME_BETAS:
             u = rng.normal(size=1 << (n - 1)) + 1j * rng.normal(size=1 << (n - 1))
             expected = u + (u[::-1] * sigma) * (np.tan(beta) * (-1j) ** n)
-            got = apply_mixer(MirroredHalf(half=u), beta, identity).half
+            got = apply_mixer(state_of(u), beta, identity).half
             assert np.array_equal(got.view(np.int64), expected.view(np.int64))
 
     def test_norm_preserved(self):
@@ -533,7 +540,7 @@ class TestKeptHalf:
     def test_amps_form_the_full_state(self):
         # half holds i^popcount(z) amps[z]; amps untwists it and mirrors it
         half = np.arange(4) + 1j
-        state = MirroredHalf(half=half)
+        state = state_of(half)
         kept = half * (-1j) ** np.array([0, 1, 1, 2])
         assert state.n == 3
         assert np.array_equal(state.amps, np.concatenate((kept, kept[::-1])))
@@ -565,7 +572,7 @@ class TestKeptHalf:
             diag = build_cost_diagonal(g)
             rows = engine._phase_rows(diag, gammas)
             for gamma, row in zip(gammas.tolist(), rows):
-                state = MirroredHalf(half=np.ones(1 << (n - 1), dtype=complex))
+                state = state_of(np.ones(1 << (n - 1), dtype=complex))
                 assert np.array_equal(apply_cost_phase(state, diag, gamma).half, row), (n, gamma)
 
     def test_layer_0_from_plus_equals_plus_state_times_its_row(self):
@@ -579,7 +586,7 @@ class TestKeptHalf:
             diag = build_cost_diagonal(g)
             for gamma in (0.0, -0.0, 0.37, -2.1, 25.0):
                 expected = apply_cost_phase(plus_state(n), diag, gamma).half.view(np.float64)
-                state = MirroredHalf(half=np.full(1 << (n - 1), np.nan, dtype=np.complex128))
+                state = state_of(np.full(1 << (n - 1), np.nan, dtype=np.complex128))
                 folded = apply_cost_phase(state, diag, gamma, from_plus=True).half.view(np.float64)
                 nonzero = expected != 0.0
                 assert np.array_equal(folded, expected), (n, gamma)
@@ -652,7 +659,7 @@ class TestKeptHalf:
 
     def test_half_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimensions"):
-            expectation_exact(MirroredHalf(half=np.ones(4, dtype=complex)),
+            expectation_exact(state_of(np.ones(4, dtype=complex)),
                               build_cost_diagonal(SINGLE_EDGE))
 
 
@@ -930,6 +937,29 @@ class TestWorkspace:
                 reused = evolve(g, sched, diag=diag, workspace=workspace)
                 assert same_bits(reused.half, evolve(g, sched, diag=diag).half), (name, n)
 
+    @pytest.mark.parametrize("n", [8, 17])
+    def test_a_build_that_fails_before_its_keys_leaves_them_cleared(self, n):
+        # a block build that writes its blocks and then fails to record
+        # their beta leaves the layer's key cleared, not holding the beta of
+        # the blocks it overwrote
+        class FailingKeys(list):
+            def __setitem__(self, key, value):
+                if not all(map(math.isnan, value if isinstance(key, slice) else [value])):
+                    raise MemoryError("block keys")
+                super().__setitem__(key, value)
+
+        g = gen_erdos_renyi(n, 0.5, seed=n)
+        diag = build_cost_diagonal(g)
+        x = np.array([0.3, -0.8, 0.7, 0.2])
+        workspace = Workspace(n, 2)
+        evolve(g, standard_unpack(x, 2), diag=diag, workspace=workspace)
+        workspace.factors.betas = FailingKeys(workspace.factors.betas)
+        with pytest.raises(MemoryError):
+            evolve(g, standard_unpack(x + [0, 0, 0, 0.5], 2), diag=diag, workspace=workspace)
+        workspace.factors.betas = list(workspace.factors.betas)
+        reused = evolve(g, standard_unpack(x, 2), diag=diag, workspace=workspace)
+        assert same_bits(reused.half, evolve(g, standard_unpack(x, 2), diag=diag).half)
+
     def test_a_direct_build_leaves_no_snapshot_to_resume_from(self):
         # after a circuit that kept snapshots, a build of layer 0's blocks for
         # the next circuit's beta 0 gives that circuit every key it needs,
@@ -1022,8 +1052,7 @@ class TestWorkspace:
         state = evolve(g, sched, diag=diag, workspace=workspace)  # shares every layer
         assert workspace.factors.snapshotted
         before = [kept.half.copy()] + [s.half.copy() for s in workspace.snapshots]
-        expected = apply_mixer(apply_cost_phase(MirroredHalf(half=state.half.copy()), diag, 0.5),
-                               0.9)
+        expected = apply_mixer(apply_cost_phase(state_of(state.half), diag, 0.5), 0.9)
         apply_mixer(apply_cost_phase(state, diag, 0.5), 0.9)
         assert same_bits(state.half, expected.half)
         after = [kept.half] + [s.half for s in workspace.snapshots]
@@ -1032,19 +1061,49 @@ class TestWorkspace:
     def test_workspace_mixer_allocates_less_than_a_piece(self):
         # from n = 15 the pair step runs in pieces; a workspace mixer layer
         # writes their factor into the workspace's one-piece buffer, and
-        # from n = 17 its in-chunk blocks run in the spare's first chunk
+        # from n = 17 its in-chunk blocks run in the spare's first chunk;
+        # a mixer on plus_state, which builds its own blocks, runs in the
+        # buffers of that state's workspace
+        cases = []
         for n in (16, 18):
             g = gen_erdos_renyi(n, 0.5, seed=n)
             workspace = Workspace(n, 1)
             state = evolve(g, schedule_of(0.3, 0.7), workspace=workspace)
-            blocks = workspace.factors.build([0.2])[0]
+            cases.append((n, state, workspace.factors.build([0.2])[0]))
+        cases.append((18, plus_state(18), None))
+        for n, state, blocks in cases:
             tracemalloc.start()
             try:
                 apply_mixer(state, 0.2, blocks)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            assert peak < np.dtype(np.complex128).itemsize * engine._PAIR_PIECE, (n, peak)
+            assert peak < np.dtype(np.complex128).itemsize * engine._PAIR_PIECE, (n, blocks, peak)
+
+    def test_a_mixer_on_a_kept_state_is_refused(self):
+        # the mixer runs in the workspace's state and spare buffers, which
+        # a kept state is not in
+        g = gen_erdos_renyi(9, 0.5, seed=9)
+        workspace = Workspace(9, 2)
+        kept = workspace.keep(evolve(g, schedule_of([0.3, -0.8], [0.7, 0.2]),
+                                     workspace=workspace))
+        with pytest.raises(ValueError, match="current state"):
+            apply_mixer(kept, 0.4)
+
+    def test_a_phase_on_a_kept_state_leaves_the_kept_buffer(self):
+        # the product goes into the workspace's state buffer and the state
+        # moves there; the kept buffer keeps its bits
+        g = gen_erdos_renyi(9, 0.5, seed=9)
+        diag = build_cost_diagonal(g)
+        workspace = Workspace(9, 2)
+        kept = workspace.keep(evolve(g, schedule_of([0.3, -0.8], [0.7, 0.2]), diag=diag,
+                                     workspace=workspace))
+        buffer, before = kept.half, kept.half.copy()
+        expected = apply_cost_phase(state_of(before), diag, 0.5).half
+        apply_cost_phase(kept, diag, 0.5)
+        assert same_bits(buffer, before)
+        assert kept.half is workspace.state.half
+        assert same_bits(kept.half, expected)
 
     def test_workspace_of_another_size_is_refused(self):
         workspace = Workspace(3, 2)
@@ -1174,6 +1233,9 @@ class WorkspaceMachine(RuleBasedStateMachine):
             assert same_bits(self.kept[0].half, self.kept[1])
 
 
-TestWorkspaceMachine = WorkspaceMachine.TestCase
+# A fixed seed, not derandomize, whose seed hypothesis derives from the
+# class's source: an edit to the machine that changes no rule keeps the
+# sequences it tries, and with them the faults it catches
+TestWorkspaceMachine = seed(0)(WorkspaceMachine).TestCase
 TestWorkspaceMachine.settings = settings(max_examples=150, stateful_step_count=20,
-                                         derandomize=True, deadline=None)
+                                         derandomize=False, database=None, deadline=None)
