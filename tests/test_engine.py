@@ -1069,16 +1069,16 @@ class TestWorkspace:
             g = gen_erdos_renyi(n, 0.5, seed=n)
             workspace = Workspace(n, 1)
             state = evolve(g, schedule_of(0.3, 0.7), workspace=workspace)
-            cases.append((n, state, workspace.factors.build([0.2])[0]))
-        cases.append((18, plus_state(18), None))
-        for n, state, blocks in cases:
+            cases.append((f"evolve at n = {n}", state, workspace.factors.build([0.2])[0]))
+        cases.append(("plus_state(18)", plus_state(18), None))
+        for case, state, blocks in cases:
             tracemalloc.start()
             try:
                 apply_mixer(state, 0.2, blocks)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            assert peak < np.dtype(np.complex128).itemsize * engine._PAIR_PIECE, (n, blocks, peak)
+            assert peak < np.dtype(np.complex128).itemsize * engine._PAIR_PIECE, (case, peak)
 
     def test_a_mixer_on_a_kept_state_is_refused(self):
         # the mixer runs in the workspace's state and spare buffers, which
