@@ -34,7 +34,6 @@ from .instance import (
 )
 from .optim import (
     LotusInitConfig,
-    ObjectiveSpec,
     OptimizerOutcome,
     baseline_optimize,
     finite_difference_gradient,

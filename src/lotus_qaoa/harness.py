@@ -14,6 +14,7 @@ import ctypes
 import dataclasses
 import json
 import math
+import numbers
 import os
 import statistics
 import warnings
@@ -109,6 +110,9 @@ class SweepConfig:
                 # JSON true and 4.0 are no counts; only lotus_budget may be None
                 if type(value) is not int and not (value is None and name == "lotus_budget"):
                     raise ValueError(f"{name} needs integers, got {value!r}")
+        for value in self.densities:
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"densities needs real numbers, got {value!r}")
         for name, values in [("qubits", self.qubits), ("depths", self.depths),
                              ("densities", self.densities), ("modes", self.modes),
                              ("optimizers", self.optimizers)]:
@@ -139,6 +143,14 @@ class SweepConfig:
                 raise ValueError(f"{name} must lie in [{lo}, {hi}], got {list(values)}")
         if not all(0.0 < d <= 1.0 for d in self.densities):
             raise ValueError(f"densities must lie in (0, 1], got {list(self.densities)}")
+        # a repeated value would run the same runs twice, or file one instance under two cells
+        for name, keys in [("qubits", self.qubits), ("depths", self.depths),
+                           ("modes", self.modes),
+                           ("densities", [_density_key(d) for d in self.densities])]:
+            if len(set(keys)) < len(keys):
+                rounded = " (to 6 decimals)" if name == "densities" else ""
+                raise ValueError(f"{name} must be distinct{rounded}, "
+                                 f"got {list(getattr(self, name))}")
         if self.shots < 0:
             raise ValueError(f"shots must be >= 0 (0 is exact), got {self.shots}")
         # a budget minimize() refuses for the largest search would fail every such run

@@ -207,12 +207,9 @@ def save_graph(g: WeightedGraph, path: str) -> None:
         fh.write("\n")
 
 
-def load_graph(path: str, on_disconnected: str = "warn") -> WeightedGraph:
-    """Load an instance file.
-
-    ``on_disconnected`` is one of "warn", "error", "ignore" and controls the
-    connectivity validation (the generator always produces connected graphs;
-    hand-written files may not).
+def load_graph(path: str) -> WeightedGraph:
+    """Load an instance file, warning if it holds a disconnected graph (the
+    generator always produces connected graphs; hand-written files may not).
     """
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
@@ -222,9 +219,6 @@ def load_graph(path: str, on_disconnected: str = "warn") -> WeightedGraph:
         seed=payload.get("seed"),
         p_graph=payload.get("p_graph"),
     )
-    if on_disconnected != "ignore" and not g.is_connected():
-        msg = f"instance file {path} holds a disconnected graph"
-        if on_disconnected == "error":
-            raise ValueError(msg)
-        warnings.warn(msg)
+    if not g.is_connected():
+        warnings.warn(f"instance file {path} holds a disconnected graph")
     return g

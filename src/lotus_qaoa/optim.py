@@ -4,8 +4,10 @@ A minimizer front-end with three reference optimizers
 ("nelder-mead", "powell", "fd-lbfgs", all backed by scipy.optimize behind
 this module's budget and bounds contract), plus the two benchmark loops:
 the multi-start HFA hyperparameter search and the direct layer-wise
-baseline. Evaluation budgets are enforced exactly: the objective refuses
-to run past the budget, so reported evaluation counts never exceed it.
+baseline. Every evaluation passes through one guard in ``minimize``,
+which counts it, clips it into the bounds, rejects a non-finite value and
+refuses to run past the budget, so reported evaluation counts never
+exceed it.
 """
 from __future__ import annotations
 
@@ -46,43 +48,6 @@ class BudgetExhausted(Exception):
     """Raised by the evaluation guard when the budget is spent."""
 
 
-@dataclass
-class ObjectiveSpec:
-    """Black-box objective with exact call accounting.
-
-    All evaluations go through ``__call__``, which increments
-    ``eval_counter`` by exactly one per call and rejects non-finite
-    results. The counter is never reset within a run.
-    """
-
-    dimension: int
-    evaluator: Callable[[np.ndarray], float]
-    bounds: list[tuple[float | None, float | None]] | None = None
-    eval_counter: int = 0
-
-    def __post_init__(self) -> None:
-        # clip limits as arrays, built once: None means unbounded on that side
-        self._lo = self._hi = None
-        if self.bounds is not None:
-            self._lo = np.array([-np.inf if lo is None else lo for lo, _ in self.bounds],
-                                dtype=np.float64)
-            self._hi = np.array([np.inf if hi is None else hi for _, hi in self.bounds],
-                                dtype=np.float64)
-
-    def clamp(self, x: np.ndarray) -> np.ndarray:
-        """Copy of ``x`` with every coordinate clipped into its bounds."""
-        if self._lo is None:
-            return np.array(x, dtype=np.float64)
-        return np.minimum(np.maximum(x, self._lo), self._hi)  # np.clip costs twice as much
-
-    def __call__(self, x: np.ndarray) -> float:
-        value = float(self.evaluator(x))
-        self.eval_counter += 1
-        if not np.isfinite(value):
-            raise RuntimeError(f"objective returned non-finite value {value} at x={x!r}")
-        return value
-
-
 @dataclass(frozen=True)
 class OptimizerOutcome:
     """Best point found, accounting, and the best-so-far trace."""
@@ -92,7 +57,7 @@ class OptimizerOutcome:
     iterations: int
     evaluations: int
     converged: bool
-    trace: np.ndarray | None = None
+    trace: np.ndarray
 
 
 def finite_difference_gradient(fun: Callable[[np.ndarray], float], x: np.ndarray,
@@ -175,35 +140,44 @@ def min_budget(dimension: int) -> int:
 
 def minimize(
     method: str,
-    obj: ObjectiveSpec,
+    fun: Callable[[np.ndarray], float],
     x0: np.ndarray,
     budget: int = DEFAULT_BUDGET,
     tol: float = DEFAULT_TOL_EXACT,
+    bounds: list[tuple[float | None, float | None]] | None = None,
 ) -> OptimizerOutcome:
     """Run one optimizer under a strict evaluation budget.
 
-    Bounds are respected by clamping every candidate before evaluation
-    (bounded methods additionally keep their iterates feasible natively).
-    Deterministic: the same method, x0 and objective reproduce the outcome
-    bit-identically.
+    Every evaluation passes through one guard, which refuses to run once
+    ``budget`` evaluations are spent, clips the candidate into ``bounds``
+    (None on a side means unbounded; bounded methods also keep their
+    iterates feasible natively), rejects a non-finite ``fun`` value and
+    appends the best-so-far value to the trace, whose length is the
+    evaluation count. Deterministic: the same method, x0 and objective
+    reproduce the outcome bit-identically.
     """
     if method not in _OPTIMIZERS:
         raise ValueError(f"unknown optimizer {method!r}; known: {optimizer_ids()}")
     x0 = np.asarray(x0, dtype=np.float64)
-    if x0.size != obj.dimension:
-        raise ValueError(f"x0 has length {x0.size}, objective expects {obj.dimension}")
-    if budget < min_budget(obj.dimension):
-        raise ValueError(f"budget {budget} below dimension + 2 = {min_budget(obj.dimension)}")
-    start = obj.eval_counter
+    if budget < min_budget(x0.size):
+        raise ValueError(f"budget {budget} below dimension + 2 = {min_budget(x0.size)}")
+    lo = hi = None  # clip limits, built once
+    if bounds is not None:
+        if len(bounds) != x0.size:
+            raise ValueError(f"bounds has length {len(bounds)}, x0 has {x0.size}")
+        lo = np.array([-np.inf if b is None else b for b, _ in bounds], dtype=np.float64)
+        hi = np.array([np.inf if b is None else b for _, b in bounds], dtype=np.float64)
     best_x, best_f, trace, reported = None, np.inf, [], 0
 
     def guarded(x: np.ndarray) -> float:
-        """Budget guard: clamps, evaluates, tracks the best-so-far trace."""
         nonlocal best_x, best_f
-        if obj.eval_counter - start >= budget:
+        if len(trace) >= budget:
             raise BudgetExhausted()
-        x = obj.clamp(x)
-        f = obj(x)
+        # np.clip costs twice as much
+        x = np.array(x, dtype=np.float64) if lo is None else np.minimum(np.maximum(x, lo), hi)
+        f = float(fun(x))
+        if not np.isfinite(f):
+            raise RuntimeError(f"objective returned non-finite value {f} at x={x!r}")
         if f < best_f:
             best_f, best_x = f, x
         trace.append(best_f)
@@ -214,7 +188,7 @@ def minimize(
         reported += 1
 
     try:
-        nit, converged = _OPTIMIZERS[method](guarded, x0, obj.bounds, tol, report_iteration)
+        nit, converged = _OPTIMIZERS[method](guarded, x0, bounds, tol, report_iteration)
     except BudgetExhausted:
         nit, converged = None, False
     if best_x is None:  # pragma: no cover - budget >= dim + 2 guarantees evals
@@ -223,7 +197,7 @@ def minimize(
         x_best=best_x,
         f_best=best_f,
         iterations=max(reported if nit is None else int(nit), 1),
-        evaluations=obj.eval_counter - start,
+        evaluations=len(trace),
         converged=bool(converged),
         trace=np.asarray(trace),
     )
@@ -304,8 +278,7 @@ def optimize(g: WeightedGraph, p: int, method: str,
                 best_f, state = f, workspace.keep(evolved)
             return f
 
-        obj = ObjectiveSpec(dimension=x0.size, evaluator=evaluate, bounds=bounds)
-        outcome = minimize(method, obj, x0, budget=budget, tol=tol)
+        outcome = minimize(method, evaluate, x0, budget=budget, tol=tol, bounds=bounds)
         total_evals += outcome.evaluations
         total_iters += outcome.iterations
         if best is None or outcome.f_best < best.f_best:

@@ -112,7 +112,7 @@ class Schedule:
     """Realized layer angles.
 
     Only the raw angles are stored; ``gammas``/``betas`` (their mod-2*pi
-    representatives) and the temporal ``grid`` are derived on access.
+    representatives) are derived on access.
     """
 
     raw_gammas: np.ndarray
@@ -136,10 +136,6 @@ class Schedule:
     @property
     def betas(self) -> np.ndarray:
         return np.mod(self.raw_betas, TWO_PI)
-
-    @property
-    def grid(self) -> np.ndarray:
-        return layer_grid(self.depth)
 
 
 def _ar_residuals(delta0: float, lam: float, p: int) -> np.ndarray:

@@ -250,6 +250,13 @@ class TestUsageErrors:
         ("budget", 40.5, (), "budget needs integers, got 40.5"),
         ("lotus_budget", 20.0, (), "lotus_budget needs integers, got 20.0"),
         ("base_seed", 1.5, (), "base_seed needs integers, got 1.5"),
+        ("qubits", [4, 4], (), "qubits must be distinct, got [4, 4]"),
+        ("depths", [2, 2], (), "depths must be distinct, got [2, 2]"),
+        ("modes", [1, 1], (), "modes must be distinct, got [1, 1]"),
+        ("densities", [0.5, 0.5000000001], (),
+         "densities must be distinct (to 6 decimals), got [0.5, 0.5000000001]"),
+        ("densities", [True], (), "densities needs real numbers, got True"),
+        ("densities", ["0.5"], (), "densities needs real numbers, got '0.5'"),
     ])
     def test_bad_sweep_grid_exits_two_before_any_run(self, tmp_path, capsys,
                                                       field, value, flags, message):

@@ -590,11 +590,10 @@ class TestDepthTransfer:
         runs = []
         minimize = optim.minimize
 
-        def recording(method, obj, x0, **kwargs):
-            evaluate, seen = obj.evaluator, []
-            obj.evaluator = lambda x: seen.append(np.array(x)) or evaluate(x)
+        def recording(method, fun, x0, **kwargs):
+            seen = []
             runs.append(seen)
-            return minimize(method, obj, x0, **kwargs)
+            return minimize(method, lambda x: seen.append(np.array(x)) or fun(x), x0, **kwargs)
 
         monkeypatch.setattr(optim, "minimize", recording)
         depth_transfer_experiment(g, params, 2, (2, 4), hot_start=True, seed=9, budget=40)

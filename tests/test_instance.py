@@ -179,9 +179,6 @@ class TestInstanceFiles:
         path.write_text(json.dumps({"n": 3, "edges": [[0, 1, 0.5]], "seed": 0, "p_graph": 0.1}))
         with pytest.warns(UserWarning, match="disconnected"):
             load_graph(str(path))
-        with pytest.raises(ValueError, match="disconnected"):
-            load_graph(str(path), on_disconnected="error")
-        load_graph(str(path), on_disconnected="ignore")
 
 
 def test_index_to_bitstring_is_little_endian():

@@ -10,7 +10,6 @@ from lotus_qaoa.optim import (
     DEFAULT_BUDGET,
     LOTUS_BUDGET_PER_DIM,
     LotusInitConfig,
-    ObjectiveSpec,
     baseline_optimize,
     finite_difference_gradient,
     lotus_optimize,
@@ -22,35 +21,96 @@ METHODS = ("nelder-mead", "powell", "fd-lbfgs")
 SINGLE_EDGE = WeightedGraph(n=2, edges=((0, 1, 1.0),))
 
 
-def sphere(dim):
-    return ObjectiveSpec(dimension=dim, evaluator=lambda x: float(np.sum(np.square(x))))
+def sphere(x):
+    return float(np.sum(np.square(x)))
 
 
-class TestObjectiveSpec:
-    def test_counter_increments_per_call(self):
-        obj = sphere(2)
-        for expected in (1, 2, 3):
-            obj(np.zeros(2))
-            assert obj.eval_counter == expected
+class Counted:
+    """Fake objective: records every point it is handed, then calls ``fun``."""
+
+    def __init__(self, fun=sphere):
+        self.fun, self.points = fun, []
+
+    def __call__(self, x):
+        self.points.append(np.array(x))
+        return self.fun(x)
+
+
+def probe(*points):
+    """A method for ``optim._OPTIMIZERS`` that evaluates ``points`` and stops."""
+    def method(fun, x0, bounds, tol, report_iteration):
+        for x in points:
+            fun(x)
+        return 1, True
+    return method
+
+
+class TestGuard:
+    def test_counts_every_call(self, monkeypatch):
+        monkeypatch.setitem(optim._OPTIMIZERS, "probe", probe(*np.eye(2)))
+        fun = Counted()
+        out = minimize("probe", fun, np.zeros(2))
+        assert len(fun.points) == out.evaluations == out.trace.size == 2
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("stop", ["budget", "converged"])
+    def test_calls_equal_evaluations_and_trace_size(self, method, stop):
+        fun = Counted()
+        budget = 5 if stop == "budget" else 2000
+        out = minimize(method, fun, np.array([1.0, -2.0, 0.5]), budget=budget)
+        assert out.converged == (stop == "converged")
+        assert len(fun.points) == out.evaluations == out.trace.size
+        assert out.evaluations == budget if stop == "budget" else out.evaluations < budget
+
+    @pytest.mark.parametrize("budget", [5, 10, 16])  # it converges after 21
+    def test_fd_lbfgs_stopped_inside_a_gradient(self, monkeypatch, budget):
+        gradients = []
+        gradient = optim.finite_difference_gradient
+
+        def entered(fun, x):
+            gradients.append("entered")
+            grad = gradient(fun, x)
+            gradients.append("left")
+            return grad
+
+        monkeypatch.setattr(optim, "finite_difference_gradient", entered)
+        fun = Counted()
+        out = minimize("fd-lbfgs", fun, np.array([1.0, -2.0, 0.5]), budget=budget)
+        assert gradients[-1] == "entered"  # the budget ran out between its calls
+        assert len(fun.points) == out.evaluations == out.trace.size == budget
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_every_point_lies_inside_the_bounds(self, method):
+        bounds = [(-1.0, 1.0), (0.0, 2.0), (None, 0.5)]
+        fun = Counted(lambda x: float(np.sum((x - 3.0) ** 2)))
+        minimize(method, fun, np.array([1.0, 0.0, 0.5]), budget=300, bounds=bounds)
+        points = np.array(fun.points)
+        assert np.all(points[:, :2] >= [-1.0, 0.0]) and np.all(points <= [1.0, 2.0, 0.5])
+
+    def test_clips_into_bounds(self, monkeypatch):
+        monkeypatch.setitem(optim._OPTIMIZERS, "probe", probe(np.full(3, 5.0)))
+        fun = Counted(lambda x: 0.0)
+        out = minimize("probe", fun, np.zeros(3),
+                       bounds=[(-1.0, 1.0), (None, 0.5), (None, None)])
+        assert fun.points[0].tolist() == out.x_best.tolist() == [1.0, 0.5, 5.0]
+
+    def test_keeps_a_copy_when_unbounded(self, monkeypatch):
+        x = np.full(2, 0.5)
+        monkeypatch.setitem(optim._OPTIMIZERS, "probe", probe(x))
+        out = minimize("probe", sphere, np.zeros(2))
+        x[:] = 9.0  # a method may reuse its arrays
+        assert out.x_best.tolist() == [0.5, 0.5]
 
     def test_non_finite_aborts_with_diagnostic(self):
-        obj = ObjectiveSpec(dimension=1, evaluator=lambda x: float("nan"))
-        with pytest.raises(RuntimeError, match="non-finite"):
-            obj(np.zeros(1))
-
-    def test_clamp(self):
-        obj = ObjectiveSpec(dimension=3, evaluator=lambda x: 0.0,
-                            bounds=[(-1.0, 1.0), (None, 0.5), (None, None)])
-        clamped = obj.clamp(np.array([5.0, 5.0, 5.0]))
-        assert clamped.tolist() == [1.0, 0.5, 5.0]
+        with pytest.raises(RuntimeError, match=r"non-finite value nan at x=array"):
+            minimize("powell", lambda x: float("nan"), np.zeros(1))
 
 
 class TestMinimize:
     @pytest.mark.parametrize("method", METHODS)
     def test_sphere_smoke(self, method):
         dim = 4
-        obj = sphere(dim)
-        out = minimize(method, obj, np.full(dim, 0.8), budget=500 * dim)
+        out = minimize(method, sphere, np.full(dim, 0.8), budget=500 * dim)
         assert out.f_best < 1e-6
         assert out.evaluations <= 500 * dim
         assert np.allclose(out.x_best, 0.0, atol=0.05)
@@ -58,16 +118,16 @@ class TestMinimize:
     @pytest.mark.parametrize("method", METHODS)
     def test_budget_never_exceeded(self, method):
         dim = 5
-        obj = sphere(dim)
-        out = minimize(method, obj, np.full(dim, 2.0), budget=dim + 2)
+        fun = Counted()
+        out = minimize(method, fun, np.full(dim, 2.0), budget=dim + 2)
         assert out.evaluations == dim + 2  # the guard stopped the method at the budget
         assert not out.converged
-        assert obj.eval_counter == out.evaluations
+        assert len(fun.points) == out.evaluations
 
     @pytest.mark.parametrize("method", METHODS)
     def test_deterministic(self, method):
-        out1 = minimize(method, sphere(3), np.array([1.0, -2.0, 0.5]), budget=200)
-        out2 = minimize(method, sphere(3), np.array([1.0, -2.0, 0.5]), budget=200)
+        out1 = minimize(method, sphere, np.array([1.0, -2.0, 0.5]), budget=200)
+        out2 = minimize(method, sphere, np.array([1.0, -2.0, 0.5]), budget=200)
         assert out1.f_best == out2.f_best
         assert np.array_equal(out1.x_best, out2.x_best)
         assert (out1.iterations, out1.evaluations, out1.converged) == \
@@ -77,69 +137,64 @@ class TestMinimize:
     @pytest.mark.parametrize("method", METHODS)
     def test_trace_monotone_non_increasing(self, method):
         rng = np.random.default_rng(0)
-        obj = ObjectiveSpec(dimension=3, evaluator=lambda x: float(
-            np.sum(np.square(x)) + 0.3 * np.sin(5 * x).sum()))
-        out = minimize(method, obj, rng.uniform(-2, 2, 3), budget=300)
+        out = minimize(method, lambda x: sphere(x) + 0.3 * np.sin(5 * x).sum(),
+                       rng.uniform(-2, 2, 3), budget=300)
         assert np.all(np.diff(out.trace) <= 0.0)
         assert out.trace.size == out.evaluations
         assert out.trace[-1] == out.f_best
 
     @pytest.mark.parametrize("method", METHODS)
     def test_accounting_invariants(self, method):
-        out = minimize(method, sphere(4), np.full(4, 1.5), budget=600)
+        out = minimize(method, sphere, np.full(4, 1.5), budget=600)
         assert out.evaluations >= out.iterations >= 1
 
     @pytest.mark.parametrize("method", METHODS)
     def test_f_best_consistent_with_x_best(self, method):
-        obj = sphere(3)
-        out = minimize(method, obj, np.array([1.0, -0.5, 2.0]), budget=300)
-        assert obj.evaluator(out.x_best) == out.f_best  # exact mode, no noise
+        out = minimize(method, sphere, np.array([1.0, -0.5, 2.0]), budget=300)
+        assert sphere(out.x_best) == out.f_best  # exact mode, no noise
 
     @pytest.mark.parametrize("method", METHODS)
     def test_bounds_respected(self, method):
         # optimum of the unconstrained problem sits outside the box
-        obj = ObjectiveSpec(dimension=2,
-                            evaluator=lambda x: float(np.sum((x - 3.0) ** 2)),
-                            bounds=[(-1.0, 1.0), (-1.0, 1.0)])
-        out = minimize(method, obj, np.zeros(2), budget=400)
+        out = minimize(method, lambda x: float(np.sum((x - 3.0) ** 2)), np.zeros(2),
+                       budget=400, bounds=[(-1.0, 1.0), (-1.0, 1.0)])
         assert np.all(out.x_best >= -1.0) and np.all(out.x_best <= 1.0)
         assert out.f_best == pytest.approx(8.0, rel=1e-3)
 
     def test_unknown_method(self):
         with pytest.raises(ValueError, match="unknown optimizer"):
-            minimize("cobyla", sphere(2), np.zeros(2))
+            minimize("cobyla", sphere, np.zeros(2))
 
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="length"):
-            minimize("powell", sphere(2), np.zeros(3))
+    def test_bounds_of_the_wrong_length(self):
+        with pytest.raises(ValueError, match="bounds has length 2, x0 has 3"):
+            minimize("powell", sphere, np.zeros(3), bounds=[(0.0, 1.0)] * 2)
 
     def test_budget_precondition(self):
         with pytest.raises(ValueError, match="budget"):
-            minimize("powell", sphere(4), np.zeros(4), budget=5)
+            minimize("powell", sphere, np.zeros(4), budget=5)
 
     def test_non_finite_objective_aborts(self):
-        obj = ObjectiveSpec(dimension=2, evaluator=lambda x: float("inf"))
         with pytest.raises(RuntimeError, match="non-finite"):
-            minimize("nelder-mead", obj, np.zeros(2), budget=100)
+            minimize("nelder-mead", lambda x: float("inf"), np.zeros(2), budget=100)
 
 
 class TestFiniteDifferenceGradient:
     def test_quadratic(self):
-        grad = finite_difference_gradient(sphere(2), np.array([1.0, 2.0]), h=1e-5)
+        grad = finite_difference_gradient(sphere, np.array([1.0, 2.0]), h=1e-5)
         assert np.allclose(grad, [2.0, 4.0], atol=1e-8)
 
     def test_constant_function(self):
-        obj = ObjectiveSpec(dimension=3, evaluator=lambda x: 7.5)
-        assert np.array_equal(finite_difference_gradient(obj, np.zeros(3)), np.zeros(3))
+        assert np.array_equal(finite_difference_gradient(lambda x: 7.5, np.zeros(3)),
+                              np.zeros(3))
 
     def test_costs_two_evals_per_coordinate(self):
-        obj = sphere(4)
-        finite_difference_gradient(obj, np.zeros(4))
-        assert obj.eval_counter == 8
+        fun = Counted()
+        finite_difference_gradient(fun, np.zeros(4))
+        assert len(fun.points) == 8
 
     def test_requires_positive_step(self):
         with pytest.raises(ValueError):
-            finite_difference_gradient(sphere(2), np.zeros(2), h=0.0)
+            finite_difference_gradient(sphere, np.zeros(2), h=0.0)
 
     def test_matches_five_point_stencil_on_circuit_objective(self):
         g = gen_erdos_renyi(5, 0.8, seed=3)
@@ -150,10 +205,9 @@ class TestFiniteDifferenceGradient:
             state = engine.evolve(g, standard_unpack(x, p), diag=diag)
             return -engine.expectation_exact(state, diag)
 
-        obj = ObjectiveSpec(dimension=2 * p, evaluator=f)
         rng = np.random.default_rng(4)
         x = rng.uniform(0, 2 * np.pi, 2 * p)
-        grad = finite_difference_gradient(obj, x, h=1e-4)
+        grad = finite_difference_gradient(f, x, h=1e-4)
         h = 1e-2
         rich = np.empty_like(grad)
         for i in range(x.size):

@@ -226,7 +226,7 @@ class TestResample:
             for p in (8, 16, 32):
                 coarse = hfa_generate(params, p)
                 fine = hfa_generate(params, 2 * p)
-                interp = np.interp(coarse.grid, fine.grid, fine.raw_gammas)
+                interp = np.interp(layer_grid(p), layer_grid(2 * p), fine.raw_gammas)
                 gaps.append(np.max(np.abs(coarse.raw_gammas - interp)))
             assert gaps[0] / gaps[1] >= 1.5 and gaps[1] / gaps[2] >= 1.5
 
