@@ -40,7 +40,7 @@ from .schedule import Schedule
 DEFAULT_QUBIT_CAP = 20
 # Written into each sweep's config sidecar; resume refuses another version.
 # Bump it whenever records can move, round-off included.
-ENGINE_VERSION = 5
+ENGINE_VERSION = 6
 _MIXER_BLOCK = 4  # index bits fused per mixer matmul
 _MIXER_CHUNK = 1 << 16  # floats (512 KiB) of the half that the low mixer blocks run on at once
 # Most rows per matmul of the lowest mixer block, which runs as a stack of

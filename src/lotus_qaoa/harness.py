@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
-from scipy.linalg import expm
 
 from . import engine, instance, optim, schedule
 from .records import RunRecord, append_record, resume_records, write_csv
@@ -278,7 +277,9 @@ def run_sweep(cfg: SweepConfig, workers: int | None = None) -> list[RunRecord]:
     off and its run redone. Record content is independent of the worker
     count (all randomness is derived from cell-local seeds); only completion
     order may differ. Each worker runs one BLAS thread
-    (``_pin_blas_threads``); the caller's process keeps its own count.
+    (``_pin_blas_threads``); the caller's process keeps its own count. A new
+    sidecar is fsynced before the pool starts, so that no record on disk
+    can outlive it.
     """
     workers = default_workers() if workers is None else max(1, workers)
     sidecar = cfg.out + ".config.json"
@@ -292,6 +293,12 @@ def run_sweep(cfg: SweepConfig, workers: int | None = None) -> list[RunRecord]:
         with open(sidecar, "w", encoding="utf-8") as fh:
             marks = dict(json.loads(cfg.to_json()), engine_version=engine.ENGINE_VERSION)
             fh.write(json.dumps(marks, sort_keys=True) + "\n")
+            fh.flush()
+            os.fsync(fh.fileno())  # on disk before any record, which append_record fsyncs
+
+    # optim imports scipy.optimize only when it first runs; loaded here, the
+    # forked workers share it instead of each importing it again
+    import scipy.optimize  # noqa: F401
 
     error: Exception | None = None
     # starts workers on first submit
@@ -555,6 +562,8 @@ def dense_mixer_matrix(n: int) -> np.ndarray:
 
 def dense_oracle_state(g: instance.WeightedGraph, sched: schedule.Schedule) -> np.ndarray:
     """Evolve by exponentiating explicit matrices (slow reference path)."""
+    from scipy.linalg import expm  # here, like scipy.stats in significance_matrix
+
     h_cost = dense_cost_matrix(g)
     h_mix = dense_mixer_matrix(g.n)
     dim = 1 << g.n

@@ -16,7 +16,6 @@ from collections.abc import Callable, Iterable
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import minimize as _scipy_minimize
 
 from . import engine
 # perfbench/tracer.py patches optim.brute_force_maxcut by name, so it stays importable here.
@@ -60,17 +59,44 @@ class OptimizerOutcome:
     trace: np.ndarray
 
 
+Bounds = list[tuple[float | None, float | None]]
+
+
+def _limits(bounds: Bounds) -> tuple[np.ndarray, np.ndarray]:
+    """Lower and upper limits of ``bounds``; None on a side is infinite."""
+    lo = np.array([-np.inf if b is None else b for b, _ in bounds], dtype=np.float64)
+    hi = np.array([np.inf if b is None else b for _, b in bounds], dtype=np.float64)
+    return lo, hi
+
+
 def finite_difference_gradient(fun: Callable[[np.ndarray], float], x: np.ndarray,
-                               h: float = FD_STEP) -> np.ndarray:
-    """Central-difference gradient; costs exactly 2*dimension evaluations."""
+                               h: float = FD_STEP, bounds: Bounds | None = None) -> np.ndarray:
+    """Central-difference gradient; costs exactly 2*dimension evaluations.
+
+    Within ``bounds`` (as in ``minimize``), a coordinate whose x + h leaves
+    the box takes the one-sided difference (f(x) - f(x - h)) / h, and one
+    whose x - h leaves it (f(x + h) - f(x)) / h, so that no evaluation
+    point is clipped; a coordinate with less than h of room on both sides
+    is an error.
+    """
     if h <= 0:
         raise ValueError(f"need h > 0, got {h}")
     x = np.asarray(x, dtype=np.float64)
+    lo, hi = (None, None) if bounds is None else _limits(bounds)
     grad = np.empty(x.size)
     for i in range(x.size):
         step = np.zeros_like(x)
         step[i] = h
-        grad[i] = (fun(x + step) - fun(x - step)) / (2.0 * h)
+        plus, minus, width = x + step, x - step, 2.0 * h
+        if lo is not None:
+            up, down = plus[i] <= hi[i], minus[i] >= lo[i]
+            if not (up or down):
+                raise ValueError(f"bounds {bounds[i]} leave no step h={h} at x[{i}]={x[i]}")
+            if not up:
+                plus, width = x, h
+            elif not down:
+                minus, width = x, h
+        grad[i] = (fun(plus) - fun(minus)) / width
     if not np.all(np.isfinite(grad)):
         raise RuntimeError(f"non-finite finite-difference gradient at x={x!r}")
     return grad
@@ -87,12 +113,19 @@ def _simplex_edges(bounds, dim: int) -> np.ndarray:
 
 _BIG = 2 ** 31 - 1
 
+# The three wrappers import scipy.optimize when they run: it takes about a
+# quarter of a second to load, which every command that optimizes nothing
+# (gen, score, --help) would pay. harness.run_sweep loads it before its
+# pool forks, so that the workers share it.
+
 
 def _nelder_mead(fun, x0, bounds, tol, report_iteration):
+    from scipy.optimize import minimize as scipy_minimize
+
     dim = x0.size
     simplex = np.tile(x0, (dim + 1, 1))
     simplex[1:] += np.diag(_simplex_edges(bounds, dim))
-    res = _scipy_minimize(
+    res = scipy_minimize(
         fun, x0, method="Nelder-Mead", bounds=bounds,
         callback=lambda xk: report_iteration(),
         options=dict(initial_simplex=simplex, fatol=tol, xatol=np.inf,
@@ -102,7 +135,9 @@ def _nelder_mead(fun, x0, bounds, tol, report_iteration):
 
 
 def _powell(fun, x0, bounds, tol, report_iteration):
-    res = _scipy_minimize(
+    from scipy.optimize import minimize as scipy_minimize
+
+    res = scipy_minimize(
         fun, x0, method="Powell", bounds=bounds,
         callback=lambda xk: report_iteration(),
         options=dict(ftol=tol, maxiter=_BIG, maxfev=_BIG),
@@ -111,8 +146,11 @@ def _powell(fun, x0, bounds, tol, report_iteration):
 
 
 def _fd_lbfgs(fun, x0, bounds, tol, report_iteration):
-    res = _scipy_minimize(
-        fun, x0, method="L-BFGS-B", jac=lambda x: finite_difference_gradient(fun, x),
+    from scipy.optimize import minimize as scipy_minimize
+
+    res = scipy_minimize(
+        fun, x0, method="L-BFGS-B",
+        jac=lambda x: finite_difference_gradient(fun, x, bounds=bounds),
         bounds=bounds,
         callback=lambda xk: report_iteration(),
         options=dict(ftol=tol, gtol=1e-8, maxiter=_BIG, maxfun=_BIG),
@@ -144,7 +182,7 @@ def minimize(
     x0: np.ndarray,
     budget: int = DEFAULT_BUDGET,
     tol: float = DEFAULT_TOL_EXACT,
-    bounds: list[tuple[float | None, float | None]] | None = None,
+    bounds: Bounds | None = None,
 ) -> OptimizerOutcome:
     """Run one optimizer under a strict evaluation budget.
 
@@ -165,8 +203,7 @@ def minimize(
     if bounds is not None:
         if len(bounds) != x0.size:
             raise ValueError(f"bounds has length {len(bounds)}, x0 has {x0.size}")
-        lo = np.array([-np.inf if b is None else b for b, _ in bounds], dtype=np.float64)
-        hi = np.array([np.inf if b is None else b for _, b in bounds], dtype=np.float64)
+        lo, hi = _limits(bounds)
     best_x, best_f, trace, reported = None, np.inf, [], 0
 
     def guarded(x: np.ndarray) -> float:
@@ -230,9 +267,9 @@ def _seed_rng(seed: int, *tags: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed & 0xFFFFFFFFFFFFFFFF, *tags]))
 
 
-def hfa_bounds(k_modes: int) -> list[tuple[float | None, float | None]]:
+def hfa_bounds(k_modes: int) -> Bounds:
     """Search box of an HFA vector: both AR decay rates within +-LAMBDA_CLAMP."""
-    bounds: list[tuple[float | None, float | None]] = [(None, None)] * hfa_dimension(k_modes)
+    bounds: Bounds = [(None, None)] * hfa_dimension(k_modes)
     bounds[2 * k_modes] = bounds[2 * k_modes + 1] = (-LAMBDA_CLAMP, LAMBDA_CLAMP)
     return bounds
 

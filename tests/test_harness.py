@@ -40,6 +40,14 @@ def make_record(seed=0, optimizer="powell", expectation=1.0, evaluations=100,
     )
 
 
+def _fresh_python(code: str, *args: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a new interpreter that imports this package's source."""
+    src = os.path.dirname(os.path.dirname(harness.__file__))
+    return subprocess.run([sys.executable, "-c", code, *args],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, check=True)
+
+
 _SWEEP_TASK = harness._sweep_task
 
 
@@ -311,16 +319,13 @@ class TestSignificance:
         assert np.isnan(matrix.p_values).all()
         assert not matrix.significant.any()
 
-    def test_package_import_leaves_scipy_stats_unloaded(self):
-        # significance_matrix loads scipy.stats when it runs, so a fresh
-        # interpreter that imports the package (a CLI start, a benchmark's
-        # setup) does not pay for it
-        src = os.path.dirname(os.path.dirname(harness.__file__))
+    def test_package_import_leaves_scipy_unloaded(self):
+        # scipy.optimize, scipy.linalg and scipy.stats load where they are
+        # first used, so a fresh interpreter that imports the package (a CLI
+        # start, a benchmark's setup) does not pay for them
         code = ("import sys, lotus_qaoa; "
-                "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))")
-        out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
-                             capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "[]"
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        assert _fresh_python(code).stdout.strip() == "[]"
 
     def test_lotus_label_carries_mode_count(self):
         assert optimizer_label(make_record(optimizer="lotus", k_modes=3)) == "lotus[K=3]"
@@ -429,6 +434,40 @@ class TestSweep:
         cfg = SweepConfig(**{**TINY_CFG, "seeds": 3}, out=str(tmp_path / "r.ndjson"))
         assert {r.evaluations for r in run_sweep(cfg, workers=workers)} == {1}
         assert lib.scipy_openblas_get_num_threads64_() == before
+
+    def test_workers_find_scipy_optimize_loaded(self, tmp_path):
+        # a sweep started in a fresh interpreter, where nothing has loaded
+        # scipy.optimize yet, loads it once before forking, not once per worker
+        code = "\n".join([
+            "import sys",
+            "from lotus_qaoa import harness",
+            "task = harness._sweep_task",
+            "def checked(args):",
+            "    assert 'scipy.optimize' in sys.modules, 'a worker found scipy.optimize unloaded'",
+            "    return task(args)",
+            "harness._sweep_task = checked",
+            "assert 'scipy.optimize' not in sys.modules",
+            f"harness.run_sweep(harness.SweepConfig(**{TINY_CFG!r}, out=sys.argv[1]), workers=2)",
+        ])
+        _fresh_python(code, str(tmp_path / "r.ndjson"))
+        assert len(load_records(str(tmp_path / "r.ndjson"))) == 4
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_sidecar_is_synced_before_the_first_record(self, tmp_path, monkeypatch):
+        # else a power loss could keep records whose sidecar is lost, and
+        # the next run would refuse to resume them
+        synced = []
+        fsync = os.fsync
+
+        def logged(fd):
+            synced.append(os.readlink(f"/proc/self/fd/{fd}"))
+            fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", logged)
+        monkeypatch.setattr(harness, "_sweep_task", _key_record)
+        out = os.path.realpath(tmp_path / "r.ndjson")
+        run_sweep(SweepConfig(**TINY_CFG, out=out), workers=1)
+        assert out + ".config.json" in synced[:synced.index(out)]
 
     def test_pinning_without_the_bundled_openblas_does_nothing(self, monkeypatch):
         monkeypatch.setattr(harness, "_numpy_openblas", lambda: None)

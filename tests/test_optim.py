@@ -67,9 +67,9 @@ class TestGuard:
         gradients = []
         gradient = optim.finite_difference_gradient
 
-        def entered(fun, x):
+        def entered(fun, x, **kwargs):
             gradients.append("entered")
-            grad = gradient(fun, x)
+            grad = gradient(fun, x, **kwargs)
             gradients.append("left")
             return grad
 
@@ -78,6 +78,23 @@ class TestGuard:
         out = minimize("fd-lbfgs", fun, np.array([1.0, -2.0, 0.5]), budget=budget)
         assert gradients[-1] == "entered"  # the budget ran out between its calls
         assert len(fun.points) == out.evaluations == out.trace.size == budget
+
+    def test_fd_lbfgs_takes_the_whole_derivative_on_a_bound(self, monkeypatch):
+        # x + h on the upper bound would be clipped back onto x, halving the
+        # central difference to [-2, -6]
+        gradients = []
+        gradient = optim.finite_difference_gradient
+
+        def logged(fun, x, **kwargs):
+            gradients.append(gradient(fun, x, **kwargs))
+            return gradients[-1]
+
+        monkeypatch.setattr(optim, "finite_difference_gradient", logged)
+        fun = Counted(lambda x: float(np.sum((x - 3.0) ** 2)))
+        minimize("fd-lbfgs", fun, np.array([1.0, 0.0]), budget=50,
+                 bounds=[(-1.0, 1.0), (-1.0, 1.0)])
+        assert np.allclose(gradients[0], [-4.0, -6.0], atol=1e-5)
+        assert np.all(np.abs(np.array(fun.points)) <= 1.0)
 
     @pytest.mark.parametrize("method", METHODS)
     def test_every_point_lies_inside_the_bounds(self, method):
@@ -191,6 +208,24 @@ class TestFiniteDifferenceGradient:
         fun = Counted()
         finite_difference_gradient(fun, np.zeros(4))
         assert len(fun.points) == 8
+
+    def test_one_sided_on_either_bound(self):
+        fun = Counted(lambda x: float(np.sum((x - 3.0) ** 2)))
+        grad = finite_difference_gradient(fun, np.array([1.0, -1.0, 0.0]), h=1e-6,
+                                          bounds=[(-1.0, 1.0), (-1.0, 1.0), (None, None)])
+        assert np.allclose(grad, [-4.0, -8.0, -6.0], atol=1e-5)
+        assert len(fun.points) == 6
+        assert np.all(np.abs(np.array(fun.points)[:, :2]) <= 1.0)
+
+    def test_unbounded_coordinates_match_the_unbounded_call(self):
+        x = np.array([0.3, -1.7, 2.9])
+        open_box = [(None, None), (-5.0, None), (None, 5.0)]
+        assert np.array_equal(finite_difference_gradient(sphere, x, bounds=open_box),
+                              finite_difference_gradient(sphere, x))
+
+    def test_no_room_on_either_side(self):
+        with pytest.raises(ValueError, match="leave no step"):
+            finite_difference_gradient(sphere, np.zeros(1), h=1e-3, bounds=[(-1e-4, 1e-4)])
 
     def test_requires_positive_step(self):
         with pytest.raises(ValueError):
